@@ -34,9 +34,10 @@ class AlgebraSpec:
     def __post_init__(self):
         if not isinstance(self.kind, Kind):
             object.__setattr__(self, "kind", Kind(self.kind))
-        if not isinstance(self.n, int) or self.n < 1:
+        # bool is an int subclass: n=True would equal, and hash like, n=1
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"number of modes must be a positive integer, got {self.n!r}")
-        if not isinstance(self.p, int) or self.p < 1:
+        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
             raise ValueError(f"occupation cap must be a positive integer, got {self.p!r}")
 
     @property
@@ -90,12 +91,13 @@ def _grade_count(kind: Kind, n: int, k: int) -> int:
 
 
 def _grade_vectors(kind: Kind, n: int, k: int) -> Iterator[OccupationVector]:
-    # lexicographic ascending within the grade
-    if n == 0:
-        if k == 0:
-            yield ()
-        return
+    # lexicographic ascending within the grade (n >= 1); the last mode takes
+    # the remaining total when admissible, so Bose grades cost O(output)
     top = min(k, 1 if kind is Kind.FERMI else k)
+    if n == 1:
+        if k <= top:
+            yield (k,)
+        return
     for first in range(0, top + 1):
         for rest in _grade_vectors(kind, n - 1, k - first):
             yield (first,) + rest

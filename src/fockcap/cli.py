@@ -14,13 +14,12 @@ from fractions import Fraction
 
 from .basis import (AlgebraSpec, Kind, basis_csv, dimension, enumerate_basis,
                     fermi_cap_note, graded_dimensions)
-from .lie import LIE_CHECKS, gl_generator, run_lie_suite
+from .lie import LIE_CHECKS, run_lie_suite
 from .models import (diagonal_spectrum, quadratic_hamiltonian_spectrum,
                      toy_levels, toy_spectrum)
-from .operators import (ORTHONORMAL, UNNORMALIZED, build_annihilation,
-                        build_creation, build_gram, build_number, normalize,
-                        operator_json_payload)
-from .relations import EXACT, FLOAT, run_grid, run_suite
+from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, fock_space,
+                        normalize, operator_json_payload)
+from .relations import run_grid, run_suite
 from .thermo import occupation_summary, thermo_csv
 
 OP_CHOICES = ("create", "annihilate", "number", "eij")
@@ -101,16 +100,17 @@ def cmd_ops(args) -> int:
         raise ValueError(f"--op {args.op} requires --i")
     if args.op == "eij" and args.j is None:
         raise ValueError("--op eij requires --j")
+    space = fock_space(spec)
     if args.op == "create":
-        op = build_creation(spec, args.i)
+        op = space.ladder(args.i, +1)
     elif args.op == "annihilate":
-        op = build_annihilation(spec, args.i)
+        op = space.ladder(args.i, -1)
     elif args.op == "number":
-        op = build_number(spec)
+        op = space.number()
     else:
-        op = gl_generator(spec, args.i, args.j)
+        op = space.bilinear(args.i, args.j)
     if args.normalization == ORTHONORMAL:
-        op = normalize(op, build_gram(spec))
+        op = normalize(op, space.gram)
     _emit(_dump_json(operator_json_payload(spec, op)), args.output)
     return 0
 

@@ -23,29 +23,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
-from .basis import (AlgebraSpec, Kind, dimension, enumerate_basis,
-                    graded_dimensions, grade_offsets)
-from .operators import (_check_mode, build_annihilation, build_creation,
-                        build_gram, build_number, normalize,
-                        orthonormal_annihilation, orthonormal_creation)
-from .relations import EXACT, FLOAT, RelationReport, _report
-from .sparse import RowReducer, SparseMatrix
+from .basis import AlgebraSpec, Kind, dimension, graded_dimensions
+from .operators import EXACT, FLOAT, ORTHONORMAL, fock_space, normalize
+from .relations import RelationReport, _report
+from .sparse import SparseMatrix, orbit_rank
 
 LIE_CHECKS = ("brackets", "identify", "branching")
 
 
 def gl_generator(spec: AlgebraSpec, i: int, j: int) -> SparseMatrix:
     """The exact bilinear e_ij = p*{a_i^+, a_j^-} (Fermi) / p*[a_i^+, a_j^-] (Bose)."""
-    _check_mode(spec, i)
-    _check_mode(spec, j)
-    up = build_creation(spec, i)
-    down = build_annihilation(spec, j)
-    if spec.kind is Kind.FERMI:
-        return spec.p * (up @ down + down @ up)
-    return spec.p * (up @ down - down @ up)
+    return fock_space(spec).bilinear(i, j)
 
 
 def diagonal_action_value(spec: AlgebraSpec, v: Sequence[int], i: int) -> int:
@@ -63,31 +53,20 @@ def weight_vector(spec: AlgebraSpec, v: Sequence[int]) -> tuple[int, ...]:
     return (spec.p - sum(v),) + tuple(v)
 
 
-def _all_generators(spec: AlgebraSpec) -> dict[tuple[int, int], SparseMatrix]:
-    ups = {i: build_creation(spec, i) for i in range(1, spec.n + 1)}
-    downs = {j: build_annihilation(spec, j) for j in range(1, spec.n + 1)}
-    sign = 1 if spec.kind is Kind.FERMI else -1
-    table = {}
-    for i in range(1, spec.n + 1):
-        for j in range(1, spec.n + 1):
-            table[(i, j)] = spec.p * (ups[i] @ downs[j] + sign * (downs[j] @ ups[i]))
-    return table
-
-
 def check_gl_commutators(spec: AlgebraSpec) -> list[RelationReport]:
     """[e_ij, e_kl] = delta_jk e_il - delta_il e_kj over all index quadruples."""
-    e = _all_generators(spec)
+    e = fock_space(spec).bilinear
     out = []
     idx = range(1, spec.n + 1)
     for i in idx:
         for j in idx:
             for k in idx:
                 for l in idx:
-                    expr = e[(i, j)] @ e[(k, l)] - e[(k, l)] @ e[(i, j)]
+                    expr = e(i, j) @ e(k, l) - e(k, l) @ e(i, j)
                     if j == k:
-                        expr = expr - e[(i, l)]
+                        expr = expr - e(i, l)
                     if i == l:
-                        expr = expr + e[(k, j)]
+                        expr = expr + e(k, j)
                     out.append(_report("gl-commutator", spec, (i, j, k, l),
                                        expr.max_abs(), EXACT))
     return out
@@ -101,23 +80,24 @@ def check_adjoint_action(spec: AlgebraSpec) -> list[RelationReport]:
     Bose:  [e_ij, a_k^+] = d_jk a_i^+ + d_ij a_k^+,
            [e_ij, a_k^-] = -d_ik a_j^- - d_ij a_k^-.
     """
-    e = _all_generators(spec)
-    ups = {i: build_creation(spec, i) for i in range(1, spec.n + 1)}
-    downs = {i: build_annihilation(spec, i) for i in range(1, spec.n + 1)}
+    space = fock_space(spec)
+    e = space.bilinear
+    ups = {i: space.ladder(i, +1) for i in range(1, spec.n + 1)}
+    downs = {i: space.ladder(i, -1) for i in range(1, spec.n + 1)}
     diag_sign = 1 if spec.kind is Kind.BOSE else -1
     out = []
     idx = range(1, spec.n + 1)
     for i in idx:
         for j in idx:
             for k in idx:
-                expr = e[(i, j)] @ ups[k] - ups[k] @ e[(i, j)]
+                expr = e(i, j) @ ups[k] - ups[k] @ e(i, j)
                 if j == k:
                     expr = expr - ups[i]
                 if i == j:
                     expr = expr - diag_sign * ups[k]
                 out.append(_report("ladder-adjoint-plus", spec, (i, j, k),
                                    expr.max_abs(), EXACT))
-                expr = e[(i, j)] @ downs[k] - downs[k] @ e[(i, j)]
+                expr = e(i, j) @ downs[k] - downs[k] @ e(i, j)
                 if i == k:
                     expr = expr + downs[j]
                 if i == j:
@@ -134,39 +114,38 @@ def extended_rescaled_generators(spec: AlgebraSpec) -> dict[tuple[int, int], Spa
     p*a_i^-, (0,0) is p*Id - N; diagonal entries for i >= 1 are built from
     the bilinears via the identification above.
     """
-    dim = dimension(spec)
-    N = build_number(spec)
-    identity = SparseMatrix.identity(dim, N.tag)
-    e = _all_generators(spec)
+    space = fock_space(spec)
+    N = space.number()
+    identity = SparseMatrix.identity(dimension(spec), N.tag)
     e00 = spec.p * identity - N
     table: dict[tuple[int, int], SparseMatrix] = {(0, 0): e00}
     for i in range(1, spec.n + 1):
-        table[(i, 0)] = spec.p * build_creation(spec, i)
-        table[(0, i)] = spec.p * build_annihilation(spec, i)
+        table[(i, 0)] = spec.p * space.ladder(i, +1)
+        table[(0, i)] = spec.p * space.ladder(i, -1)
         if spec.kind is Kind.FERMI:
-            table[(i, i)] = e[(i, i)] - e00
+            table[(i, i)] = space.bilinear(i, i) - e00
         else:
-            table[(i, i)] = e[(i, i)] + e00
+            table[(i, i)] = space.bilinear(i, i) + e00
         for j in range(1, spec.n + 1):
             if i != j:
-                table[(i, j)] = e[(i, j)]
+                table[(i, j)] = space.bilinear(i, j)
     return table
 
 
 def extended_float_generators(spec: AlgebraSpec) -> dict[tuple[int, int], SparseMatrix]:
     """Literal sqrt(p)-scaled generator family on the orthonormal basis."""
-    gram = build_gram(spec)
+    space = fock_space(spec)
     exact = extended_rescaled_generators(spec)
     root_p = math.sqrt(spec.p)
     table: dict[tuple[int, int], SparseMatrix] = {}
     for (a, b), mat in exact.items():
         if (a == 0) != (b == 0):
             if a == 0:
-                table[(a, b)] = root_p * orthonormal_annihilation(spec, b)
+                table[(a, b)] = root_p * space.ladder(b, -1, ORTHONORMAL)
             else:
-                table[(a, b)] = root_p * orthonormal_creation(spec, a)
+                table[(a, b)] = root_p * space.ladder(a, +1, ORTHONORMAL)
         else:
-            table[(a, b)] = normalize(mat, gram)
+            table[(a, b)] = normalize(mat, space.gram)
     return table
 
 
@@ -209,6 +188,7 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
     the literal sqrt(p)-scaled table on the orthonormal basis.
     """
     out = []
+    space = fock_space(spec)
     dim = dimension(spec)
     labels = [(a, b) for a in range(spec.n + 1) for b in range(spec.n + 1)]
 
@@ -233,7 +213,7 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
     out.append(_report("identity-resolution", spec, (),
                        (resolution - spec.p * identity).max_abs(), EXACT))
 
-    N = build_number(spec)
+    N = space.number()
     weight_sum = exact[(1, 1)]
     for i in range(2, spec.n + 1):
         weight_sum = weight_sum + exact[(i, i)]
@@ -250,8 +230,8 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
     out.append(_report("highest-weight", spec, (), hw_resid, EXACT))
 
     for i in range(1, spec.n + 1):
-        up = build_creation(spec, i)
-        down = build_annihilation(spec, i)
+        up = space.ladder(i, +1)
+        down = space.ladder(i, -1)
         out.append(_report("root-ladder-plus", spec, (i,),
                            (exact[(0, 0)] @ up - up @ exact[(0, 0)] + up).max_abs(), EXACT))
         out.append(_report("root-ladder-minus", spec, (i,),
@@ -268,60 +248,45 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
     whole block).
     """
     out = []
-    basis = enumerate_basis(spec)
+    space = fock_space(spec)
+    basis, grades, offsets = space.basis, space.grades, space.offsets
     dims = graded_dimensions(spec)
-    offsets = grade_offsets(spec)
-    grades = []
-    for k, d in enumerate(dims):
-        grades.extend([k] * d)
 
-    expected = [comb(spec.n, k) if spec.kind is Kind.FERMI else comb(spec.n + k - 1, k)
-                for k in range(spec.p + 1)]
+    enumerated = [0] * (spec.p + 1)
+    for k in grades:
+        enumerated[k] += 1
     out.append(_report("branching-block-dims", spec, (),
-                       Fraction(0) if dims == expected else Fraction(1), EXACT))
+                       Fraction(0) if enumerated == dims else Fraction(1), EXACT))
 
-    N = build_number(spec)
-    identity = SparseMatrix.identity(dimension(spec), N.tag)
-    e00 = spec.p * identity - N
-    weight_resid = max((abs(e00.get(r, r) - (spec.p - grades[r]))
-                        for r in range(len(basis))), default=Fraction(0))
+    dim = len(basis)
+    N = space.number()
+    e00 = spec.p * SparseMatrix.identity(dim, N.tag) - N
+    weight_resid = max((abs(e00.get(r, r) - (spec.p - k))
+                        for k in range(spec.p + 1) for r in range(offsets[k], offsets[k + 1])),
+                       default=Fraction(0))
     out.append(_report("branching-weight-values", spec, (), weight_resid, EXACT))
 
-    e = _all_generators(spec)
-    for (i, j), mat in sorted(e.items()):
+    pairs = [(i, j) for i in range(1, spec.n + 1) for j in range(1, spec.n + 1)]
+    generators = [space.bilinear(i, j) for i, j in pairs]
+    for ij, mat in zip(pairs, generators):
         cross = max((abs(v) for (r, c), v in mat.data.items() if grades[r] != grades[c]),
                     default=0)
-        out.append(_report("branching-invariant", spec, (i, j), cross, EXACT))
+        out.append(_report("branching-invariant", spec, ij, cross, EXACT))
 
-    generators = list(e.values())
     for k in range(spec.p + 1):
-        block = range(offsets[k], offsets[k + 1])
-        failed = 0
-        for seed_index in block:
-            reducer = RowReducer(dimension(spec))
-            seed = {seed_index: Fraction(1)}
-            reducer.add(seed)
-            frontier = [seed]
-            while frontier:
-                new_frontier = []
-                for op in generators:
-                    for vec in frontier:
-                        image = op.apply(vec)
-                        if image and reducer.add(image):
-                            new_frontier.append(image)
-                frontier = new_frontier
-            if reducer.rank != dims[k]:
-                failed += 1
+        failed = sum(orbit_rank(generators, seed, dim) != dims[k]
+                     for seed in range(offsets[k], offsets[k + 1]))
         out.append(_report("branching-irreducible", spec, (k,), Fraction(failed), EXACT))
 
     for i in range(1, spec.n + 1):
-        matrix_trace = sum((e[(i, i)].get(r, r) for r in range(len(basis))), Fraction(0))
+        e = space.bilinear(i, i)
+        matrix_trace = sum((e.get(r, r) for r in range(len(basis))), Fraction(0))
         action_trace = sum(diagonal_action_value(spec, v, i) for v in basis)
         out.append(_report("diagonal-trace", spec, (i,),
                            abs(matrix_trace - action_trace), EXACT))
-        diag_resid = max((abs(e[(i, i)].get(r, r) - diagonal_action_value(spec, v, i))
+        diag_resid = max((abs(e.get(r, r) - diagonal_action_value(spec, v, i))
                           for r, v in enumerate(basis)), default=Fraction(0))
-        off_resid = max((abs(v) for (r, c), v in e[(i, i)].data.items() if r != c),
+        off_resid = max((abs(v) for (r, c), v in e.data.items() if r != c),
                         default=0)
         out.append(_report("diagonal-action", spec, (i,),
                            max(diag_resid, off_resid), EXACT))

@@ -22,14 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .basis import AlgebraSpec, dimension
-from .operators import (build_annihilation, build_creation, exact_tag,
-                        orthonormal_annihilation, orthonormal_creation)
+from .operators import (EXACT, FLOAT, build_annihilation, build_creation,
+                        exact_tag, orthonormal_annihilation,
+                        orthonormal_creation)
 from .sparse import SparseMatrix
 
 SYMMETRY_TOL = 1e-10
 CLUSTER_TOL = 1e-9
-EXACT = "exact"
-FLOAT = "float"
 
 
 @dataclass(frozen=True)

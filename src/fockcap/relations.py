@@ -27,19 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .basis import (AlgebraSpec, Kind, dimension, enumerate_basis,
-                    graded_dimensions, grade_offsets)
-from .operators import (ORTHONORMAL, UNNORMALIZED, adjoint_wrt_gram,
-                        build_annihilation, build_creation, build_gram,
-                        build_number, grade_diagonal, normalize,
-                        orthonormal_annihilation, orthonormal_creation,
-                        orthonormal_number)
-from .sparse import RowReducer, SparseMatrix, max_entry_difference
+from .basis import AlgebraSpec, Kind, dimension, enumerate_basis, graded_dimensions
+from .operators import (EXACT, FLOAT, NORMALIZATION, ORTHONORMAL, FockSpace,
+                        adjoint_wrt_gram, fock_space, grade_diagonal, normalize)
+from .sparse import max_entry_difference, orbit_rank
 
-EXACT = "exact"
-FLOAT = "float"
 FLOAT_TOL = 1e-12
 
 
@@ -79,37 +73,22 @@ def _report(relation: str, spec: AlgebraSpec, indices: tuple[int, ...],
     return RelationReport(relation, spec, indices, residual, passed, backend)
 
 
-class _Operators:
-    """Ladder/number operators for one spec on one backend."""
-
-    def __init__(self, spec: AlgebraSpec, backend: str):
-        if backend not in (EXACT, FLOAT):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.spec = spec
-        self.backend = backend
-        if backend == EXACT:
-            self.plus = [build_creation(spec, i) for i in range(1, spec.n + 1)]
-            self.minus = [build_annihilation(spec, i) for i in range(1, spec.n + 1)]
-            self.number = build_number(spec)
-        else:
-            self.plus = [orthonormal_creation(spec, i) for i in range(1, spec.n + 1)]
-            self.minus = [orthonormal_annihilation(spec, i) for i in range(1, spec.n + 1)]
-            self.number = orthonormal_number(spec)
-
-    def diag_in_number(self, func: Callable[[int], object]) -> SparseMatrix:
-        normalization = UNNORMALIZED if self.backend == EXACT else ORTHONORMAL
-        return grade_diagonal(self.spec, func, normalization=normalization)
+def _space(spec: AlgebraSpec, backend: str) -> tuple[FockSpace, str]:
+    """The shared space of spec and the normalization the backend works in."""
+    if backend not in NORMALIZATION:
+        raise ValueError(f"unknown backend {backend!r}")
+    return fock_space(spec), NORMALIZATION[backend]
 
 
 def check_pp(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
     """Two creations (and two annihilations) anticommute/commute to zero."""
-    ops = _Operators(spec, backend)
+    space, norm = _space(spec, backend)
     sign = 1 if spec.kind is Kind.FERMI else -1
     out = []
-    for name, family in (("double-plus", ops.plus), ("double-minus", ops.minus)):
+    for name, delta in (("double-plus", +1), ("double-minus", -1)):
         for i in range(1, spec.n + 1):
             for j in range(i, spec.n + 1):
-                a, b = family[i - 1], family[j - 1]
+                a, b = space.ladder(i, delta, norm), space.ladder(j, delta, norm)
                 resid = (a @ b + sign * (b @ a)).max_abs()
                 out.append(_report(name, spec, (i, j), resid, backend))
     return out
@@ -117,12 +96,12 @@ def check_pp(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
 
 def check_number(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
     """[N, a_i^pm] = pm a_i^pm, and N has eigenvalue k with multiplicity d_k."""
-    ops = _Operators(spec, backend)
-    N = ops.number
+    space, norm = _space(spec, backend)
+    N = space.number(norm)
     out = []
     for i in range(1, spec.n + 1):
-        up = ops.plus[i - 1]
-        down = ops.minus[i - 1]
+        up = space.ladder(i, +1, norm)
+        down = space.ladder(i, -1, norm)
         out.append(_report("number-ladder-plus", spec, (i,),
                            (N @ up - up @ N - up).max_abs(), backend))
         out.append(_report("number-ladder-minus", spec, (i,),
@@ -144,43 +123,37 @@ def check_mixed(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]
     with s = +1 for Fermi, -1 for Bose; the scalar polynomials in N are
     evaluated as diagonal matrices standing to the left of the products.
     """
-    ops = _Operators(spec, backend)
+    space, norm = _space(spec, backend)
     p = spec.p
     sign = 1 if spec.kind is Kind.FERMI else -1
     if backend == EXACT:
-        c_upper = ops.diag_in_number(lambda k: Fraction(1) - Fraction(k - 1, p))
-        c_lower = ops.diag_in_number(lambda k: Fraction(1) - Fraction(k, p))
+        upper = lambda k: Fraction(1) - Fraction(k - 1, p)  # noqa: E731
+        lower = lambda k: Fraction(1) - Fraction(k, p)  # noqa: E731
     else:
-        c_upper = ops.diag_in_number(lambda k: 1.0 - (k - 1) / p)
-        c_lower = ops.diag_in_number(lambda k: 1.0 - k / p)
+        upper = lambda k: 1.0 - (k - 1) / p  # noqa: E731
+        lower = lambda k: 1.0 - k / p  # noqa: E731
+    c_upper = grade_diagonal(spec, upper, normalization=norm)
+    c_lower = grade_diagonal(spec, lower, normalization=norm)
     rhs_full = c_lower @ c_upper
     out = []
     for i in range(1, spec.n + 1):
         for j in range(1, spec.n + 1):
-            lhs = (c_upper @ (ops.minus[i - 1] @ ops.plus[j - 1])
-                   + sign * (c_lower @ (ops.plus[j - 1] @ ops.minus[i - 1])))
+            down, up = space.ladder(i, -1, norm), space.ladder(j, +1, norm)
+            lhs = c_upper @ (down @ up) + sign * (c_lower @ (up @ down))
             expr = lhs - rhs_full if i == j else lhs
             out.append(_report("mixed-ladder", spec, (i, j), expr.max_abs(), backend))
     return out
 
 
-def _grade_of_index(spec: AlgebraSpec) -> list[int]:
-    grades = []
-    for k, d in enumerate(graded_dimensions(spec)):
-        grades.extend([k] * d)
-    return grades
-
-
 def check_cap(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
     """Creation kills the top grade; ladder operators shift grade by exactly 1."""
-    ops = _Operators(spec, backend)
-    grades = _grade_of_index(spec)
-    offsets = grade_offsets(spec)
+    space, norm = _space(spec, backend)
+    grades, offsets = space.grades, space.offsets
     top = range(offsets[spec.p], offsets[spec.p + 1])
     out = []
     for i in range(1, spec.n + 1):
-        up = ops.plus[i - 1]
-        down = ops.minus[i - 1]
+        up = space.ladder(i, +1, norm)
+        down = space.ladder(i, -1, norm)
         top_resid = max((abs(v) for (r, c), v in up.data.items() if c in top), default=0)
         out.append(_report("cap-top-grade", spec, (i,), top_resid, backend))
         raise_resid = max((abs(v) for (r, c), v in up.data.items()
@@ -198,58 +171,44 @@ def check_hermiticity(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationR
     Exact backend: adjoint w.r.t. the Gram form.  Float backend: plain
     transpose, since the basis is orthonormal there.
     """
-    ops = _Operators(spec, backend)
+    space, norm = _space(spec, backend)
     out = []
     if backend == EXACT:
-        gram = build_gram(spec)
-        adj = lambda m: adjoint_wrt_gram(m, gram)  # noqa: E731
+        adj = lambda m: adjoint_wrt_gram(m, space.gram)  # noqa: E731
     else:
         adj = lambda m: m.transpose()  # noqa: E731
     for i in range(1, spec.n + 1):
-        resid = max_entry_difference(adj(ops.plus[i - 1]), ops.minus[i - 1])
+        resid = max_entry_difference(adj(space.ladder(i, +1, norm)), space.ladder(i, -1, norm))
         out.append(_report("adjoint-is-annihilation", spec, (i,), resid, backend))
+    N = space.number(norm)
     out.append(_report("number-self-adjoint", spec, (),
-                       max_entry_difference(adj(ops.number), ops.number), backend))
+                       max_entry_difference(adj(N), N), backend))
     return out
 
 
 def check_vacuum_cyclic(spec: AlgebraSpec) -> RelationReport:
     """Irreducibility witness: the span of the vacuum orbit under the ladder
     operators has full dimension (exact rational rank)."""
-    ops = _Operators(spec, EXACT)
-    generators = ops.plus + ops.minus
+    space = fock_space(spec)
+    generators = [space.ladder(i, delta) for delta in (+1, -1) for i in range(1, spec.n + 1)]
     dim = dimension(spec)
-    reducer = RowReducer(dim)
-    seed = {0: Fraction(1)}
-    reducer.add(seed)
-    frontier = [seed]
-    while frontier:
-        new_frontier = []
-        for op in generators:
-            for vec in frontier:
-                image = op.apply(vec)
-                if image and reducer.add(image):
-                    new_frontier.append(image)
-        frontier = new_frontier
-    residual = Fraction(dim - reducer.rank)
+    residual = Fraction(dim - orbit_rank(generators, 0, dim))
     return _report("vacuum-cyclic", spec, (), residual, EXACT)
 
 
 def check_backend_agreement(spec: AlgebraSpec) -> list[RelationReport]:
     """Exact-then-normalized operators match the directly built orthonormal
     ones entrywise (within FLOAT_TOL)."""
-    gram = build_gram(spec)
+    space = fock_space(spec)
     out = []
     for i in range(1, spec.n + 1):
-        out.append(_report("orthonormal-agreement-plus", spec, (i,),
-                           max_entry_difference(normalize(build_creation(spec, i), gram),
-                                                orthonormal_creation(spec, i)), FLOAT))
-        out.append(_report("orthonormal-agreement-minus", spec, (i,),
-                           max_entry_difference(normalize(build_annihilation(spec, i), gram),
-                                                orthonormal_annihilation(spec, i)), FLOAT))
+        for suffix, delta in (("plus", +1), ("minus", -1)):
+            out.append(_report(f"orthonormal-agreement-{suffix}", spec, (i,),
+                               max_entry_difference(normalize(space.ladder(i, delta), space.gram),
+                                                    space.ladder(i, delta, ORTHONORMAL)), FLOAT))
     out.append(_report("orthonormal-agreement-number", spec, (),
-                       max_entry_difference(normalize(build_number(spec), gram),
-                                            orthonormal_number(spec)), FLOAT))
+                       max_entry_difference(normalize(space.number(), space.gram),
+                                            space.number(ORTHONORMAL)), FLOAT))
     return out
 
 

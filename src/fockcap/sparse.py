@@ -159,30 +159,26 @@ class RowReducer:
         return len(self.pivots)
 
     def add(self, vec: Mapping[int, Scalar]) -> bool:
-        v = {k: Fraction(x) for k, x in vec.items() if x != 0}
-        while v:
-            lead = min(v)
-            pivot_row = self.pivots.get(lead)
-            if pivot_row is None:
-                scale = v[lead]
-                self.pivots[lead] = {k: x / scale for k, x in v.items()}
-                return True
-            factor = v[lead]
-            for k, x in pivot_row.items():
-                nv = v.get(k, Fraction(0)) - factor * x
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
-        return False
+        v = self._reduce(vec)
+        if not v:
+            return False
+        lead = min(v)
+        scale = v[lead]
+        self.pivots[lead] = {k: x / scale for k, x in v.items()}
+        return True
 
     def contains(self, vec: Mapping[int, Scalar]) -> bool:
+        return not self._reduce(vec)
+
+    def _reduce(self, vec: Mapping[int, Scalar]) -> dict[int, Fraction]:
+        """What is left of vec after eliminating against the pivot rows: empty
+        iff vec lies in the span, else its lowest index has no pivot yet."""
         v = {k: Fraction(x) for k, x in vec.items() if x != 0}
         while v:
             lead = min(v)
             pivot_row = self.pivots.get(lead)
             if pivot_row is None:
-                return False
+                break
             factor = v[lead]
             for k, x in pivot_row.items():
                 nv = v.get(k, Fraction(0)) - factor * x
@@ -190,7 +186,25 @@ class RowReducer:
                     v[k] = nv
                 else:
                     v.pop(k, None)
-        return True
+        return v
+
+
+def orbit_rank(generators: Sequence[SparseMatrix], seed: int, dim: int) -> int:
+    """Dimension of the smallest subspace that contains basis vector ``seed``
+    and is invariant under every generator (breadth-first images, exact rank)."""
+    reducer = RowReducer(dim)
+    start = {seed: Fraction(1)}
+    reducer.add(start)
+    frontier = [start]
+    while frontier:
+        new_frontier = []
+        for op in generators:
+            for vec in frontier:
+                image = op.apply(vec)
+                if image and reducer.add(image):
+                    new_frontier.append(image)
+        frontier = new_frontier
+    return reducer.rank
 
 
 def rational_rank(vectors: Iterable[Mapping[int, Scalar]], dim: int) -> int:

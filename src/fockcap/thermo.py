@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .basis import AlgebraSpec, enumerate_basis, graded_dimensions
+from .basis import AlgebraSpec, graded_dimensions
+from .operators import fock_space
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ def character(spec: AlgebraSpec) -> CharacterPolynomial:
 
 def monomial_table(spec: AlgebraSpec) -> dict[tuple[int, ...], int]:
     """Multi-variable character data: each occupation pattern has multiplicity 1."""
-    return {v: 1 for v in enumerate_basis(spec)}
+    return {v: 1 for v in fock_space(spec).basis}
 
 
 def _check_thermo_args(spec: AlgebraSpec, beta: float, energies: Sequence[float]) -> list[float]:
@@ -54,7 +55,7 @@ def _weights(spec: AlgebraSpec, beta: float, energies: Sequence[float],
              mu: float) -> list[tuple[tuple[int, ...], float]]:
     energies = _check_thermo_args(spec, beta, energies)
     out = []
-    for v in enumerate_basis(spec):
+    for v in fock_space(spec).basis:
         energy = sum(e * x for e, x in zip(energies, v))
         out.append((v, math.exp(-beta * (energy - mu * sum(v)))))
     return out

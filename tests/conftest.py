@@ -1,6 +1,9 @@
 import itertools
 
+import pytest
+
 from fockcap import AlgebraSpec, Kind
+from fockcap.operators import fock_space
 
 
 def small_grid(n_max=4, p_max=4):
@@ -17,3 +20,12 @@ def brute_basis(spec):
     vectors = [v for v in itertools.product(range(top + 1), repeat=spec.n)
                if sum(v) <= spec.p]
     return sorted(vectors, key=lambda v: (sum(v), v))
+
+
+@pytest.fixture
+def fresh_spaces():
+    """Empty the shared FockSpace cache before and after a test that patches
+    what the spaces are built from."""
+    fock_space.cache_clear()
+    yield
+    fock_space.cache_clear()

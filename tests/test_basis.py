@@ -97,6 +97,11 @@ def test_invalid_specs_rejected():
         AlgebraSpec(Kind.BOSE, 2, 0)
     with pytest.raises(ValueError):
         AlgebraSpec("neither", 1, 1)
+    # bool is an int subclass; n=True would otherwise pass as n=1
+    with pytest.raises(ValueError):
+        AlgebraSpec(Kind.BOSE, True, 2)
+    with pytest.raises(ValueError):
+        AlgebraSpec(Kind.BOSE, 2, True)
 
 
 def test_fermi_loose_cap_is_accepted_with_note():

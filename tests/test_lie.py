@@ -138,6 +138,21 @@ def test_branching_structure():
             assert rep.passed, (rep.relation, rep.indices, rep.residual)
 
 
+def test_branching_block_dims_counts_the_enumeration(monkeypatch, fresh_spaces):
+    from fockcap import operators
+    spec = AlgebraSpec(Kind.BOSE, 2, 3)
+
+    def block_dims(reports):
+        return next(rep for rep in reports if rep.relation == "branching-block-dims")
+
+    assert block_dims(check_branching(spec)).passed
+    original = operators.enumerate_basis
+    monkeypatch.setattr(operators, "enumerate_basis",
+                        lambda s: original(s)[:-1])  # top block one short
+    operators.fock_space.cache_clear()
+    assert not block_dims(check_branching(spec)).passed
+
+
 def test_branching_frozen_blocks():
     from fockcap import graded_dimensions
     assert graded_dimensions(AlgebraSpec(Kind.FERMI, 4, 2)) == [1, 4, 6]
