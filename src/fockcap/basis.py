@@ -22,6 +22,11 @@ class Kind(str, enum.Enum):
     FERMI = "fermi"
     BOSE = "bose"
 
+    @property
+    def anticommuting(self) -> bool:
+        """Fermi ladder operators anticommute, Bose ones commute."""
+        return self is Kind.FERMI
+
 
 @dataclass(frozen=True)
 class AlgebraSpec:
@@ -70,7 +75,7 @@ def validate_vector(spec: AlgebraSpec, v: Sequence[int]) -> OccupationVector:
     if len(v) != spec.n:
         raise ValueError(f"expected {spec.n} modes, got {len(v)}")
     for x in v:
-        if not isinstance(x, int) or x < 0:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
             raise ValueError(f"occupation numbers must be nonnegative integers, got {x!r}")
         if x > spec.max_entry:
             raise ValueError(f"entry {x} exceeds per-mode maximum {spec.max_entry}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -54,13 +55,16 @@ def _spec_from_args(args) -> AlgebraSpec:
 
 def _float_list(text: str) -> list[float]:
     values = [float(x) for x in text.split(",") if x.strip()]
-    if not values:
-        raise ValueError(f"empty numeric list {text!r}")
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(f"expected a list of finite numbers, got {text!r}")
     return values
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    values = [Fraction(x.strip()) for x in text.split(",") if x.strip()]
+    try:
+        values = [Fraction(x.strip()) for x in text.split(",") if x.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     if not values:
         raise ValueError(f"empty numeric list {text!r}")
     return values

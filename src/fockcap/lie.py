@@ -28,7 +28,7 @@ from typing import Sequence
 from .basis import AlgebraSpec, Kind, dimension, graded_dimensions
 from .operators import EXACT, FLOAT, ORTHONORMAL, fock_space, normalize
 from .relations import RelationReport, _report
-from .sparse import SparseMatrix, orbit_rank
+from .sparse import SparseMatrix, bracket, orbit_ranks
 
 LIE_CHECKS = ("brackets", "identify", "branching")
 
@@ -54,22 +54,14 @@ def weight_vector(spec: AlgebraSpec, v: Sequence[int]) -> tuple[int, ...]:
 
 
 def check_gl_commutators(spec: AlgebraSpec) -> list[RelationReport]:
-    """[e_ij, e_kl] = delta_jk e_il - delta_il e_kj over all index quadruples."""
+    """[e_ij, e_kl] = delta_jk e_il - delta_il e_kj over all index quadruples:
+    _bracket_residual over the e_ij, none of which is a crossing generator."""
     e = fock_space(spec).bilinear
-    out = []
     idx = range(1, spec.n + 1)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                for l in idx:
-                    expr = e(i, j) @ e(k, l) - e(k, l) @ e(i, j)
-                    if j == k:
-                        expr = expr - e(i, l)
-                    if i == l:
-                        expr = expr + e(k, j)
-                    out.append(_report("gl-commutator", spec, (i, j, k, l),
-                                       expr.max_abs(), EXACT))
-    return out
+    table = {(i, j): e(i, j) for i in idx for j in idx}
+    return [_report("gl-commutator", spec, ij + kl,
+                    _bracket_residual(spec.kind, 1, table, ij, kl).max_abs(), EXACT)
+            for ij in table for kl in table]
 
 
 def check_adjoint_action(spec: AlgebraSpec) -> list[RelationReport]:
@@ -84,20 +76,20 @@ def check_adjoint_action(spec: AlgebraSpec) -> list[RelationReport]:
     e = space.bilinear
     ups = {i: space.ladder(i, +1) for i in range(1, spec.n + 1)}
     downs = {i: space.ladder(i, -1) for i in range(1, spec.n + 1)}
-    diag_sign = 1 if spec.kind is Kind.BOSE else -1
+    diag_sign = -1 if spec.kind.anticommuting else 1
     out = []
     idx = range(1, spec.n + 1)
     for i in idx:
         for j in idx:
             for k in idx:
-                expr = e(i, j) @ ups[k] - ups[k] @ e(i, j)
+                expr = bracket(e(i, j), ups[k])
                 if j == k:
                     expr = expr - ups[i]
                 if i == j:
                     expr = expr - diag_sign * ups[k]
                 out.append(_report("ladder-adjoint-plus", spec, (i, j, k),
                                    expr.max_abs(), EXACT))
-                expr = e(i, j) @ downs[k] - downs[k] @ e(i, j)
+                expr = bracket(e(i, j), downs[k])
                 if i == k:
                     expr = expr + downs[j]
                 if i == j:
@@ -132,23 +124,6 @@ def extended_rescaled_generators(spec: AlgebraSpec) -> dict[tuple[int, int], Spa
     return table
 
 
-def extended_float_generators(spec: AlgebraSpec) -> dict[tuple[int, int], SparseMatrix]:
-    """Literal sqrt(p)-scaled generator family on the orthonormal basis."""
-    space = fock_space(spec)
-    exact = extended_rescaled_generators(spec)
-    root_p = math.sqrt(spec.p)
-    table: dict[tuple[int, int], SparseMatrix] = {}
-    for (a, b), mat in exact.items():
-        if (a == 0) != (b == 0):
-            if a == 0:
-                table[(a, b)] = root_p * space.ladder(b, -1, ORTHONORMAL)
-            else:
-                table[(a, b)] = root_p * space.ladder(a, +1, ORTHONORMAL)
-        else:
-            table[(a, b)] = normalize(mat, space.gram)
-    return table
-
-
 def _crossing(a: int, b: int) -> bool:
     return (a == 0) != (b == 0)
 
@@ -165,8 +140,8 @@ def _bracket_residual(kind: Kind, p_scale, table, ab, cd):
     c, d = cd
     X, Y = table[ab], table[cd]
     both_crossing = _crossing(a, b) and _crossing(c, d)
-    anticommute = kind is Kind.FERMI and both_crossing
-    expr = X @ Y + Y @ X if anticommute else X @ Y - Y @ X
+    anticommute = kind.anticommuting and both_crossing
+    expr = bracket(X, Y, anticommute)
     scale = p_scale if both_crossing else 1
     if b == c:
         expr = expr - scale * table[(a, d)]
@@ -199,43 +174,41 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
             out.append(_report("extended-bracket", spec, ab + cd,
                                expr.max_abs(), EXACT))
 
-    floats = extended_float_generators(spec)
+    # The float table is the exact one normalized, except that the crossing
+    # entries are the literal sqrt(p)-scaled orthonormal ladder operators.
+    floats = {ab: normalize(mat, space.gram) for ab, mat in exact.items() if not _crossing(*ab)}
+    root_p = math.sqrt(spec.p)
+    for i in range(1, spec.n + 1):
+        floats[(i, 0)] = root_p * space.ladder(i, +1, ORTHONORMAL)
+        floats[(0, i)] = root_p * space.ladder(i, -1, ORTHONORMAL)
     for ab in labels:
         for cd in labels:
             expr = _bracket_residual(spec.kind, 1.0, floats, ab, cd)
             out.append(_report("extended-bracket-float", spec, ab + cd,
                                expr.max_abs(), FLOAT))
 
-    identity = SparseMatrix.identity(dim, exact[(0, 0)].tag)
-    resolution = exact[(0, 0)]
-    for i in range(1, spec.n + 1):
-        resolution = resolution + exact[(i, i)]
+    weight_sum = sum((exact[(i, i)] for i in range(2, spec.n + 1)), exact[(1, 1)])
+    identity = SparseMatrix.identity(dim, weight_sum.tag)
     out.append(_report("identity-resolution", spec, (),
-                       (resolution - spec.p * identity).max_abs(), EXACT))
-
-    N = space.number()
-    weight_sum = exact[(1, 1)]
-    for i in range(2, spec.n + 1):
-        weight_sum = weight_sum + exact[(i, i)]
+                       (exact[(0, 0)] + weight_sum - spec.p * identity).max_abs(), EXACT))
     out.append(_report("number-weight-identity", spec, (),
-                       (weight_sum - N).max_abs(), EXACT))
+                       (weight_sum - space.number()).max_abs(), EXACT))
 
-    vacuum = {0: Fraction(1)}
-    e00_vac = exact[(0, 0)].apply(vacuum)
-    hw_resid = max(abs(e00_vac.get(0, Fraction(0)) - spec.p),
-                   max((abs(v) for r, v in e00_vac.items() if r != 0), default=Fraction(0)))
-    for i in range(1, spec.n + 1):
-        img = exact[(i, i)].apply(vacuum)
-        hw_resid = max(hw_resid, max((abs(v) for v in img.values()), default=Fraction(0)))
+    # E_aa |0> = lambda_a |0> for the vacuum weight (p; 0, ..., 0)
+    hw_resid = Fraction(0)
+    for a, weight in enumerate(weight_vector(spec, (0,) * spec.n)):
+        image = exact[(a, a)].apply({0: Fraction(1)})
+        image[0] = image.get(0, 0) - weight
+        hw_resid = max(hw_resid, *map(abs, image.values()))
     out.append(_report("highest-weight", spec, (), hw_resid, EXACT))
 
     for i in range(1, spec.n + 1):
         up = space.ladder(i, +1)
         down = space.ladder(i, -1)
         out.append(_report("root-ladder-plus", spec, (i,),
-                           (exact[(0, 0)] @ up - up @ exact[(0, 0)] + up).max_abs(), EXACT))
+                           (bracket(exact[(0, 0)], up) + up).max_abs(), EXACT))
         out.append(_report("root-ladder-minus", spec, (i,),
-                           (exact[(0, 0)] @ down - down @ exact[(0, 0)] - down).max_abs(), EXACT))
+                           (bracket(exact[(0, 0)], down) - down).max_abs(), EXACT))
     return out
 
 
@@ -273,9 +246,9 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
                     default=0)
         out.append(_report("branching-invariant", spec, ij, cross, EXACT))
 
+    ranks = orbit_ranks(generators, range(offsets[-1]), dim)
     for k in range(spec.p + 1):
-        failed = sum(orbit_rank(generators, seed, dim) != dims[k]
-                     for seed in range(offsets[k], offsets[k + 1]))
+        failed = sum(ranks[seed] != dims[k] for seed in range(offsets[k], offsets[k + 1]))
         out.append(_report("branching-irreducible", spec, (k,), Fraction(failed), EXACT))
 
     for i in range(1, spec.n + 1):

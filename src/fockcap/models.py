@@ -122,13 +122,16 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
                                    t: Sequence[Sequence[float]]) -> SpectrumReport:
     """Spectrum of H = sum_ij t_ij a_i^+ a_j^- on the orthonormal backend.
 
-    Requires a symmetric coefficient table; the assembled matrix is checked
+    Requires a symmetric table of finite numbers; the assembled matrix is checked
     for symmetry (a failure would indicate a builder bug) before calling the
     symmetric eigensolver.  Eigenvalues are clustered at CLUSTER_TOL.
     """
-    table = np.asarray(t, dtype=float)
-    if table.shape != (spec.n, spec.n):
-        raise ValueError(f"coefficient table must be {spec.n}x{spec.n}, got {table.shape}")
+    try:
+        table = np.asarray(t, dtype=float)
+    except (TypeError, OverflowError):  # e.g. a mapping, or an integer beyond float range
+        table = None
+    if table is None or table.shape != (spec.n, spec.n) or not np.isfinite(table).all():
+        raise ValueError(f"coefficient table must be {spec.n}x{spec.n} finite numbers")
     if np.max(np.abs(table - table.T)) > 1e-12:
         raise ValueError("coefficient table must be symmetric")
     ups = [orthonormal_creation(spec, i) for i in range(1, spec.n + 1)]

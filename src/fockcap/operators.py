@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .basis import (AlgebraSpec, Kind, OccupationVector, enumerate_basis,
                     grade_offsets)
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, bracket
 
 UNNORMALIZED = "unnormalized"
 ORTHONORMAL = "orthonormal"
@@ -65,7 +65,7 @@ class GramForm:
 
 
 def _check_mode(spec: AlgebraSpec, i: int) -> None:
-    if not isinstance(i, int) or not (1 <= i <= spec.n):
+    if not isinstance(i, int) or isinstance(i, bool) or not (1 <= i <= spec.n):
         raise ValueError(f"mode index {i!r} out of range 1..{spec.n}")
 
 
@@ -184,9 +184,8 @@ def _number_matrix(space: FockSpace, normalization: str) -> SparseMatrix:
 
 
 def _bilinear_matrix(space: FockSpace, i: int, j: int) -> SparseMatrix:
-    up, down = space.ladder(i, +1), space.ladder(j, -1)
-    sign = 1 if space.spec.kind is Kind.FERMI else -1
-    return space.spec.p * (up @ down + sign * (down @ up))
+    spec = space.spec
+    return spec.p * bracket(space.ladder(i, +1), space.ladder(j, -1), spec.kind.anticommuting)
 
 
 def build_creation(spec: AlgebraSpec, i: int) -> SparseMatrix:

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 from .basis import AlgebraSpec, Kind, dimension, enumerate_basis, graded_dimensions
 from .operators import (EXACT, FLOAT, NORMALIZATION, ORTHONORMAL, FockSpace,
                         adjoint_wrt_gram, fock_space, grade_diagonal, normalize)
-from .sparse import max_entry_difference, orbit_rank
+from .sparse import bracket, max_entry_difference, orbit_ranks
 
 FLOAT_TOL = 1e-12
 
@@ -83,13 +83,12 @@ def _space(spec: AlgebraSpec, backend: str) -> tuple[FockSpace, str]:
 def check_pp(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
     """Two creations (and two annihilations) anticommute/commute to zero."""
     space, norm = _space(spec, backend)
-    sign = 1 if spec.kind is Kind.FERMI else -1
     out = []
     for name, delta in (("double-plus", +1), ("double-minus", -1)):
         for i in range(1, spec.n + 1):
             for j in range(i, spec.n + 1):
                 a, b = space.ladder(i, delta, norm), space.ladder(j, delta, norm)
-                resid = (a @ b + sign * (b @ a)).max_abs()
+                resid = bracket(a, b, spec.kind.anticommuting).max_abs()
                 out.append(_report(name, spec, (i, j), resid, backend))
     return out
 
@@ -103,9 +102,9 @@ def check_number(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport
         up = space.ladder(i, +1, norm)
         down = space.ladder(i, -1, norm)
         out.append(_report("number-ladder-plus", spec, (i,),
-                           (N @ up - up @ N - up).max_abs(), backend))
+                           (bracket(N, up) - up).max_abs(), backend))
         out.append(_report("number-ladder-minus", spec, (i,),
-                           (N @ down - down @ N + down).max_abs(), backend))
+                           (bracket(N, down) + down).max_abs(), backend))
     counts = [0] * (spec.p + 1)
     for r in range(dimension(spec)):
         counts[int(N.get(r, r))] += 1
@@ -125,7 +124,7 @@ def check_mixed(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]
     """
     space, norm = _space(spec, backend)
     p = spec.p
-    sign = 1 if spec.kind is Kind.FERMI else -1
+    sign = 1 if spec.kind.anticommuting else -1
     if backend == EXACT:
         upper = lambda k: Fraction(1) - Fraction(k - 1, p)  # noqa: E731
         lower = lambda k: Fraction(1) - Fraction(k, p)  # noqa: E731
@@ -192,7 +191,7 @@ def check_vacuum_cyclic(spec: AlgebraSpec) -> RelationReport:
     space = fock_space(spec)
     generators = [space.ladder(i, delta) for delta in (+1, -1) for i in range(1, spec.n + 1)]
     dim = dimension(spec)
-    residual = Fraction(dim - orbit_rank(generators, 0, dim))
+    residual = Fraction(dim - orbit_ranks(generators, [0], dim)[0])
     return _report("vacuum-cyclic", spec, (), residual, EXACT)
 
 

@@ -117,13 +117,9 @@ class SparseMatrix:
                             {(c, r): v for (r, c), v in self.data.items()}, self.tag)
 
     def apply(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:
-        """Matrix-vector product on a sparse column vector."""
-        out: dict[int, Scalar] = {}
-        for (r, c), v in self.data.items():
-            x = vec.get(c)
-            if x is not None:
-                out[r] = out.get(r, 0) + v * x
-        return {k: v for k, v in out.items() if v != 0}
+        """Matrix-vector product on a sparse column vector (a one-column @)."""
+        column = SparseMatrix(self.cols, 1, {(c, 0): x for c, x in vec.items()})
+        return {r: v for (r, _), v in (self @ column).data.items()}
 
     def to_dense(self, dtype=float) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=dtype)
@@ -141,6 +137,11 @@ def max_entry_difference(a: SparseMatrix, b: SparseMatrix) -> Scalar:
     a._check_shape(b)
     keys = set(a.data) | set(b.data)
     return max((abs(a.get(r, c) - b.get(r, c)) for r, c in keys), default=0)
+
+
+def bracket(x: SparseMatrix, y: SparseMatrix, anti: bool = False) -> SparseMatrix:
+    """The anticommutator x@y + y@x if anti, else the commutator x@y - y@x."""
+    return x @ y + y @ x if anti else x @ y - y @ x
 
 
 class RowReducer:
@@ -189,22 +190,32 @@ class RowReducer:
         return v
 
 
-def orbit_rank(generators: Sequence[SparseMatrix], seed: int, dim: int) -> int:
-    """Dimension of the smallest subspace that contains basis vector ``seed``
-    and is invariant under every generator (breadth-first images, exact rank)."""
-    reducer = RowReducer(dim)
-    start = {seed: Fraction(1)}
-    reducer.add(start)
-    frontier = [start]
+def orbit_ranks(generators: Sequence[SparseMatrix], seeds: Sequence[int], dim: int) -> list[int]:
+    """For each seed, the dimension of the smallest subspace that contains
+    basis vector ``seed`` and is invariant under every generator.
+
+    Breadth-first images with an exact rank per seed.  The new vectors of every
+    seed's orbit at one level are the columns of one matrix, so a level costs
+    one product per generator.
+    """
+    reducers = [RowReducer(dim) for _ in seeds]
+    frontier = [(owner, {seed: Fraction(1)}) for owner, seed in enumerate(seeds)]
+    for owner, vec in frontier:
+        reducers[owner].add(vec)
     while frontier:
-        new_frontier = []
+        block = SparseMatrix(dim, len(frontier), {(r, c): x for c, (_, vec) in enumerate(frontier)
+                                                  for r, x in vec.items()})
+        new_frontier = []  # (seed position, vector) pairs that enlarged their orbit's span
         for op in generators:
-            for vec in frontier:
-                image = op.apply(vec)
-                if image and reducer.add(image):
-                    new_frontier.append(image)
+            images: dict[int, dict[int, Scalar]] = {}
+            for (r, c), x in (op @ block).data.items():
+                images.setdefault(c, {})[r] = x
+            for c in sorted(images):
+                owner = frontier[c][0]
+                if reducers[owner].add(images[c]):
+                    new_frontier.append((owner, images[c]))
         frontier = new_frontier
-    return reducer.rank
+    return [reducer.rank for reducer in reducers]
 
 
 def rational_rank(vectors: Iterable[Mapping[int, Scalar]], dim: int) -> int:

@@ -123,6 +123,8 @@ def test_inadmissible_vectors_rejected():
     with pytest.raises(ValueError):
         validate_vector(spec, (-1, 0))
     with pytest.raises(ValueError):
+        validate_vector(spec, (True, False))  # bool is an int subclass
+    with pytest.raises(ValueError):
         unrank(spec, 3)
     with pytest.raises(ValueError):
         unrank(spec, -1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -221,3 +222,61 @@ def test_output_to_file(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_thermo_rejects_non_finite_numbers(capsys):
+    spec = ("thermo", "--kind", "bose", "--n", "2", "--p", "3")
+    for values in (("--beta", "nan", "--mu", "0"), ("--beta", "1", "--mu", "inf"),
+                   ("--beta", "1", "--mu", "0", "--energies", "1,-inf")):
+        code, out, err = run_cli(capsys, *spec, *values)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "finite" in err
+
+
+def test_spectrum_rejects_zero_denominator(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "3",
+                             "--energies", "1/0,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ['{"t": [[1, 0], [0, 1]]}', "[[1, 0]]", "[[1, 0], [0]]",
+                                  '[[1, "x"], [0, 1]]', "[[null, 0], [0, 1]]",
+                                  "[[NaN, 0], [0, 1]]", "[[1, 0], [0, 1e999]]",
+                                  "[[1, 0], [0, " + "9" * 400 + "]]"],
+                         ids=["object", "short", "ragged", "text", "null", "nan", "inf",
+                              "huge-int"])
+def test_spectrum_matrix_file_must_hold_n_rows_of_n_finite_numbers(capsys, tmp_path, text):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "1",
+                             "--backend", "float", "--matrix-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+# Exit code and stdout sha256 of small commands: a change that alters any
+# output byte fails here.  Float output is pinned only where it comes from
+# Python float arithmetic and math.sqrt (no libm exp, no LAPACK), so the
+# hashes do not depend on the platform.
+GOLDEN = [
+    ("dim --kind fermi --n 4 --p 2", 0, "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e"),
+    ("basis --kind bose --n 2 --p 3", 0, "4ab3df114d49ce80d98478509a55707bbb01253de8afd358630ccc63e730e9d8"),
+    ("basis --kind fermi --n 3 --p 2 --json", 0, "b4029103b2d5c046ae48829780ac73426ba183eba064286d8a68f94af520576b"),
+    ("ops --kind bose --n 2 --p 3 --op annihilate --i 2", 0, "66a2a1c32690a521a7713eedc5383cf26f644593ef08b3f6d8b06be21d85c068"),
+    ("ops --kind fermi --n 3 --p 2 --op eij --i 1 --j 2", 0, "76be18ab415be50af920333e0707973ecec738e11b6fa76eb8b42af56cca4412"),
+    ("verify --kind bose --n 2 --p 3", 0, "c2b7b94e6cc160060bb603d74a370b751fc8590a210eef9c0de8d9b2915a34b2"),
+    ("verify --kind fermi --n 3 --p 2 --json", 0, "7e294deaedd8ebcb385292f9ed1c2fa22f4fba3522ad7b1d8a5499f100249597"),
+    ("verify --grid 2 2", 0, "6952e9bcef1ef24e9c821cdb98b4e5b871b6faa8ae5713ab8af00308b46c168c"),
+    ("lie --kind fermi --n 2 --p 2 --json", 0, "8b0594bec6ee3fe67cd7aac63d97fba19a18f6b640796e4abe89fb61b66fb1f0"),
+    ("lie --kind bose --n 2 --p 3 --json", 0, "54cff3fb8f1d2bc92385381c1d1a0e3376a97f6fd17478752bb0f93b8991d44b"),
+    ("spectrum --kind bose --n 2 --p 4 --energies 1,2", 0, "ffdb90e18584991431fbc8374875481808d53f0ab7fced6bf776246dd45a83ea"),
+    ("toy --p 6", 0, "be9e358d54255edff7310f660801d1c806e7f0d4b38d322d22eaaafe338524e6"),
+    ("verify --kind fermi --n 2 --p 2 --backend float --json", 0, "dcee761e8ede34294955981dfe206413d4321c80423b4ed5d4f3c5c9c7b09776"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN)
+def test_output_bytes_are_pinned(capsys, command, code, digest):
+    got, out, _ = run_cli(capsys, *command.split())
+    assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from fockcap import (AlgebraSpec, Kind, basis, build_creation, build_gram,
+from fockcap import (AlgebraSpec, Kind, basis, build_creation, build_gram, lie,
                      operators, run_lie_suite, run_suite)
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, fock_space
 from fockcap.relations import EXACT, FLOAT
@@ -47,6 +47,14 @@ def test_suites_build_each_space_and_operator_once(monkeypatch, fresh_spaces):
     assert numbers == Counter((spec, norm) for spec in SPECS for norm in norms)
     assert bilinears == Counter((spec, i, j) for spec in SPECS
                                 for i in range(1, spec.n + 1) for j in range(1, spec.n + 1))
+
+
+def test_lie_suite_builds_the_extended_table_once(monkeypatch):
+    tables = Counter()
+    _count_calls(monkeypatch, lie, "extended_rescaled_generators", tables, lambda spec: spec)
+    for spec in SPECS:
+        run_lie_suite(spec)
+    assert tables == Counter(SPECS)
 
 
 def test_builders_share_the_space_of_equal_specs(fresh_spaces):

@@ -69,6 +69,8 @@ def test_mode_index_validation():
         build_creation(F21, 0)
     with pytest.raises(ValueError):
         build_annihilation(F21, 3)
+    with pytest.raises(ValueError):
+        build_creation(F21, True)  # bool is an int subclass
 
 
 def test_gram_closed_forms():

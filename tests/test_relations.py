@@ -89,6 +89,20 @@ def test_float_backend_suite():
             assert float(rep.residual) <= FLOAT_TOL
 
 
+def test_vacuum_cyclic_fails_without_creation_operators(monkeypatch, fresh_spaces):
+    from fockcap import dimension, operators
+    original = operators._ladder_matrix
+
+    def no_creation(space, i, delta, normalization):
+        op = original(space, i, delta, normalization)
+        return 0 * op if delta > 0 else op
+
+    monkeypatch.setattr(operators, "_ladder_matrix", no_creation)
+    spec = AlgebraSpec(Kind.BOSE, 2, 3)
+    rep = check_vacuum_cyclic(spec)
+    assert not rep.passed and rep.residual == dimension(spec) - 1
+
+
 def test_backend_agreement():
     for spec in small_grid(3, 3):
         for rep in check_backend_agreement(spec):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fockcap import RowReducer, SparseMatrix, max_entry_difference, rational_rank
+from fockcap.sparse import orbit_ranks
 
 
 def _mat(rows, cols, entries, tag=None):
@@ -88,3 +89,38 @@ def test_row_reducer_incremental():
     assert reducer.rank == 2
     assert reducer.contains({0: Fraction(3), 1: Fraction(1), 2: Fraction(6)})
     assert not reducer.contains({2: Fraction(1)})
+
+
+# e0 -> e1 + e2, e1 -> e3, e2 -> -e3: A(e1 + e2) = 0, so the orbit of e0 is
+# span{e0, e1 + e2} although the support graph of A reaches every index from 0.
+A = _mat(4, 4, [(1, 0, 1), (2, 0, 1), (3, 1, 1), (3, 2, -1)])
+SWAP = _mat(4, 4, [(0, 0, 3), (2, 1, 1), (1, 2, 1)])  # keeps span{e0, e1 + e2}
+C = _mat(4, 4, [(0, 1, Fraction(1, 2)), (2, 1, -1), (3, 0, 2), (1, 3, 1), (0, 3, 1)])
+
+
+def _times(m, vec):
+    out = {}
+    for (r, c), v in m.data.items():
+        if c in vec:
+            out[r] = out.get(r, 0) + v * vec[c]
+    return out
+
+
+def _enumerated_orbit_rank(generators, seed, dim):
+    """Rank of every word of length < dim in the generators applied to e_seed."""
+    level = [{seed: Fraction(1)}]
+    words = list(level)
+    for _ in range(dim - 1):
+        level = [_times(g, v) for g in generators for v in level]
+        words += level
+    return rational_rank(words, dim)
+
+
+def test_orbit_ranks_is_an_exact_rank_not_reachability():
+    assert orbit_ranks([A], [0, 1, 2, 3], 4) == [2, 2, 2, 1]
+    # a proper invariant subspace holds the orbit of e0 below the full dimension
+    assert orbit_ranks([A, SWAP], [0, 3, 1], 4) == [2, 1, 3]
+    for generators in ([A], [A, SWAP], [A, C], [C, SWAP], [A, SWAP, C]):
+        seeds = [3, 0, 2, 1, 0]
+        assert orbit_ranks(generators, seeds, 4) == [
+            _enumerated_orbit_rank(generators, seed, 4) for seed in seeds]
