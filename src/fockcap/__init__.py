@@ -3,7 +3,7 @@ total-occupation cap, over exact rational arithmetic."""
 
 from .basis import (AlgebraSpec, Kind, OccupationVector, basis_csv, dimension,
                     enumerate_basis, fermi_cap_note, graded_dimensions,
-                    grade_offsets, rank, total, unrank, validate_vector)
+                    grade_offsets, rank, unrank, validate_vector)
 from .lie import (check_adjoint_action, check_branching, check_gl_commutators,
                   check_identification, diagonal_action_value,
                   extended_rescaled_generators, gl_generator, run_lie_suite,
@@ -23,6 +23,6 @@ from .relations import (ClassicalLimitReport, RelationReport,
                         run_suite)
 from .sparse import RowReducer, SparseMatrix, max_entry_difference, rational_rank
 from .thermo import (CharacterPolynomial, character, grand_partition,
-                     mean_occupation, monomial_table, occupation_summary)
+                     mean_occupation, occupation_summary, sweep)
 
 __version__ = "0.1.0"

@@ -49,9 +49,6 @@ class AlgebraSpec:
     def max_entry(self) -> int:
         return 1 if self.kind is Kind.FERMI else self.p
 
-    def describe(self) -> str:
-        return f"{self.kind.value} n={self.n} p={self.p}"
-
 
 def fermi_cap_note(spec: AlgebraSpec) -> str | None:
     """Advisory note when a Fermi cap is not binding (p >= n).
@@ -63,10 +60,6 @@ def fermi_cap_note(spec: AlgebraSpec) -> str | None:
         return (f"fermi cap p={spec.p} >= n={spec.n}: the cap is not binding and the "
                 f"space has the full 2^{spec.n} fermionic dimension")
     return None
-
-
-def total(v: Sequence[int]) -> int:
-    return sum(v)
 
 
 def validate_vector(spec: AlgebraSpec, v: Sequence[int]) -> OccupationVector:
@@ -156,7 +149,7 @@ def rank(spec: AlgebraSpec, v: Sequence[int]) -> int:
 def unrank(spec: AlgebraSpec, r: int) -> OccupationVector:
     """Inverse of rank()."""
     dim = dimension(spec)
-    if not isinstance(r, int) or not (0 <= r < dim):
+    if not isinstance(r, int) or isinstance(r, bool) or not (0 <= r < dim):
         raise ValueError(f"rank {r!r} out of range 0..{dim - 1}")
     k = 0
     pos = r

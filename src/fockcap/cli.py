@@ -21,7 +21,7 @@ from .models import (diagonal_spectrum, quadratic_hamiltonian_spectrum,
 from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, fock_space,
                         normalize, operator_json_payload)
 from .relations import run_grid, run_suite
-from .thermo import occupation_summary, thermo_csv
+from .thermo import sweep, thermo_csv
 
 OP_CHOICES = ("create", "annihilate", "number", "eij")
 
@@ -119,7 +119,7 @@ def cmd_ops(args) -> int:
     return 0
 
 
-def _report_lines(reports) -> tuple[str, int]:
+def _report_lines(reports) -> str:
     groups: dict[tuple, list[int]] = {}
     for rep in reports:
         key = (rep.spec.kind.value, rep.spec.n, rep.spec.p)
@@ -132,7 +132,16 @@ def _report_lines(reports) -> tuple[str, int]:
         lines.append(f"{kind} n={n} p={p}: {passed}/{count} pass [{status}]")
     failures = sum(1 for rep in reports if not rep.passed)
     lines.append(f"summary: {len(reports) - failures}/{len(reports)} checks pass")
-    return "\n".join(lines) + "\n", failures
+    return "\n".join(lines) + "\n"
+
+
+def _emit_reports(reports, args) -> int:
+    """Write the reports as JSON or as per-spec text; exit code 1 if any failed."""
+    if args.json:
+        _emit(_dump_json([rep.as_dict() for rep in reports]), args.output)
+    else:
+        _emit(_report_lines(reports), args.output)
+    return 1 if any(not rep.passed for rep in reports) else 0
 
 
 def cmd_verify(args) -> int:
@@ -145,25 +154,11 @@ def cmd_verify(args) -> int:
         if args.kind is None or args.n is None or args.p is None:
             raise ValueError("either --grid or all of --kind/--n/--p are required")
         reports = run_suite(_spec_from_args(args), args.backend)
-    if args.json:
-        _emit(_dump_json([rep.as_dict() for rep in reports]), args.output)
-        failures = sum(1 for rep in reports if not rep.passed)
-    else:
-        text, failures = _report_lines(reports)
-        _emit(text, args.output)
-    return 1 if failures else 0
+    return _emit_reports(reports, args)
 
 
 def cmd_lie(args) -> int:
-    spec = _spec_from_args(args)
-    reports = run_lie_suite(spec, args.check)
-    if args.json:
-        _emit(_dump_json([rep.as_dict() for rep in reports]), args.output)
-        failures = sum(1 for rep in reports if not rep.passed)
-    else:
-        text, failures = _report_lines(reports)
-        _emit(text, args.output)
-    return 1 if failures else 0
+    return _emit_reports(run_lie_suite(_spec_from_args(args), args.check), args)
 
 
 def cmd_thermo(args) -> int:
@@ -174,12 +169,9 @@ def cmd_thermo(args) -> int:
     if len(energies) != spec.n:
         raise ValueError(f"expected {spec.n} energies, got {len(energies)}")
     if args.json:
-        rows = []
-        for beta in betas:
-            for mu in mus:
-                xi, means, mean_total = occupation_summary(spec, beta, energies, mu)
-                rows.append({"beta": beta, "mu": mu, "Xi": xi,
-                             "mean_occupations": means, "mean_total": mean_total})
+        rows = [{"beta": beta, "mu": mu, "Xi": xi, "mean_occupations": means,
+                 "mean_total": mean_total}
+                for beta, mu, xi, means, mean_total in sweep(spec, betas, mus, energies)]
         payload = {"spec": _spec_payload(spec), "energies": energies, "rows": rows}
         _emit(_dump_json(payload), args.output)
     else:

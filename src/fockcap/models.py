@@ -10,7 +10,8 @@ the closed-form levels are E_k = k - k(k-1)/p with multiplicity k+1
 (k = 0..p); the gap between consecutive levels is 1 - 2k/p, so accidental
 degeneracies appear and are merged exactly.  General quadratic Hamiltonians
 sum_ij t_ij a_i^+ a_j^- are handled on the float (orthonormal) backend with
-a symmetric eigensolver.
+a symmetric eigensolver.  Both are assembled by one sparse builder; only the
+assembled float matrix is made dense, as the eigensolver's input.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .basis import AlgebraSpec, dimension
-from .operators import (EXACT, FLOAT, build_annihilation, build_creation,
-                        exact_tag, orthonormal_annihilation,
-                        orthonormal_creation)
-from .sparse import SparseMatrix
+from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, BasisTag,
+                        fock_space)
+from .sparse import SparseMatrix, max_entry_difference
 
 SYMMETRY_TOL = 1e-10
 CLUSTER_TOL = 1e-9
@@ -50,19 +50,36 @@ class SpectrumReport:
         return out
 
 
+def _quadratic_form(spec: AlgebraSpec, table: Sequence[Sequence],
+                    normalization: str) -> SparseMatrix:
+    """sum_ij t_ij a_i^+ a_j^- by sparse products, one per nonzero t_ij."""
+    space = fock_space(spec)
+    dim = dimension(spec)
+    h = SparseMatrix(dim, dim, {}, BasisTag(spec, normalization))
+    for i in range(1, spec.n + 1):
+        for j in range(1, spec.n + 1):
+            t = table[i - 1][j - 1]
+            if t != 0:
+                h = h + t * (space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization))
+    return h
+
+
+def _merged(pairs) -> SpectrumReport:
+    """Exact (value, multiplicity) pairs with coincident values merged, ascending."""
+    counts: dict[Fraction, int] = {}
+    for value, mult in pairs:
+        counts[value] = counts.get(value, 0) + mult
+    return SpectrumReport(tuple(sorted(counts.items())), EXACT)
+
+
 def diagonal_hamiltonian(spec: AlgebraSpec,
                          energies: Sequence[Fraction | int]) -> SparseMatrix:
     """Exact H = sum_i eps_i a_i^+ a_i^-, formed by matrix products."""
     if len(energies) != spec.n:
         raise ValueError(f"expected {spec.n} coefficients, got {len(energies)}")
-    dim = dimension(spec)
-    h = SparseMatrix(dim, dim, {}, exact_tag(spec))
-    for i in range(1, spec.n + 1):
-        eps = Fraction(energies[i - 1])
-        if eps == 0:
-            continue
-        h = h + eps * (build_creation(spec, i) @ build_annihilation(spec, i))
-    return h
+    table = [[Fraction(energies[i]) if i == j else 0 for j in range(spec.n)]
+             for i in range(spec.n)]
+    return _quadratic_form(spec, table, UNNORMALIZED)
 
 
 def spectrum_of_diagonal(h: SparseMatrix) -> SpectrumReport:
@@ -70,12 +87,7 @@ def spectrum_of_diagonal(h: SparseMatrix) -> SpectrumReport:
     off = max((abs(v) for (r, c), v in h.data.items() if r != c), default=0)
     if off != 0:
         raise ValueError("operator is not diagonal in the occupation basis")
-    counts: dict[Fraction, int] = {}
-    for r in range(h.rows):
-        value = Fraction(h.get(r, r))
-        counts[value] = counts.get(value, 0) + 1
-    levels = tuple(sorted(counts.items()))
-    return SpectrumReport(levels, EXACT)
+    return _merged((Fraction(h.get(r, r)), 1) for r in range(h.rows))
 
 
 def diagonal_spectrum(spec: AlgebraSpec,
@@ -99,10 +111,7 @@ def toy_levels(p: int) -> list[tuple[int, Fraction, int, Fraction | None]]:
 def toy_spectrum(p: int) -> SpectrumReport:
     """Exact spectrum of H = a_1^+ a_1^- + a_2^+ a_2^- for (Bose, n=2, cap p):
     E_k = k - k(k-1)/p with multiplicity k+1, coincident levels merged."""
-    counts: dict[Fraction, int] = {}
-    for _, value, mult, _ in toy_levels(p):
-        counts[value] = counts.get(value, 0) + mult
-    return SpectrumReport(tuple(sorted(counts.items())), EXACT)
+    return _merged((value, mult) for _, value, mult, _ in toy_levels(p))
 
 
 def _cluster(values: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
@@ -134,16 +143,9 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
         raise ValueError(f"coefficient table must be {spec.n}x{spec.n} finite numbers")
     if np.max(np.abs(table - table.T)) > 1e-12:
         raise ValueError("coefficient table must be symmetric")
-    ups = [orthonormal_creation(spec, i) for i in range(1, spec.n + 1)]
-    downs = [orthonormal_annihilation(spec, j) for j in range(1, spec.n + 1)]
-    dim = dimension(spec)
-    h = np.zeros((dim, dim))
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if table[i, j] != 0.0:
-                h += table[i, j] * (ups[i] @ downs[j]).to_dense()
-    asym = float(np.max(np.abs(h - h.T))) if dim else 0.0
+    h = _quadratic_form(spec, table.tolist(), ORTHONORMAL)
+    asym = max_entry_difference(h, h.transpose())
     if asym > SYMMETRY_TOL:
         raise RuntimeError(f"assembled Hamiltonian not symmetric (residual {asym:g})")
-    values = np.linalg.eigvalsh(h)
+    values = np.linalg.eigvalsh(h.to_dense())
     return SpectrumReport(_cluster(values, CLUSTER_TOL), FLOAT)

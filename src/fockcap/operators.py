@@ -169,13 +169,18 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
             continue
         sign = prefix_sign(v, i) if spec.kind is Kind.FERMI else 1
         if normalization == ORTHONORMAL:
-            u = w if delta > 0 else v
-            data[(row, col)] = sign * math.sqrt(u[i - 1] * (p - sum(u) + 1) / p)
+            data[(row, col)] = sign * _orthonormal_magnitude(w if delta > 0 else v, i, p)
         elif delta > 0:
             data[(row, col)] = Fraction(sign)
         else:
             data[(row, col)] = sign * Fraction(v[i - 1] * (p - sum(v) + 1), p)
     return SparseMatrix(len(index), len(index), data, BasisTag(spec, normalization))
+
+
+def _orthonormal_magnitude(u: Sequence[int], i: int, p: int) -> float:
+    """|<u|a_i^+|u - e_i>| = |<u - e_i|a_i^-|u>| on the orthonormal basis:
+    sqrt(u_i (p - |u| + 1)/p), which tends to the uncapped sqrt(u_i) as p grows."""
+    return math.sqrt(u[i - 1] * (p - sum(u) + 1) / p)
 
 
 def _number_matrix(space: FockSpace, normalization: str) -> SparseMatrix:

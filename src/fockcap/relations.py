@@ -31,7 +31,8 @@ from typing import Iterable, Sequence
 
 from .basis import AlgebraSpec, Kind, dimension, enumerate_basis, graded_dimensions
 from .operators import (EXACT, FLOAT, NORMALIZATION, ORTHONORMAL, FockSpace,
-                        adjoint_wrt_gram, fock_space, grade_diagonal, normalize)
+                        _orthonormal_magnitude, adjoint_wrt_gram, fock_space,
+                        grade_diagonal, normalize)
 from .sparse import bracket, max_entry_difference, orbit_ranks
 
 FLOAT_TOL = 1e-12
@@ -268,30 +269,11 @@ class ClassicalLimitReport:
 def _window_deviation(kind: Kind, n: int, window_cap: int, p: int) -> float:
     """Sup-norm gap, over matrix elements between window states (total <=
     window_cap), between the cap-p orthonormal ladder coefficients and the
-    ordinary fermion/boson ones."""
-    window = enumerate_basis(AlgebraSpec(kind, n, window_cap))
-    dev = 0.0
-    for v in window:
-        k = sum(v)
-        for i in range(1, n + 1):
-            x = v[i - 1]
-            if k < window_cap and not (kind is Kind.FERMI and x == 1):
-                if kind is Kind.FERMI:
-                    deformed = math.sqrt((p - k) / p)
-                    standard = 1.0
-                else:
-                    deformed = math.sqrt((x + 1) * (p - k) / p)
-                    standard = math.sqrt(x + 1)
-                dev = max(dev, abs(deformed - standard))
-            if x > 0:
-                if kind is Kind.FERMI:
-                    deformed = math.sqrt((p - k + 1) / p)
-                    standard = 1.0
-                else:
-                    deformed = math.sqrt(x * (p - k + 1) / p)
-                    standard = math.sqrt(x)
-                dev = max(dev, abs(deformed - standard))
-    return dev
+    ordinary fermion/boson ones.  Each element belongs to the window state u
+    that holds more quanta; its uncapped value is sqrt(u_i) for both kinds."""
+    return max((abs(_orthonormal_magnitude(u, i, p) - math.sqrt(u[i - 1]))
+                for u in enumerate_basis(AlgebraSpec(kind, n, window_cap))
+                for i in range(1, n + 1) if u[i - 1] > 0), default=0.0)
 
 
 def check_classical_limit(kind: Kind, n: int, window_cap: int,

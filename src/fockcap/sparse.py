@@ -37,8 +37,8 @@ class SparseMatrix:
         self.tag = tag
 
     @staticmethod
-    def identity(dim: int, tag=None, one: Scalar = Fraction(1)) -> "SparseMatrix":
-        return SparseMatrix(dim, dim, {(i, i): one for i in range(dim)}, tag)
+    def identity(dim: int, tag=None) -> "SparseMatrix":
+        return SparseMatrix(dim, dim, {(i, i): Fraction(1) for i in range(dim)}, tag)
 
     @staticmethod
     def diagonal(values: Sequence[Scalar], tag=None) -> "SparseMatrix":
@@ -121,8 +121,8 @@ class SparseMatrix:
         column = SparseMatrix(self.cols, 1, {(c, 0): x for c, x in vec.items()})
         return {r: v for (r, _), v in (self @ column).data.items()}
 
-    def to_dense(self, dtype=float) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=dtype)
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
         for (r, c), v in self.data.items():
             dense[r, c] = float(v)
         return dense

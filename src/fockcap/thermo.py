@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .basis import AlgebraSpec, graded_dimensions
-from .operators import fock_space
+from .operators import _check_mode, fock_space
 
 
 @dataclass(frozen=True)
@@ -37,23 +37,23 @@ def character(spec: AlgebraSpec) -> CharacterPolynomial:
     return CharacterPolynomial(tuple(graded_dimensions(spec)))
 
 
-def monomial_table(spec: AlgebraSpec) -> dict[tuple[int, ...], int]:
-    """Multi-variable character data: each occupation pattern has multiplicity 1."""
-    return {v: 1 for v in fock_space(spec).basis}
-
-
-def _check_thermo_args(spec: AlgebraSpec, beta: float, energies: Sequence[float]) -> list[float]:
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be positive, got {beta!r}")
+def _check_thermo_args(spec: AlgebraSpec, beta: float, energies: Sequence[float],
+                       mu: float) -> list[float]:
+    if not 0 < beta < math.inf:
+        raise ValueError(f"inverse temperature must be positive and finite, got {beta!r}")
+    if not math.isfinite(mu):
+        raise ValueError(f"chemical potential must be finite, got {mu!r}")
     energies = [float(e) for e in energies]
     if len(energies) != spec.n:
         raise ValueError(f"expected {spec.n} mode energies, got {len(energies)}")
+    if not all(map(math.isfinite, energies)):
+        raise ValueError(f"mode energies must be finite, got {energies!r}")
     return energies
 
 
 def _weights(spec: AlgebraSpec, beta: float, energies: Sequence[float],
              mu: float) -> list[tuple[tuple[int, ...], float]]:
-    energies = _check_thermo_args(spec, beta, energies)
+    energies = _check_thermo_args(spec, beta, energies, mu)
     out = []
     for v in fock_space(spec).basis:
         energy = sum(e * x for e, x in zip(energies, v))
@@ -74,11 +74,8 @@ def grand_partition(spec: AlgebraSpec, beta: float, energies: Sequence[float],
 def mean_occupation(spec: AlgebraSpec, beta: float, energies: Sequence[float],
                     mu: float, i: int) -> float:
     """Grand-canonical mean occupation of mode i (1-based)."""
-    if not (1 <= i <= spec.n):
-        raise ValueError(f"mode index {i!r} out of range 1..{spec.n}")
-    weights = _weights(spec, beta, energies, mu)
-    xi = sum(w for _, w in weights)
-    return sum(v[i - 1] * w for v, w in weights) / xi
+    _check_mode(spec, i)
+    return occupation_summary(spec, beta, energies, mu)[1][i - 1]
 
 
 def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float],
@@ -90,17 +87,23 @@ def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float]
     return xi, means, sum(means)
 
 
+def sweep(spec: AlgebraSpec, betas: Sequence[float], mus: Sequence[float],
+          energies: Sequence[float]) -> Iterator[tuple[float, float, float, list[float], float]]:
+    """(beta, mu, Xi, per-mode mean occupations, mean total) at each point, beta-major."""
+    for beta in betas:
+        for mu in mus:
+            yield (beta, mu, *occupation_summary(spec, beta, energies, mu))
+
+
 def thermo_csv(spec: AlgebraSpec, betas: Sequence[float], mus: Sequence[float],
                energies: Sequence[float]) -> str:
     """CSV sweep over (beta, mu) with columns beta, mu, Xi, mean_occ_i, mean_total."""
     header = ["beta", "mu", "Xi"] + [f"mean_occ_{i}" for i in range(1, spec.n + 1)]
     header.append("mean_total")
     lines = [",".join(header)]
-    for beta in betas:
-        for mu in mus:
-            xi, means, mean_total = occupation_summary(spec, beta, energies, mu)
-            row = [repr(float(beta)), repr(float(mu)), repr(xi)]
-            row += [repr(m) for m in means]
-            row.append(repr(mean_total))
-            lines.append(",".join(row))
+    for beta, mu, xi, means, mean_total in sweep(spec, betas, mus, energies):
+        row = [repr(float(beta)), repr(float(mu)), repr(xi)]
+        row += [repr(m) for m in means]
+        row.append(repr(mean_total))
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"

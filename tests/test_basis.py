@@ -128,6 +128,8 @@ def test_inadmissible_vectors_rejected():
         unrank(spec, 3)
     with pytest.raises(ValueError):
         unrank(spec, -1)
+    with pytest.raises(ValueError):
+        unrank(spec, True)            # bool is an int subclass
 
 
 def test_basis_csv_layout():

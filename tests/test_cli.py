@@ -146,6 +146,20 @@ def test_thermo_json_sweep(capsys):
     assert payload["energies"] == [0.0, 0.0]
 
 
+def test_thermo_csv_and_json_carry_equal_numbers(capsys):
+    argv = ("thermo", "--kind", "bose", "--n", "3", "--p", "4", "--beta", "0.3,2",
+            "--mu=-0.5,0,0.25", "--energies", "0.5,0,1.5")
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    csv_rows = [[float(x) for x in line.split(",")] for line in csv_out.splitlines()[1:]]
+    json_rows = [[r["beta"], r["mu"], r["Xi"], *r["mean_occupations"], r["mean_total"]]
+                 for r in json.loads(json_out)["rows"]]
+    assert len(csv_rows) == 6
+    assert csv_rows == json_rows
+
+
 def test_spectrum_exact(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "2",
                            "--energies", "1,1")
@@ -273,6 +287,9 @@ GOLDEN = [
     ("spectrum --kind bose --n 2 --p 4 --energies 1,2", 0, "ffdb90e18584991431fbc8374875481808d53f0ab7fced6bf776246dd45a83ea"),
     ("toy --p 6", 0, "be9e358d54255edff7310f660801d1c806e7f0d4b38d322d22eaaafe338524e6"),
     ("verify --kind fermi --n 2 --p 2 --backend float --json", 0, "dcee761e8ede34294955981dfe206413d4321c80423b4ed5d4f3c5c9c7b09776"),
+    ("spectrum --kind bose --n 3 --p 3 --energies 0,2,5", 0, "92510035bbe41942aafd88b2c9f7cbbcf24403c95248da50f1b0abf85ed22cef"),
+    ("toy --p 10 --json", 0, "d9317a8496768d3557701ebfa10ae773f062f942273ba9065e2f17de2bdc440d"),
+    ("spectrum --kind fermi --n 3 --p 2 --energies 1/2,0,-3", 0, "a316bae942adea79669a9b803d03782733b9144c8560cfa63d97bb6edb39f563"),
 ]
 
 

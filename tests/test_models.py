@@ -146,6 +146,38 @@ def test_toy_total_multiplicity_property(p):
     assert toy_spectrum(p).total_multiplicity == (p + 1) * (p + 2) // 2
 
 
+def test_zero_coefficient_builds_no_product(monkeypatch):
+    from fockcap.sparse import SparseMatrix
+    products = []
+    matmul = SparseMatrix.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    spec = AlgebraSpec(Kind.BOSE, 3, 2)
+    diagonal_hamiltonian(spec, [2, 0, Fraction(1, 3)])
+    assert len(products) == 2
+    products.clear()
+    quadratic_hamiltonian_spectrum(spec, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert len(products) == 2
+
+
+def test_non_adjoint_ladder_fails_the_symmetry_check(monkeypatch, fresh_spaces):
+    from fockcap import operators
+    original = operators._ladder_matrix
+
+    def skewed(space, i, delta, normalization):
+        # a_1^+ no longer the transpose of a_1^-: the hopping term loses its symmetry
+        op = original(space, i, delta, normalization)
+        return 2.0 * op if (i, delta, normalization) == (1, +1, operators.ORTHONORMAL) else op
+
+    monkeypatch.setattr(operators, "_ladder_matrix", skewed)
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        quadratic_hamiltonian_spectrum(B22, [[0.0, 1.0], [1.0, 0.0]])
+
+
 def test_energy_count_validation():
     with pytest.raises(ValueError):
         diagonal_hamiltonian(B22, [1])

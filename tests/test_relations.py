@@ -173,3 +173,23 @@ def test_classical_limit_serialization():
     assert payload["kind"] == "fermi"
     assert payload["pass"] is True
     assert len(payload["deviations"]) == 2
+
+
+def test_window_deviation_reads_the_orthonormal_ladders():
+    # the same gap, taken from every entry of the shipped orthonormal ladders
+    # between window states: u is the state of the pair that holds more quanta
+    from fockcap.operators import ORTHONORMAL, fock_space
+    from fockcap.relations import _window_deviation
+    window = 2
+    for kind in (Kind.FERMI, Kind.BOSE):
+        for n in range(1, 4):
+            for p in range(3, 7):
+                space = fock_space(AlgebraSpec(kind, n, p))
+                expected = 0.0
+                for i in range(1, n + 1):
+                    for delta in (+1, -1):
+                        for (r, c), x in space.ladder(i, delta, ORTHONORMAL).data.items():
+                            u = space.basis[r if delta > 0 else c]
+                            if sum(u) <= window:
+                                expected = max(expected, abs(abs(x) - math.sqrt(u[i - 1])))
+                assert _window_deviation(kind, n, window, p) == expected

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from fockcap import (AlgebraSpec, Kind, character, dimension, grand_partition,
-                     graded_dimensions, mean_occupation, monomial_table,
-                     occupation_summary)
+                     graded_dimensions, mean_occupation, occupation_summary)
 from fockcap.thermo import thermo_csv
 
 from conftest import small_grid
@@ -25,14 +24,6 @@ def test_character_counts_states():
         assert z.coefficients == tuple(graded_dimensions(spec))
         assert z(1.0) == dimension(spec)
         assert z.degree == spec.p
-
-
-def test_monomial_table_multiplicity_one():
-    spec = AlgebraSpec(Kind.BOSE, 2, 2)
-    table = monomial_table(spec)
-    assert set(table.values()) == {1}
-    assert len(table) == dimension(spec)
-    assert table[(1, 1)] == 1
 
 
 def test_partition_function_collapses_to_character():
@@ -107,6 +98,24 @@ def test_argument_validation():
         grand_partition(spec, 1.0, [1.0], 0.0)
     with pytest.raises(ValueError):
         mean_occupation(spec, 1.0, [1.0, 1.0], 0.0, 3)
+    with pytest.raises(ValueError):
+        mean_occupation(spec, 1.0, [1.0, 1.0], 0.0, True)  # bool is an int subclass
+    nan, inf = float("nan"), float("inf")
+    for beta, energies, mu in [(nan, [1.0, 1.0], 0.0), (inf, [1.0, 1.0], 0.0),
+                               (-1.0, [1.0, 1.0], 0.0), (1.0, [1.0, 1.0], nan),
+                               (1.0, [1.0, 1.0], -inf), (1.0, [inf, 1.0], 0.0),
+                               (1.0, [1.0, nan], 0.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            grand_partition(spec, beta, energies, mu)
+
+
+def test_mean_occupation_is_the_summary_entry():
+    for spec in (AlgebraSpec(Kind.FERMI, 3, 2), AlgebraSpec(Kind.BOSE, 3, 4)):
+        energies = [0.3, -0.7, 1.9]
+        for beta, mu in [(0.4, -1.0), (1.7, 0.6)]:
+            _, means, _ = occupation_summary(spec, beta, energies, mu)
+            assert [mean_occupation(spec, beta, energies, mu, i)
+                    for i in range(1, spec.n + 1)] == means
 
 
 def test_csv_sweep_layout():
