@@ -21,7 +21,8 @@ from .relations import (ClassicalLimitReport, RelationReport,
                         check_classical_limit, check_hermiticity, check_mixed,
                         check_number, check_pp, check_vacuum_cyclic, run_grid,
                         run_suite)
-from .sparse import RowReducer, SparseMatrix, max_entry_difference, rational_rank
+from .sparse import (MonomialMatrix, RowReducer, SparseMatrix, max_entry_difference,
+                     rational_rank)
 from .thermo import (CharacterPolynomial, character, grand_partition,
                      mean_occupation, occupation_summary, sweep)
 

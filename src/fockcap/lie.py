@@ -28,12 +28,12 @@ from typing import Sequence
 from .basis import AlgebraSpec, Kind, dimension, graded_dimensions
 from .operators import EXACT, FLOAT, ORTHONORMAL, fock_space, normalize
 from .relations import RelationReport, _report
-from .sparse import SparseMatrix, bracket, orbit_ranks
+from .sparse import MonomialMatrix, bracket, orbit_ranks
 
 LIE_CHECKS = ("brackets", "identify", "branching")
 
 
-def gl_generator(spec: AlgebraSpec, i: int, j: int) -> SparseMatrix:
+def gl_generator(spec: AlgebraSpec, i: int, j: int) -> MonomialMatrix:
     """The exact bilinear e_ij = p*{a_i^+, a_j^-} (Fermi) / p*[a_i^+, a_j^-] (Bose)."""
     return fock_space(spec).bilinear(i, j)
 
@@ -99,7 +99,7 @@ def check_adjoint_action(spec: AlgebraSpec) -> list[RelationReport]:
     return out
 
 
-def extended_rescaled_generators(spec: AlgebraSpec) -> dict[tuple[int, int], SparseMatrix]:
+def extended_rescaled_generators(spec: AlgebraSpec) -> dict[tuple[int, int], MonomialMatrix]:
     """Exact (n+1)x(n+1) generator family with crossing entries scaled by p.
 
     Index 0 is the adjoined direction: entry (i,0) is p*a_i^+, (0,i) is
@@ -108,9 +108,9 @@ def extended_rescaled_generators(spec: AlgebraSpec) -> dict[tuple[int, int], Spa
     """
     space = fock_space(spec)
     N = space.number()
-    identity = SparseMatrix.identity(dimension(spec), N.tag)
+    identity = MonomialMatrix.identity(dimension(spec), N.tag)
     e00 = spec.p * identity - N
-    table: dict[tuple[int, int], SparseMatrix] = {(0, 0): e00}
+    table: dict[tuple[int, int], MonomialMatrix] = {(0, 0): e00}
     for i in range(1, spec.n + 1):
         table[(i, 0)] = spec.p * space.ladder(i, +1)
         table[(0, i)] = spec.p * space.ladder(i, -1)
@@ -188,7 +188,7 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
                                expr.max_abs(), FLOAT))
 
     weight_sum = sum((exact[(i, i)] for i in range(2, spec.n + 1)), exact[(1, 1)])
-    identity = SparseMatrix.identity(dim, weight_sum.tag)
+    identity = MonomialMatrix.identity(dim, weight_sum.tag)
     out.append(_report("identity-resolution", spec, (),
                        (exact[(0, 0)] + weight_sum - spec.p * identity).max_abs(), EXACT))
     out.append(_report("number-weight-identity", spec, (),
@@ -233,7 +233,7 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
 
     dim = len(basis)
     N = space.number()
-    e00 = spec.p * SparseMatrix.identity(dim, N.tag) - N
+    e00 = spec.p * MonomialMatrix.identity(dim, N.tag) - N
     weight_resid = max((abs(e00.get(r, r) - (spec.p - k))
                         for k in range(spec.p + 1) for r in range(offsets[k], offsets[k + 1])),
                        default=Fraction(0))
@@ -242,11 +242,11 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
     pairs = [(i, j) for i in range(1, spec.n + 1) for j in range(1, spec.n + 1)]
     generators = [space.bilinear(i, j) for i, j in pairs]
     for ij, mat in zip(pairs, generators):
-        cross = max((abs(v) for (r, c), v in mat.data.items() if grades[r] != grades[c]),
-                    default=0)
+        cross = mat.max_abs(lambda r, c: grades[r] != grades[c])
         out.append(_report("branching-invariant", spec, ij, cross, EXACT))
 
-    ranks = orbit_ranks(generators, range(offsets[-1]), dim)
+    # offsets are closed-form; a block vector missing from the basis has no orbit
+    ranks = orbit_ranks(generators, range(dim), dim) + [0] * (offsets[-1] - dim)
     for k in range(spec.p + 1):
         failed = sum(ranks[seed] != dims[k] for seed in range(offsets[k], offsets[k + 1]))
         out.append(_report("branching-irreducible", spec, (k,), Fraction(failed), EXACT))
@@ -259,8 +259,7 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
                            abs(matrix_trace - action_trace), EXACT))
         diag_resid = max((abs(e.get(r, r) - diagonal_action_value(spec, v, i))
                           for r, v in enumerate(basis)), default=Fraction(0))
-        off_resid = max((abs(v) for (r, c), v in e.data.items() if r != c),
-                        default=0)
+        off_resid = e.max_abs(lambda r, c: r != c)
         out.append(_report("diagonal-action", spec, (i,),
                            max(diag_resid, off_resid), EXACT))
     return out

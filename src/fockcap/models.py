@@ -16,6 +16,7 @@ assembled float matrix is made dense, as the eigensolver's input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -52,7 +53,10 @@ class SpectrumReport:
 
 def _quadratic_form(spec: AlgebraSpec, table: Sequence[Sequence],
                     normalization: str) -> SparseMatrix:
-    """sum_ij t_ij a_i^+ a_j^- by sparse products, one per nonzero t_ij."""
+    """sum_ij t_ij a_i^+ a_j^- by sparse products, one per nonzero t_ij.
+
+    Each product a_i^+ a_j^- is monomial; the sum over i != j is not, so it is
+    assembled as a SparseMatrix."""
     space = fock_space(spec)
     dim = dimension(spec)
     h = SparseMatrix(dim, dim, {}, BasisTag(spec, normalization))
@@ -60,7 +64,8 @@ def _quadratic_form(spec: AlgebraSpec, table: Sequence[Sequence],
         for j in range(1, spec.n + 1):
             t = table[i - 1][j - 1]
             if t != 0:
-                h = h + t * (space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization))
+                product = space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization)
+                h = h + t * product.to_sparse()
     return h
 
 
@@ -144,8 +149,14 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
     if np.max(np.abs(table - table.T)) > 1e-12:
         raise ValueError("coefficient table must be symmetric")
     h = _quadratic_form(spec, table.tolist(), ORTHONORMAL)
+    if not all(map(math.isfinite, h.data.values())):
+        raise ValueError("assembled Hamiltonian has entries beyond float range")
     asym = max_entry_difference(h, h.transpose())
     if asym > SYMMETRY_TOL:
         raise RuntimeError(f"assembled Hamiltonian not symmetric (residual {asym:g})")
     values = np.linalg.eigvalsh(h.to_dense())
-    return SpectrumReport(_cluster(values, CLUSTER_TOL), FLOAT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = _cluster(values, CLUSTER_TOL)
+    if not all(math.isfinite(value) for value, _ in levels):
+        raise ValueError("eigenvalues of the assembled Hamiltonian are beyond float range")
+    return SpectrumReport(levels, FLOAT)

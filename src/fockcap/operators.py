@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .basis import (AlgebraSpec, Kind, OccupationVector, enumerate_basis,
                     grade_offsets)
-from .sparse import SparseMatrix, bracket
+from .sparse import MonomialMatrix, bracket
 
 UNNORMALIZED = "unnormalized"
 ORTHONORMAL = "orthonormal"
@@ -99,7 +99,7 @@ class FockSpace:
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
-        self._operators: dict[tuple, SparseMatrix] = {}
+        self._operators: dict[tuple, MonomialMatrix] = {}
 
     @cached_property
     def basis(self) -> list[OccupationVector]:
@@ -122,23 +122,23 @@ class FockSpace:
     def gram(self) -> GramForm:
         return GramForm(tuple(gram_value(self.spec, v) for v in self.basis), exact_tag(self.spec))
 
-    def ladder(self, i: int, delta: int, normalization: str = UNNORMALIZED) -> SparseMatrix:
+    def ladder(self, i: int, delta: int, normalization: str = UNNORMALIZED) -> MonomialMatrix:
         """a_i^+ (delta = +1) or a_i^- (delta = -1) in the given normalization."""
         _check_mode(self.spec, i)
         if delta not in (+1, -1) or normalization not in (UNNORMALIZED, ORTHONORMAL):
             raise ValueError(f"no ladder operator with delta={delta!r}, {normalization!r}")
         return self._memo(_ladder_matrix, i, delta, normalization)
 
-    def number(self, normalization: str = UNNORMALIZED) -> SparseMatrix:
+    def number(self, normalization: str = UNNORMALIZED) -> MonomialMatrix:
         return self._memo(_number_matrix, normalization)
 
-    def bilinear(self, i: int, j: int) -> SparseMatrix:
+    def bilinear(self, i: int, j: int) -> MonomialMatrix:
         """Exact e_ij = p*{a_i^+, a_j^-} (Fermi) / p*[a_i^+, a_j^-] (Bose)."""
         _check_mode(self.spec, i)
         _check_mode(self.spec, j)
         return self._memo(_bilinear_matrix, i, j)
 
-    def _memo(self, kernel, *args) -> SparseMatrix:
+    def _memo(self, kernel, *args) -> MonomialMatrix:
         key = (kernel, *args)
         op = self._operators.get(key)
         if op is None:
@@ -152,29 +152,33 @@ def fock_space(spec: AlgebraSpec) -> FockSpace:
     return FockSpace(spec)
 
 
-def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> SparseMatrix:
+def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> MonomialMatrix:
     # One walk v -> w = v + delta*e_i for all four ladder operators; w is
     # admissible exactly when it is in the index.  With u the one of v, w that
     # holds more quanta, the orthonormal entry is sign*sqrt(u_i (p-|u|+1)/p)
     # either way, taken straight from the action on orthonormal vectors and
     # never from the Gram form: it is the oracle that normalize() is checked
     # against (check_backend_agreement, acceptance criterion 8).  The
-    # unnormalized basis puts the whole square on a_i^- and 1 on a_i^+.
+    # unnormalized basis puts the whole square on a_i^-, as the integer
+    # sign*v_i*(p-|v|+1) over the denominator p, and 1 on a_i^+.
     spec, index, p = space.spec, space.index, space.spec.p
-    data = {}
-    for col, v in enumerate(space.basis):
+    targets, coefs = [], []
+    for v in space.basis:
         w = _bumped(v, i, delta)
-        row = index.get(w)
-        if row is None:
-            continue
+        row = index.get(w, -1)
         sign = prefix_sign(v, i) if spec.kind is Kind.FERMI else 1
-        if normalization == ORTHONORMAL:
-            data[(row, col)] = sign * _orthonormal_magnitude(w if delta > 0 else v, i, p)
+        if row < 0:
+            coef = 0
+        elif normalization == ORTHONORMAL:
+            coef = sign * _orthonormal_magnitude(w if delta > 0 else v, i, p)
         elif delta > 0:
-            data[(row, col)] = Fraction(sign)
+            coef = sign
         else:
-            data[(row, col)] = sign * Fraction(v[i - 1] * (p - sum(v) + 1), p)
-    return SparseMatrix(len(index), len(index), data, BasisTag(spec, normalization))
+            coef = sign * v[i - 1] * (p - sum(v) + 1)
+        targets.append(row)
+        coefs.append(coef)
+    denom = p if normalization == UNNORMALIZED and delta < 0 else 1
+    return MonomialMatrix(len(index), targets, coefs, denom, BasisTag(spec, normalization))
 
 
 def _orthonormal_magnitude(u: Sequence[int], i: int, p: int) -> float:
@@ -183,27 +187,27 @@ def _orthonormal_magnitude(u: Sequence[int], i: int, p: int) -> float:
     return math.sqrt(u[i - 1] * (p - sum(u) + 1) / p)
 
 
-def _number_matrix(space: FockSpace, normalization: str) -> SparseMatrix:
+def _number_matrix(space: FockSpace, normalization: str) -> MonomialMatrix:
     value = Fraction if normalization == UNNORMALIZED else float
     return grade_diagonal(space.spec, value, normalization=normalization)
 
 
-def _bilinear_matrix(space: FockSpace, i: int, j: int) -> SparseMatrix:
+def _bilinear_matrix(space: FockSpace, i: int, j: int) -> MonomialMatrix:
     spec = space.spec
     return spec.p * bracket(space.ladder(i, +1), space.ladder(j, -1), spec.kind.anticommuting)
 
 
-def build_creation(spec: AlgebraSpec, i: int) -> SparseMatrix:
+def build_creation(spec: AlgebraSpec, i: int) -> MonomialMatrix:
     """Exact creation operator for mode i on the unnormalized basis."""
     return fock_space(spec).ladder(i, +1)
 
 
-def build_annihilation(spec: AlgebraSpec, i: int) -> SparseMatrix:
+def build_annihilation(spec: AlgebraSpec, i: int) -> MonomialMatrix:
     """Exact annihilation operator for mode i; carries (p-k+1)/p on grade k."""
     return fock_space(spec).ladder(i, -1)
 
 
-def build_number(spec: AlgebraSpec) -> SparseMatrix:
+def build_number(spec: AlgebraSpec) -> MonomialMatrix:
     """Total number operator: diagonal with entry |v| at each basis vector."""
     return fock_space(spec).number()
 
@@ -222,35 +226,34 @@ def build_gram(spec: AlgebraSpec) -> GramForm:
     return fock_space(spec).gram
 
 
-def normalize(op: SparseMatrix, gram: GramForm) -> SparseMatrix:
+def _check_gram_tag(op, gram: GramForm) -> None:
+    if op.tag != gram.tag:
+        raise ValueError(f"basis tag mismatch: {op.tag!r} vs {gram.tag!r}")
+
+
+def normalize(op: MonomialMatrix, gram: GramForm) -> MonomialMatrix:
     """Conjugate an exact operator into the orthonormal basis (float entries).
 
     entry'(r, c) = entry(r, c) * sqrt(g_r / g_c), the transformation induced
     by |v>> = |v> / sqrt(g_v).
     """
-    if op.tag != gram.tag:
-        raise ValueError(f"basis tag mismatch: {op.tag!r} vs {gram.tag!r}")
-    spec = gram.tag.spec
+    _check_gram_tag(op, gram)
     g = gram.values
-    data = {
-        (r, c): float(val) * math.sqrt(float(g[r] / g[c]))
-        for (r, c), val in op.data.items()
-    }
-    return SparseMatrix(op.rows, op.cols, data, float_tag(spec))
+    return op.map_entries(lambda r, c, val: float(val) * math.sqrt(float(g[r] / g[c])),
+                          float_tag(gram.tag.spec))
 
 
-def adjoint_wrt_gram(op: SparseMatrix, gram: GramForm) -> SparseMatrix:
+def adjoint_wrt_gram(op: MonomialMatrix, gram: GramForm) -> MonomialMatrix:
     """Exact adjoint G^-1 op^T G for the diagonal Gram form G."""
-    if op.tag != gram.tag:
-        raise ValueError(f"basis tag mismatch: {op.tag!r} vs {gram.tag!r}")
+    _check_gram_tag(op, gram)
     if op.rows != op.cols:
         raise ValueError("adjoint requires a square operator")
     g = gram.values
-    data = {(c, r): val * g[r] / g[c] for (r, c), val in op.data.items()}
-    return SparseMatrix(op.rows, op.cols, data, op.tag)
+    # the entry val at (r, c) of op moves to (c, r) as val * g_r / g_c
+    return op.transpose().map_entries(lambda r, c, val: val * g[c] / g[r], op.tag)
 
 
-def orthonormal_creation(spec: AlgebraSpec, i: int) -> SparseMatrix:
+def orthonormal_creation(spec: AlgebraSpec, i: int) -> MonomialMatrix:
     """Creation operator built directly on the orthonormal basis.
 
     Coefficients come straight from the action on orthonormal vectors:
@@ -260,7 +263,7 @@ def orthonormal_creation(spec: AlgebraSpec, i: int) -> SparseMatrix:
     return fock_space(spec).ladder(i, +1, ORTHONORMAL)
 
 
-def orthonormal_annihilation(spec: AlgebraSpec, i: int) -> SparseMatrix:
+def orthonormal_annihilation(spec: AlgebraSpec, i: int) -> MonomialMatrix:
     """Annihilation operator built directly on the orthonormal basis.
 
     Fermi v_i*sign*sqrt((p-k+1)/p), Bose sqrt(v_i(p-k+1)/p) at grade k.
@@ -268,18 +271,18 @@ def orthonormal_annihilation(spec: AlgebraSpec, i: int) -> SparseMatrix:
     return fock_space(spec).ladder(i, -1, ORTHONORMAL)
 
 
-def orthonormal_number(spec: AlgebraSpec) -> SparseMatrix:
+def orthonormal_number(spec: AlgebraSpec) -> MonomialMatrix:
     return fock_space(spec).number(ORTHONORMAL)
 
 
-def grade_diagonal(spec: AlgebraSpec, func, *, normalization: str = UNNORMALIZED) -> SparseMatrix:
+def grade_diagonal(spec: AlgebraSpec, func, *, normalization: str = UNNORMALIZED) -> MonomialMatrix:
     """Diagonal operator whose entry at v is func(|v|); used for scalar
     polynomials in the number operator."""
     values = [func(k) for k in fock_space(spec).grades]
-    return SparseMatrix.diagonal(values, BasisTag(spec, normalization))
+    return MonomialMatrix.diagonal(values, BasisTag(spec, normalization))
 
 
-def operator_json_payload(spec: AlgebraSpec, op: SparseMatrix) -> dict:
+def operator_json_payload(spec: AlgebraSpec, op: MonomialMatrix) -> dict:
     """JSON-ready export of an operator, entries row-major ascending."""
     normalization = op.tag.normalization if isinstance(op.tag, BasisTag) else UNNORMALIZED
     if normalization == UNNORMALIZED:

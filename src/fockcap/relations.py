@@ -148,20 +148,17 @@ def check_mixed(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]
 def check_cap(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
     """Creation kills the top grade; ladder operators shift grade by exactly 1."""
     space, norm = _space(spec, backend)
-    grades, offsets = space.grades, space.offsets
-    top = range(offsets[spec.p], offsets[spec.p + 1])
+    grades, top = space.grades, space.offsets[spec.p]
     out = []
     for i in range(1, spec.n + 1):
         up = space.ladder(i, +1, norm)
         down = space.ladder(i, -1, norm)
-        top_resid = max((abs(v) for (r, c), v in up.data.items() if c in top), default=0)
-        out.append(_report("cap-top-grade", spec, (i,), top_resid, backend))
-        raise_resid = max((abs(v) for (r, c), v in up.data.items()
-                           if grades[r] != grades[c] + 1), default=0)
-        out.append(_report("grade-raising", spec, (i,), raise_resid, backend))
-        lower_resid = max((abs(v) for (r, c), v in down.data.items()
-                           if grades[r] != grades[c] - 1), default=0)
-        out.append(_report("grade-lowering", spec, (i,), lower_resid, backend))
+        out.append(_report("cap-top-grade", spec, (i,),
+                           up.max_abs(lambda r, c: c >= top), backend))
+        out.append(_report("grade-raising", spec, (i,),
+                           up.max_abs(lambda r, c: grades[r] != grades[c] + 1), backend))
+        out.append(_report("grade-lowering", spec, (i,),
+                           down.max_abs(lambda r, c: grades[r] != grades[c] - 1), backend))
     return out
 
 

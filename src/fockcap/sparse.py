@@ -1,6 +1,18 @@
-"""Sparse matrices with dict-of-keys storage, exact or floating-point.
+"""Sparse matrices, exact or floating-point.
 
-Entries are Fractions in the exact backend and floats in the orthonormal
+Two storage types share one method surface (``@``, ``+``, ``-``, scalar
+``*``, ``max_abs``, ``transpose``, ``get``, ``data``, ``entries``, ``apply``,
+``nnz``, ``tag``, ``to_dense``):
+
+- ``MonomialMatrix`` holds at most one nonzero entry per column, as an index
+  map plus one coefficient per column.  Every operator the relation and Lie
+  suites build has this shape (see its docstring), and its products and sums
+  are index compositions over Python integers.
+- ``SparseMatrix`` is dict-of-keys storage for anything else, such as a
+  general quadratic Hamiltonian; it is also the oracle the kernel is tested
+  against.
+
+Entries are rationals in the exact backend and floats in the orthonormal
 (normalized) backend; explicit zeros are never stored.  Every matrix carries
 a ``tag`` identifying the basis it acts on, so operators built for different
 spaces or normalizations cannot be combined by accident.
@@ -8,6 +20,7 @@ spaces or normalizations cannot be combined by accident.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -39,11 +52,6 @@ class SparseMatrix:
     @staticmethod
     def identity(dim: int, tag=None) -> "SparseMatrix":
         return SparseMatrix(dim, dim, {(i, i): Fraction(1) for i in range(dim)}, tag)
-
-    @staticmethod
-    def diagonal(values: Sequence[Scalar], tag=None) -> "SparseMatrix":
-        d = len(values)
-        return SparseMatrix(d, d, {(i, i): v for i, v in enumerate(values)}, tag)
 
     def get(self, r: int, c: int) -> Scalar:
         return self.data.get((r, c), 0)
@@ -108,13 +116,20 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.data
 
-    def max_abs(self) -> Scalar:
-        """Largest absolute entry; 0 for the zero matrix."""
-        return max((abs(v) for v in self.data.values()), default=0)
+    def max_abs(self, where=None) -> Scalar:
+        """Largest absolute entry; 0 for the zero matrix.  With ``where``, only
+        the entries at the (r, c) where ``where(r, c)`` holds."""
+        return max((abs(v) for (r, c), v in self.data.items() if where is None or where(r, c)),
+                   default=0)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows,
                             {(c, r): v for (r, c), v in self.data.items()}, self.tag)
+
+    def map_entries(self, fn, tag) -> "SparseMatrix":
+        """The matrix holding fn(r, c, v) in place of each entry v at (r, c)."""
+        return SparseMatrix(self.rows, self.cols,
+                            {(r, c): fn(r, c, v) for (r, c), v in self.data.items()}, tag)
 
     def apply(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """Matrix-vector product on a sparse column vector (a one-column @)."""
@@ -132,14 +147,245 @@ class SparseMatrix:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
-def max_entry_difference(a: SparseMatrix, b: SparseMatrix) -> Scalar:
+class MonomialMatrix:
+    """A matrix with at most one nonzero entry per column: a partial
+    permutation times a diagonal.
+
+    The ladder operators a_i^pm, N, the e_ij, E_00 and every polynomial in
+    them that the suites form have this shape.  Each shifts the weight
+    (p - |v|; v) of a basis vector by a fixed root, and distinct basis vectors
+    have distinct weights, so each basis vector goes to a multiple of at most
+    one basis vector.
+
+    Column c holds ``coef[c] / denom`` in row ``target[c]``.  A zero
+    coefficient is no entry (a cancelled entry keeps its row as target), and
+    a target of -1 always has coefficient 0.  Exact matrices keep Python-int
+    coefficients over one positive integer denominator; float matrices keep
+    finite float coefficients over 1.  Both lists end in one more, always
+    empty, slot, so that the index -1 reads "no entry".  Plain lists, not
+    numpy arrays: most operators the suites form have a few dozen columns,
+    where a numpy call costs more than the loop it replaces.
+
+    A product is then one index gather and one multiplication per column,
+    ``coef = a.coef[b.target] * b.coef`` over ``a.denom * b.denom``, and a sum
+    of two terms whose targets agree wherever both have one adds coefficients
+    column by column.  A float entry of either is the one product, or the one
+    sum of the same two numbers, that the dict-of-keys kernel forms, so float
+    results are bit-identical to SparseMatrix ones.  A sum whose terms
+    disagree on a column (only a wrong operator makes one) is the general
+    SparseMatrix sum, so its residual is still exact.
+    """
+
+    __slots__ = ("rows", "cols", "target", "coef", "denom", "exact", "tag")
+
+    def __init__(self, rows: int, targets: Sequence[int], coefs: Sequence[int | float],
+                 denom: int = 1, tag=None):
+        """Column c holds coefs[c] / denom in row targets[c]; an empty column
+        has target -1 and coefficient 0.  Int coefficients make an exact
+        matrix, any float a float one."""
+        exact = not any(isinstance(x, float) for x in coefs)
+        _fill(self, rows, [*targets, -1], [*(coefs if exact else map(float, coefs)), 0],
+              denom, exact, tag)
+
+    @staticmethod
+    def identity(dim: int, tag=None) -> "MonomialMatrix":
+        return MonomialMatrix(dim, range(dim), [1] * dim, 1, tag)
+
+    @staticmethod
+    def diagonal(values: Sequence[Scalar], tag=None) -> "MonomialMatrix":
+        return MonomialMatrix.from_columns(len(values), range(len(values)), values, tag)
+
+    @staticmethod
+    def from_columns(rows: int, targets: Sequence[int], values: Sequence[Scalar],
+                     tag=None) -> "MonomialMatrix":
+        """Column c holds the rational or float values[c] in row targets[c]
+        (-1, with value 0, for none); rationals share their least common
+        denominator."""
+        if any(isinstance(v, float) for v in values):
+            return MonomialMatrix(rows, targets, values, 1, tag)
+        denom = math.lcm(*(v.denominator for v in values))
+        return MonomialMatrix(rows, targets, [v.numerator * (denom // v.denominator)
+                                              for v in values], denom, tag)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    @property
+    def nnz(self) -> int:
+        return self.cols + 1 - self.coef.count(0)
+
+    def is_zero(self) -> bool:
+        return not self.nnz
+
+    def _value(self, x) -> Scalar:
+        return Fraction(x, self.denom) if self.exact else x
+
+    def _live(self) -> list[tuple[int, int, int | float]]:
+        """(row, col, coefficient) of every entry, by column."""
+        return [(r, c, x) for c, (r, x) in enumerate(zip(self.target, self.coef)) if x]
+
+    def get(self, r: int, c: int) -> Scalar:
+        if 0 <= c < self.cols and self.target[c] == r and self.coef[c]:
+            return self._value(self.coef[c])
+        return 0
+
+    def entries(self) -> list[Entry]:
+        """All nonzero entries as (row, col, value), row-major ascending."""
+        return [(r, c, self._value(x)) for r, c, x in sorted(self._live())]
+
+    @property
+    def data(self) -> dict[tuple[int, int], Scalar]:
+        return {(r, c): self._value(x) for r, c, x in self._live()}
+
+    def to_sparse(self) -> SparseMatrix:
+        return SparseMatrix(self.rows, self.cols, self.data, self.tag)
+
+    def to_dense(self) -> np.ndarray:
+        return self.to_sparse().to_dense()
+
+    def max_abs(self, where=None) -> Scalar:
+        """Largest absolute entry; 0 for the zero matrix.  With ``where``, only
+        the entries at the (r, c) where ``where(r, c)`` holds."""
+        if where is None:
+            top = max(map(abs, self.coef))
+        else:
+            top = max((abs(x) for r, c, x in self._live() if where(r, c)), default=0)
+        return self._value(top) if top else 0
+
+    def apply(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:
+        """Matrix-vector product on a sparse column vector."""
+        out: dict[int, Scalar] = {}
+        for c, x in vec.items():
+            if self.coef[c]:
+                r = self.target[c]
+                out[r] = out.get(r, 0) + self._value(self.coef[c]) * x
+        return {r: v for r, v in out.items() if v != 0}
+
+    def transpose(self):
+        target, coef = [-1] * (self.rows + 1), [self.coef[-1]] * (self.rows + 1)
+        for r, c, x in self._live():
+            if target[r] >= 0:  # two entries in one row
+                return self.to_sparse().transpose()
+            target[r], coef[r] = c, x
+        return _filled(self.cols, target, coef, self.denom, self.exact, self.tag)
+
+    def map_entries(self, fn, tag) -> "MonomialMatrix":
+        """The matrix holding fn(r, c, v) in place of each entry v at (r, c)."""
+        values = [0] * self.cols
+        for r, c, x in self._live():
+            values[c] = fn(r, c, self._value(x))
+        return MonomialMatrix.from_columns(self.rows, self.target[:-1], values, tag)
+
+    def _as_float(self) -> "MonomialMatrix":
+        if not self.exact:
+            return self
+        return _filled(self.rows, self.target, [x / self.denom for x in self.coef], 1, False,
+                       self.tag)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, (SparseMatrix, MonomialMatrix)):
+            raise TypeError("use @ for matrix products")
+        if isinstance(scalar, float) or not self.exact:
+            if not math.isfinite(scalar):
+                return self.to_sparse() * scalar
+            s = float(scalar)
+            return _filled(self.rows, self.target, [x * s for x in self._as_float().coef], 1,
+                           False, self.tag)
+        num, den = scalar.numerator, scalar.denominator
+        g = math.gcd(num, self.denom)
+        k = num // g
+        return _filled(self.rows, self.target, [x * k for x in self.coef], self.denom // g * den,
+                       True, self.tag)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "MonomialMatrix":
+        return _filled(self.rows, self.target, [-x for x in self.coef], self.denom, self.exact,
+                       self.tag)
+
+    def __matmul__(self, other):
+        if not isinstance(other, MonomialMatrix):
+            return self.to_sparse() @ other
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+        tag = _combine_tags(self.tag, other.tag)
+        a, b = _same_kind(self, other)
+        at, ac, src = a.target, a.coef, b.target
+        return _filled(a.rows, [at[s] for s in src], [ac[s] * x for s, x in zip(src, b.coef)],
+                       a.denom * b.denom, a.exact, tag)
+
+    def __add__(self, other):
+        return self._plus(other, +1, _combine_tags(self.tag, other.tag))
+
+    def __sub__(self, other):
+        return self._plus(other, -1, _combine_tags(self.tag, other.tag))
+
+    def _plus(self, other, sign: int, tag):
+        """self + sign*other carrying ``tag``."""
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        if isinstance(other, MonomialMatrix):
+            # the common target of each column; -2 where both have one and they differ
+            target = [x if x == y or y < 0 else y if x < 0 else -2
+                      for x, y in zip(self.target, other.target)]
+            if -2 not in target:
+                a, b = _same_kind(self, other)
+                ca, cb, denom = a.coef, b.coef, a.denom
+                if a.denom != b.denom:
+                    denom = math.lcm(a.denom, b.denom)
+                    ka, kb = denom // a.denom, denom // b.denom
+                    ca, cb = [x * ka for x in ca], [y * kb for y in cb]
+                coef = ([x + y for x, y in zip(ca, cb)] if sign > 0
+                        else [x - y for x, y in zip(ca, cb)])
+                return _filled(self.rows, target, coef, denom, a.exact, tag)
+        a = SparseMatrix(self.rows, self.cols, self.data)
+        b = SparseMatrix(other.rows, other.cols, other.data)
+        out = a + b if sign > 0 else a - b
+        out.tag = tag
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (SparseMatrix, MonomialMatrix)):
+            return NotImplemented
+        return self.shape == other.shape and self.data == other.data
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"MonomialMatrix({self.rows}x{self.cols}, nnz={self.nnz}, tag={self.tag!r})"
+
+
+def _fill(m: MonomialMatrix, rows: int, target: list[int], coef: list, denom: int,
+          exact: bool, tag) -> MonomialMatrix:
+    m.rows, m.cols, m.target, m.coef = rows, len(target) - 1, target, coef
+    m.denom, m.exact, m.tag = denom, exact, tag
+    return m
+
+
+def _filled(rows: int, target: list[int], coef: list, denom: int, exact: bool,
+            tag) -> MonomialMatrix:
+    """A MonomialMatrix on lists that already end in the empty slot."""
+    return _fill(object.__new__(MonomialMatrix), rows, target, coef, denom, exact, tag)
+
+
+def _same_kind(a: MonomialMatrix, b: MonomialMatrix) -> tuple[MonomialMatrix, MonomialMatrix]:
+    """Both exact, or both float (an exact factor converted)."""
+    if a.exact == b.exact:
+        return a, b
+    return a._as_float(), b._as_float()
+
+
+def max_entry_difference(a, b) -> Scalar:
     """Sup-norm of a - b over the union of stored entries."""
+    if isinstance(a, MonomialMatrix):
+        return a._plus(b, -1, None).max_abs()
     a._check_shape(b)
     keys = set(a.data) | set(b.data)
     return max((abs(a.get(r, c) - b.get(r, c)) for r, c in keys), default=0)
 
 
-def bracket(x: SparseMatrix, y: SparseMatrix, anti: bool = False) -> SparseMatrix:
+def bracket(x, y, anti: bool = False):
     """The anticommutator x@y + y@x if anti, else the commutator x@y - y@x."""
     return x @ y + y @ x if anti else x @ y - y @ x
 
@@ -190,14 +436,27 @@ class RowReducer:
         return v
 
 
-def orbit_ranks(generators: Sequence[SparseMatrix], seeds: Sequence[int], dim: int) -> list[int]:
+def orbit_ranks(generators: Sequence, seeds: Sequence[int], dim: int) -> list[int]:
     """For each seed, the dimension of the smallest subspace that contains
     basis vector ``seed`` and is invariant under every generator.
 
-    Breadth-first images with an exact rank per seed.  The new vectors of every
-    seed's orbit at one level are the columns of one matrix, so a level costs
-    one product per generator.
+    If every generator is a MonomialMatrix, this is the number of indices
+    reachable from the seed along nonzero entries.  Proof: that subspace is
+    the span of the words in the generators applied to e_seed.  A monomial
+    generator sends a multiple of one basis vector to a multiple of one basis
+    vector (or to 0), so each word sends e_seed to c*e_t, where t is the end
+    of the word's path from the seed and c is the product of the coefficients
+    along it; c != 0 exactly when every step of the path is a nonzero entry.
+    The span of these c*e_t is the span of the distinct e_t reached, and
+    distinct basis vectors are independent.  Generators with two entries in a column
+    break the first step, so they keep the exact rank: breadth-first images
+    with a RowReducer per seed, the new vectors of every seed's orbit at one
+    level being the columns of one matrix, so a level costs one product per
+    generator.
     """
+    if all(isinstance(op, MonomialMatrix) for op in generators):
+        return _reachable_counts([[r if x else -1 for r, x in zip(op.target, op.coef)]
+                                  for op in generators], seeds)
     reducers = [RowReducer(dim) for _ in seeds]
     frontier = [(owner, {seed: Fraction(1)}) for owner, seed in enumerate(seeds)]
     for owner, vec in frontier:
@@ -216,6 +475,32 @@ def orbit_ranks(generators: Sequence[SparseMatrix], seeds: Sequence[int], dim: i
                     new_frontier.append((owner, images[c]))
         frontier = new_frontier
     return [reducer.rank for reducer in reducers]
+
+
+def _reachable_counts(targets: Sequence[Sequence[int]], seeds: Sequence[int]) -> list[int]:
+    """For each seed, how many indices the index maps reach from it (itself
+    included).  Breadth-first per seed, with the reached set as a bit mask; a
+    seed already walked contributes its whole set at once, so seeds that
+    reach each other, such as a grade block under the e_ij, cost one walk."""
+    walked: dict[int, int] = {}
+    counts = []
+    for seed in seeds:
+        reached, frontier = 1 << seed, [seed]
+        while frontier:
+            found = []
+            for v in frontier:
+                for target in targets:
+                    w = target[v]
+                    if w >= 0 and not reached >> w & 1:
+                        if w in walked:
+                            reached |= walked[w]
+                        else:
+                            reached |= 1 << w
+                            found.append(w)
+            frontier = found
+        walked[seed] = reached
+        counts.append(reached.bit_count())
+    return counts
 
 
 def rational_rank(vectors: Iterable[Mapping[int, Scalar]], dim: int) -> int:

@@ -57,8 +57,20 @@ def _weights(spec: AlgebraSpec, beta: float, energies: Sequence[float],
     out = []
     for v in fock_space(spec).basis:
         energy = sum(e * x for e, x in zip(energies, v))
-        out.append((v, math.exp(-beta * (energy - mu * sum(v)))))
+        try:
+            out.append((v, math.exp(-beta * (energy - mu * sum(v)))))
+        except OverflowError:
+            raise _out_of_range(beta, mu) from None
     return out
+
+
+def _out_of_range(beta: float, mu: float) -> ValueError:
+    return ValueError(f"Boltzmann weights at beta={beta!r}, mu={mu!r} exceed the float range")
+
+
+def _finite(beta: float, mu: float, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise _out_of_range(beta, mu)
 
 
 def grand_partition(spec: AlgebraSpec, beta: float, energies: Sequence[float],
@@ -66,9 +78,12 @@ def grand_partition(spec: AlgebraSpec, beta: float, energies: Sequence[float],
     """Xi = sum over basis vectors of exp(-beta*(sum_i eps_i v_i - mu|v|)).
 
     With all energies zero this collapses to the character evaluated at
-    z = exp(beta*mu).
+    z = exp(beta*mu).  A weight or a sum beyond the float range is a
+    ValueError.
     """
-    return sum(w for _, w in _weights(spec, beta, energies, mu))
+    xi = sum(w for _, w in _weights(spec, beta, energies, mu))
+    _finite(beta, mu, xi)
+    return xi
 
 
 def mean_occupation(spec: AlgebraSpec, beta: float, energies: Sequence[float],
@@ -80,11 +95,16 @@ def mean_occupation(spec: AlgebraSpec, beta: float, energies: Sequence[float],
 
 def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float],
                        mu: float) -> tuple[float, list[float], float]:
-    """(Xi, per-mode mean occupations, mean total) in a single basis pass."""
+    """(Xi, per-mode mean occupations, mean total) in a single basis pass.
+
+    A weight or a sum beyond the float range is a ValueError naming beta and mu."""
     weights = _weights(spec, beta, energies, mu)
     xi = sum(w for _, w in weights)
+    _finite(beta, mu, xi)
     means = [sum(v[i] * w for v, w in weights) / xi for i in range(spec.n)]
-    return xi, means, sum(means)
+    mean_total = sum(means)
+    _finite(beta, mu, *means, mean_total)
+    return xi, means, mean_total
 
 
 def sweep(spec: AlgebraSpec, betas: Sequence[float], mus: Sequence[float],

@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockcap import cli
 
@@ -247,6 +251,25 @@ def test_thermo_rejects_non_finite_numbers(capsys):
         assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("--kind", "bose", "--n", "2", "--p", "3", "--beta", "1000", "--mu", "1"),
+    ("--kind", "fermi", "--n", "2", "--p", "3", "--beta", "1", "--mu", "700"),
+    ("--kind", "bose", "--n", "3", "--p", "1", "--beta", "1", "--mu", "709"),  # Xi = inf
+], ids=["weight-overflow", "fermi-weight-overflow", "infinite-xi"])
+def test_thermo_weights_beyond_float_range_are_a_usage_error(capsys, args):
+    code, out, err = run_cli(capsys, "thermo", *args)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error:") and "beta=" in err and "mu=" in err
+
+
+def test_float_spectrum_beyond_float_range_is_a_usage_error(capsys):
+    for energies in ("1e308,1e308", "1.7e308,1.7e308"):
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "3",
+                                 "--energies", energies, "--backend", "float")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "float range" in err
+
+
 def test_spectrum_rejects_zero_denominator(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "3",
                              "--energies", "1/0,1")
@@ -290,6 +313,10 @@ GOLDEN = [
     ("spectrum --kind bose --n 3 --p 3 --energies 0,2,5", 0, "92510035bbe41942aafd88b2c9f7cbbcf24403c95248da50f1b0abf85ed22cef"),
     ("toy --p 10 --json", 0, "d9317a8496768d3557701ebfa10ae773f062f942273ba9065e2f17de2bdc440d"),
     ("spectrum --kind fermi --n 3 --p 2 --energies 1/2,0,-3", 0, "a316bae942adea79669a9b803d03782733b9144c8560cfa63d97bb6edb39f563"),
+    ("verify --kind bose --n 3 --p 4 --backend float --json", 0, "2725f0c84ac2afe7ff2cafb3ce8cd1bcac65f87036b05f202b856e31141f0a43"),
+    ("lie --kind bose --n 3 --p 3 --json", 0, "e49081e42c44ed267b4d35f95ebf2f11b6010f37e0e281dfb77b806763856e9b"),
+    ("ops --kind fermi --n 3 --p 2 --op create --i 2 --normalization orthonormal", 0, "c42ab43fb071edc3042f3d6db32a9361f651d270eda57389785c72cfa4739116"),
+    ("verify --grid 3 3 --json", 0, "11e16baa2a4b44d8cfb00458a488bb043780a0e3d43c05c56c5bc91da9c1392f"),
 ]
 
 
@@ -297,3 +324,52 @@ GOLDEN = [
 def test_output_bytes_are_pinned(capsys, command, code, digest):
     got, out, _ = run_cli(capsys, *command.split())
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
+# In-process CLI fuzz on tiny specs with extreme finite floats: no exception
+# escapes main(), the exit code is a documented one, and a successful run
+# never prints a non-finite number.
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 1e-308, 5e-324, 1e308, -1e308, 709.0, 710.0]))
+
+
+def _csv(values):
+    return ",".join(repr(v) for v in values)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(["verify", "lie", "ops", "thermo", "spectrum"]))
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    argv = [command, "--kind", draw(st.sampled_from(["fermi", "bose"])),
+            "--n", str(n), "--p", str(p)]
+    if command == "verify":
+        argv += ["--backend", draw(st.sampled_from(["exact", "float"]))]
+    elif command == "lie":
+        argv += ["--check", draw(st.sampled_from(["brackets", "identify", "branching", "all"]))]
+    elif command == "ops":
+        argv += ["--op", draw(st.sampled_from(["create", "annihilate", "number", "eij"])),
+                 "--i", str(draw(st.integers(0, 4))), "--j", str(draw(st.integers(0, 4))),
+                 "--normalization", draw(st.sampled_from(["unnormalized", "orthonormal"]))]
+    elif command == "thermo":
+        argv += [f"--beta={_csv(draw(st.lists(FLOATS, min_size=1, max_size=2)))}",
+                 f"--mu={_csv(draw(st.lists(FLOATS, min_size=1, max_size=2)))}",
+                 f"--energies={_csv(draw(st.lists(FLOATS, min_size=n, max_size=n)))}"]
+    else:
+        argv += [f"--energies={_csv(draw(st.lists(FLOATS, min_size=n, max_size=n)))}",
+                 "--backend", draw(st.sampled_from(["exact", "float"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), argv

@@ -1,0 +1,111 @@
+"""The monomial kernel against the dict-of-keys oracle, at suite level.
+
+Every operator FockSpace builds is a MonomialMatrix.  These tests rerun the
+suites on SparseMatrix copies (and so on the RowReducer orbit path) and
+require the same reports, show that a wrong ladder operator yields failing
+reports rather than an exception, and count that a passing suite never
+leaves the kernel.
+"""
+
+from collections import Counter
+
+import pytest
+
+from fockcap import AlgebraSpec, Kind, operators, run_lie_suite, run_suite
+from fockcap.operators import FockSpace, fock_space
+from fockcap.relations import EXACT, FLOAT
+from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix, orbit_ranks
+
+from conftest import small_grid
+
+
+def _suites(spec):
+    return run_suite(spec, EXACT), run_suite(spec, FLOAT), run_lie_suite(spec)
+
+
+def _spec_id(spec):
+    return f"{spec.kind.value}-{spec.n}-{spec.p}"
+
+
+def _hand_out_sparse_copies(monkeypatch):
+    original = FockSpace._memo
+
+    def memo(self, kernel, *args):
+        op = original(self, kernel, *args)
+        return op.to_sparse() if isinstance(op, MonomialMatrix) else op
+
+    monkeypatch.setattr(FockSpace, "_memo", memo)
+
+
+def _oracle_suites(monkeypatch, spec):
+    """The suites of spec on SparseMatrix copies of every FockSpace operator."""
+    fock_space.cache_clear()
+    with monkeypatch.context() as patch:
+        _hand_out_sparse_copies(patch)
+        assert isinstance(fock_space(spec).ladder(1, +1), SparseMatrix)
+        reports = _suites(spec)
+    fock_space.cache_clear()
+    return reports
+
+
+@pytest.mark.parametrize("spec", small_grid(), ids=_spec_id)
+def test_suites_match_the_dict_of_keys_oracle(monkeypatch, fresh_spaces, spec):
+    assert _suites(spec) == _oracle_suites(monkeypatch, spec)
+
+
+def _skew_first_creation(monkeypatch):
+    """a_1^+ maps v to v + e_2 in place of v + e_1 (its coefficients still
+    those of mode 1), so its weight is wrong and sums that hold it clash."""
+    original = operators._bumped
+
+    def bumped(v, i, delta):
+        return original(v, 2 if (i, delta) == (1, +1) else i, delta)
+
+    monkeypatch.setattr(operators, "_bumped", bumped)
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2),
+                                  AlgebraSpec(Kind.BOSE, 3, 2)], ids=_spec_id)
+def test_wrong_ladder_fails_with_exact_residuals(monkeypatch, fresh_spaces, spec):
+    _skew_first_creation(monkeypatch)
+    got = _suites(spec)
+    for reports in got:
+        failed = [rep for rep in reports if not rep.passed]
+        assert failed
+        assert all(rep.residual != 0 for rep in failed)
+    assert got == _oracle_suites(monkeypatch, spec)
+
+
+@pytest.mark.parametrize("spec", small_grid(3, 3), ids=_spec_id)
+def test_reachability_is_the_orbit_rank(spec):
+    space = fock_space(spec)
+    idx = range(1, spec.n + 1)
+    ups = [space.ladder(i, +1) for i in idx]
+    downs = [space.ladder(i, -1) for i in idx]
+    bilinears = [space.bilinear(i, j) for i in idx for j in idx]
+    dim = len(space.basis)
+    for generators in (ups + downs, downs, ups, bilinears, bilinears[:1]):
+        sparse = [op.to_sparse() for op in generators]
+        assert orbit_ranks(generators, range(dim), dim) == orbit_ranks(sparse, range(dim), dim)
+
+
+def test_passing_suites_stay_in_the_kernel(monkeypatch, fresh_spaces):
+    calls = Counter()
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args):
+            calls[cls.__name__, name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((SparseMatrix, "__matmul__"), (SparseMatrix, "__add__"),
+                      (SparseMatrix, "__sub__"), (RowReducer, "add")):
+        counting(cls, name)
+    for spec in (AlgebraSpec(Kind.BOSE, 3, 3), AlgebraSpec(Kind.FERMI, 3, 2),
+                 AlgebraSpec(Kind.BOSE, 2, 4), AlgebraSpec(Kind.FERMI, 4, 4)):
+        for reports in _suites(spec):
+            assert all(rep.passed for rep in reports)
+    assert calls == Counter()

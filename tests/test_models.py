@@ -147,15 +147,15 @@ def test_toy_total_multiplicity_property(p):
 
 
 def test_zero_coefficient_builds_no_product(monkeypatch):
-    from fockcap.sparse import SparseMatrix
+    from fockcap.sparse import MonomialMatrix
     products = []
-    matmul = SparseMatrix.__matmul__
+    matmul = MonomialMatrix.__matmul__
 
     def counted(a, b):
         products.append(1)
         return matmul(a, b)
 
-    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    monkeypatch.setattr(MonomialMatrix, "__matmul__", counted)
     spec = AlgebraSpec(Kind.BOSE, 3, 2)
     diagonal_hamiltonian(spec, [2, 0, Fraction(1, 3)])
     assert len(products) == 2

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockcap import RowReducer, SparseMatrix, max_entry_difference, rational_rank
-from fockcap.sparse import orbit_ranks
+from fockcap.sparse import MonomialMatrix, orbit_ranks
 
 
 def _mat(rows, cols, entries, tag=None):
@@ -124,3 +126,71 @@ def test_orbit_ranks_is_an_exact_rank_not_reachability():
         seeds = [3, 0, 2, 1, 0]
         assert orbit_ranks(generators, seeds, 4) == [
             _enumerated_orbit_rank(generators, seed, 4) for seed in seeds]
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two square monomial matrices of one size, both exact (int coefficients
+    over a denominator) or both float."""
+    dim = draw(st.integers(1, 6))
+    exact = draw(st.booleans())
+    coef = st.integers(-6, 6) if exact else st.sampled_from(
+        [0.0, 1.0, -0.5, 1 / 3, -math.sqrt(2), math.pi, 1e-3, -7.25])
+
+    def one():
+        targets = draw(st.lists(st.integers(-1, dim - 1), min_size=dim, max_size=dim))
+        coefs = [draw(coef) if t >= 0 else 0 for t in targets]
+        denom = draw(st.integers(1, 6)) if exact else 1
+        return MonomialMatrix(dim, targets, coefs, denom, "tag")
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs(), st.sampled_from([3, -1, 0, Fraction(2, 3), 0.5]))
+def test_monomial_kernel_matches_the_dict_of_keys_kernel(pair, scalar):
+    a, b = pair
+    sa, sb = a.to_sparse(), b.to_sparse()
+    # float entries agree bit for bit: each is the same one product or sum
+    assert (a @ b).data == (sa @ sb).data
+    assert (a @ (1.0 * b)).data == (sa @ (1.0 * sb)).data  # exact times float, if a is exact
+    assert (a + b).data == (sa + sb).data
+    assert (a - b).data == (sa - sb).data
+    assert (scalar * a).data == (scalar * sa).data
+    assert (-a).data == (-sa).data
+    assert a.transpose().data == sa.transpose().data
+    assert a.entries() == sa.entries()
+    assert a.nnz == sa.nnz and a.is_zero() == sa.is_zero()
+    assert a.max_abs() == sa.max_abs()
+    off_diagonal = lambda r, c: r != c  # noqa: E731
+    assert a.max_abs(off_diagonal) == sa.max_abs(off_diagonal)
+    assert max_entry_difference(a, b) == max_entry_difference(sa, sb)
+    vec = {c: Fraction(c + 1, 2) for c in range(a.cols)}
+    assert a.apply(vec) == sa.apply(vec)
+    assert [a.get(r, c) for r in range(a.rows) for c in range(a.cols)] == \
+        [sa.get(r, c) for r in range(a.rows) for c in range(a.cols)]
+    assert (a.to_dense() == sa.to_dense()).all()
+    assert a == sa and (a @ b).tag == "tag"
+
+
+def test_sum_of_clashing_monomials_is_the_general_sum():
+    # e0 -> 2 e1 and e0 -> e2: no single entry per column, so the exact sum
+    a = MonomialMatrix(3, [1, -1, -1], [2, 0, 0])
+    b = MonomialMatrix(3, [2, -1, -1], [1, 0, 0], 3)
+    total = a - b
+    assert isinstance(total, SparseMatrix)
+    assert total.entries() == [(1, 0, 2), (2, 0, Fraction(-1, 3))]
+    assert total.max_abs() == 2
+
+
+def test_monomial_denominators_and_zero_entries():
+    half = MonomialMatrix(2, [1, -1], [1, 0], 2)
+    assert half.get(1, 0) == Fraction(1, 2) and half.get(0, 0) == 0
+    assert (half @ MonomialMatrix(2, [1, -1], [3, 0])).is_zero()  # lands on an empty column
+    # a cancelled entry is no entry, and orbits do not walk through it
+    cancelled = half - half
+    assert cancelled.is_zero() and cancelled.max_abs() == 0 and cancelled.data == {}
+    assert orbit_ranks([cancelled], [0], 2) == [1]
+    assert orbit_ranks([half], [0, 1], 2) == [2, 1]
+    assert (6 * half).denom == 1 and (6 * half).get(1, 0) == 3
+    assert MonomialMatrix.diagonal([Fraction(1, 2), Fraction(1, 3)]).denom == 6

@@ -109,6 +109,20 @@ def test_argument_validation():
             grand_partition(spec, beta, energies, mu)
 
 
+def test_weights_beyond_float_range_are_rejected():
+    # an exp overflow, and a sum of finite weights that overflows (the true
+    # means of the last case are 1/3 each, not the 0.0 that Xi = inf gives)
+    for spec, beta, mu in [(AlgebraSpec(Kind.BOSE, 2, 3), 1000.0, 1.0),
+                           (AlgebraSpec(Kind.FERMI, 2, 3), 1.0, 700.0),
+                           (AlgebraSpec(Kind.BOSE, 3, 1), 1.0, 709.0)]:
+        energies = [0.0] * spec.n
+        for call in (occupation_summary, grand_partition):
+            with pytest.raises(ValueError, match=f"beta={beta!r}, mu={mu!r}"):
+                call(spec, beta, energies, mu)
+    xi, means, _ = occupation_summary(AlgebraSpec(Kind.BOSE, 3, 1), 1.0, [0.0] * 3, 700.0)
+    assert math.isfinite(xi) and means == pytest.approx([1 / 3] * 3)
+
+
 def test_mean_occupation_is_the_summary_entry():
     for spec in (AlgebraSpec(Kind.FERMI, 3, 2), AlgebraSpec(Kind.BOSE, 3, 4)):
         energies = [0.3, -0.7, 1.9]
