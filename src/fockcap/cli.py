@@ -24,6 +24,9 @@ from .relations import run_grid, run_suite
 from .thermo import sweep, thermo_csv
 
 OP_CHOICES = ("create", "annihilate", "number", "eij")
+# Fraction forms a literal with decimal exponent e from 10**|e|, of |e| + 1 digits: past
+# CPython's 4300-digit int-to-str limit no output could print it, and a huge |e| never ends.
+MAX_EXPONENT = 4300 - 1
 
 
 def _dump_json(payload) -> str:
@@ -61,8 +64,14 @@ def _float_list(text: str) -> list[float]:
 
 
 def _fraction_list(text: str) -> list[Fraction]:
+    literals = [x.strip() for x in text.split(",") if x.strip()]
+    for literal in literals:  # refuse a huge exponent from the text, before 10**|e| is formed
+        digits = literal.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and int(digits[:5]) > MAX_EXPONENT:  # 5 digits already exceed it
+            raise ValueError(f"exponent of {literal!r} exceeds {MAX_EXPONENT}: "
+                             "exact output could not print it")
     try:
-        values = [Fraction(x.strip()) for x in text.split(",") if x.strip()]
+        values = [Fraction(x) for x in literals]
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     if not values:
@@ -146,6 +155,8 @@ def _emit_reports(reports, args) -> int:
 
 def cmd_verify(args) -> int:
     if args.grid is not None:
+        if (args.kind, args.n, args.p) != (None, None, None):
+            raise ValueError("--grid cannot be combined with --kind/--n/--p")
         n_max, p_max = args.grid
         if n_max < 1 or p_max < 1:
             raise ValueError("grid bounds must be positive")

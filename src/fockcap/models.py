@@ -10,8 +10,8 @@ the closed-form levels are E_k = k - k(k-1)/p with multiplicity k+1
 (k = 0..p); the gap between consecutive levels is 1 - 2k/p, so accidental
 degeneracies appear and are merged exactly.  General quadratic Hamiltonians
 sum_ij t_ij a_i^+ a_j^- are handled on the float (orthonormal) backend with
-a symmetric eigensolver.  Both are assembled by one sparse builder; only the
-assembled float matrix is made dense, as the eigensolver's input.
+a symmetric eigensolver.  Both sum monomial products a_i^+ @ a_j^- (diagonal
+ones never clash); the float sum is scattered into the dense eigensolver input.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .basis import AlgebraSpec, dimension
 from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, BasisTag,
                         fock_space)
-from .sparse import SparseMatrix, max_entry_difference
+from .sparse import MonomialMatrix
 
 SYMMETRY_TOL = 1e-10
 CLUSTER_TOL = 1e-9
@@ -51,48 +51,40 @@ class SpectrumReport:
         return out
 
 
-def _quadratic_form(spec: AlgebraSpec, table: Sequence[Sequence],
-                    normalization: str) -> SparseMatrix:
-    """sum_ij t_ij a_i^+ a_j^- by sparse products, one per nonzero t_ij.
-
-    Each product a_i^+ a_j^- is monomial; the sum over i != j is not, so it is
-    assembled as a SparseMatrix."""
+def _products(spec: AlgebraSpec, table: Sequence[Sequence], normalization: str):
+    """(t_ij, a_i^+ @ a_j^-) for every nonzero t_ij, in row-major (i, j) order."""
     space = fock_space(spec)
-    dim = dimension(spec)
-    h = SparseMatrix(dim, dim, {}, BasisTag(spec, normalization))
     for i in range(1, spec.n + 1):
         for j in range(1, spec.n + 1):
             t = table[i - 1][j - 1]
             if t != 0:
-                product = space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization)
-                h = h + t * product.to_sparse()
-    return h
+                yield t, space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization)
 
 
-def _merged(pairs) -> SpectrumReport:
-    """Exact (value, multiplicity) pairs with coincident values merged, ascending."""
-    counts: dict[Fraction, int] = {}
+def _merged(pairs, denom: int = 1) -> SpectrumReport:
+    """Levels value/denom of (value, multiplicity) pairs, coincident values merged, ascending."""
+    counts: dict[Fraction | int, int] = {}
     for value, mult in pairs:
         counts[value] = counts.get(value, 0) + mult
-    return SpectrumReport(tuple(sorted(counts.items())), EXACT)
+    return SpectrumReport(tuple((Fraction(v, denom), m) for v, m in sorted(counts.items())), EXACT)
 
 
 def diagonal_hamiltonian(spec: AlgebraSpec,
-                         energies: Sequence[Fraction | int]) -> SparseMatrix:
+                         energies: Sequence[Fraction | int]) -> MonomialMatrix:
     """Exact H = sum_i eps_i a_i^+ a_i^-, formed by matrix products."""
     if len(energies) != spec.n:
         raise ValueError(f"expected {spec.n} coefficients, got {len(energies)}")
     table = [[Fraction(energies[i]) if i == j else 0 for j in range(spec.n)]
              for i in range(spec.n)]
-    return _quadratic_form(spec, table, UNNORMALIZED)
+    zero = MonomialMatrix.diagonal([0] * dimension(spec), BasisTag(spec, UNNORMALIZED))
+    return sum((t * product for t, product in _products(spec, table, UNNORMALIZED)), zero)
 
 
-def spectrum_of_diagonal(h: SparseMatrix) -> SpectrumReport:
+def spectrum_of_diagonal(h: MonomialMatrix) -> SpectrumReport:
     """Exact spectrum of a diagonal operator; coincident values merge."""
-    off = max((abs(v) for (r, c), v in h.data.items() if r != c), default=0)
-    if off != 0:
+    if h.max_abs(lambda r, c: r != c) != 0:
         raise ValueError("operator is not diagonal in the occupation basis")
-    return _merged((Fraction(h.get(r, r)), 1) for r in range(h.rows))
+    return _merged(((x, 1) for x in h.coef[:-1]), h.denom)
 
 
 def diagonal_spectrum(spec: AlgebraSpec,
@@ -144,17 +136,27 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
         table = np.asarray(t, dtype=float)
     except (TypeError, OverflowError):  # e.g. a mapping, or an integer beyond float range
         table = None
-    if table is None or table.shape != (spec.n, spec.n) or not np.isfinite(table).all():
-        raise ValueError(f"coefficient table must be {spec.n}x{spec.n} finite numbers")
+    if (table is None or table.shape != (spec.n, spec.n) or not np.isfinite(table).all()
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for row in t for x in row)):
+        raise ValueError(f"coefficient table must be {spec.n}x{spec.n} finite int or float numbers")
     if np.max(np.abs(table - table.T)) > 1e-12:
         raise ValueError("coefficient table must be symmetric")
-    h = _quadratic_form(spec, table.tolist(), ORTHONORMAL)
-    if not all(map(math.isfinite, h.data.values())):
+    h = np.zeros((dimension(spec),) * 2)
+    stored = []  # (rows, cols) of each product's entries
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as beyond float range
+        for t_ij, product in _products(spec, table.tolist(), ORTHONORMAL):
+            cols = np.flatnonzero(product.coef[:-1])
+            rows = np.array(product.target)[cols]
+            h[rows, cols] += t_ij * np.array(product.coef)[cols]
+            stored.append((rows, cols))
+        finite = all(np.isfinite(h[r, c]).all() for r, c in stored)
+        asym = max((np.abs(h[r, c] - h[c, r]).max() for r, c in stored), default=0.0)
+    if not finite:
         raise ValueError("assembled Hamiltonian has entries beyond float range")
-    asym = max_entry_difference(h, h.transpose())
     if asym > SYMMETRY_TOL:
         raise RuntimeError(f"assembled Hamiltonian not symmetric (residual {asym:g})")
-    values = np.linalg.eigvalsh(h.to_dense())
+    values = np.linalg.eigvalsh(h)
     with np.errstate(over="ignore", invalid="ignore"):
         levels = _cluster(values, CLUSTER_TOL)
     if not all(math.isfinite(value) for value, _ in levels):

@@ -2,15 +2,16 @@
 
 Two storage types share one method surface (``@``, ``+``, ``-``, scalar
 ``*``, ``max_abs``, ``transpose``, ``get``, ``data``, ``entries``, ``apply``,
-``nnz``, ``tag``, ``to_dense``):
+``nnz``, ``tag``):
 
 - ``MonomialMatrix`` holds at most one nonzero entry per column, as an index
-  map plus one coefficient per column.  Every operator the relation and Lie
-  suites build has this shape (see its docstring), and its products and sums
-  are index compositions over Python integers.
-- ``SparseMatrix`` is dict-of-keys storage for anything else, such as a
-  general quadratic Hamiltonian; it is also the oracle the kernel is tested
-  against.
+  map plus one coefficient per column.  Every operator the suites build, and
+  every product a_i^+ a_j^- of a Hamiltonian, has this shape (see its
+  docstring); products and sums are index compositions over Python integers.
+- ``SparseMatrix`` (dict-of-keys) and ``RowReducer`` (exact rank) serve no
+  passing run.  They are the oracle the kernel is tested against, and the
+  fallback that keeps a wrong operator's results exact, such as a sum whose
+  terms clash on a column.  ``perfbench/tracing.py`` finds both here by name.
 
 Entries are rationals in the exact backend and floats in the orthonormal
 (normalized) backend; explicit zeros are never stored.  Every matrix carries
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,10 +49,6 @@ class SparseMatrix:
         self.cols = cols
         self.data = {} if data is None else {k: v for k, v in data.items() if v != 0}
         self.tag = tag
-
-    @staticmethod
-    def identity(dim: int, tag=None) -> "SparseMatrix":
-        return SparseMatrix(dim, dim, {(i, i): Fraction(1) for i in range(dim)}, tag)
 
     def get(self, r: int, c: int) -> Scalar:
         return self.data.get((r, c), 0)
@@ -240,9 +237,6 @@ class MonomialMatrix:
 
     def to_sparse(self) -> SparseMatrix:
         return SparseMatrix(self.rows, self.cols, self.data, self.tag)
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_sparse().to_dense()
 
     def max_abs(self, where=None) -> Scalar:
         """Largest absolute entry; 0 for the zero matrix.  With ``where``, only
@@ -502,10 +496,3 @@ def _reachable_counts(targets: Sequence[Sequence[int]], seeds: Sequence[int]) ->
         counts.append(reached.bit_count())
     return counts
 
-
-def rational_rank(vectors: Iterable[Mapping[int, Scalar]], dim: int) -> int:
-    """Rank of a family of sparse rational vectors, computed exactly."""
-    reducer = RowReducer(dim)
-    for v in vectors:
-        reducer.add(v)
-    return reducer.rank

@@ -104,6 +104,14 @@ def test_verify_requires_spec_or_grid(capsys):
     assert "required" in err
 
 
+@pytest.mark.parametrize("spec", [("--kind", "bose"), ("--n", "9"), ("--p", "9"),
+                                  ("--kind", "bose", "--n", "9", "--p", "9")])
+def test_verify_grid_refuses_a_spec(capsys, spec):
+    code, out, err = run_cli(capsys, "verify", "--grid", "1", "1", *spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--grid" in err
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     from fockcap.relations import RelationReport
     from fockcap import AlgebraSpec, Kind
@@ -280,9 +288,11 @@ def test_spectrum_rejects_zero_denominator(capsys):
 @pytest.mark.parametrize("text", ['{"t": [[1, 0], [0, 1]]}', "[[1, 0]]", "[[1, 0], [0]]",
                                   '[[1, "x"], [0, 1]]', "[[null, 0], [0, 1]]",
                                   "[[NaN, 0], [0, 1]]", "[[1, 0], [0, 1e999]]",
-                                  "[[1, 0], [0, " + "9" * 400 + "]]"],
+                                  "[[1, 0], [0, " + "9" * 400 + "]]",
+                                  "[[true, false], [false, true]]",
+                                  '[["1", "0"], ["0", "2.5"]]'],
                          ids=["object", "short", "ragged", "text", "null", "nan", "inf",
-                              "huge-int"])
+                              "huge-int", "bool", "numeral-string"])
 def test_spectrum_matrix_file_must_hold_n_rows_of_n_finite_numbers(capsys, tmp_path, text):
     path = tmp_path / "t.json"
     path.write_text(text)
@@ -290,6 +300,22 @@ def test_spectrum_matrix_file_must_hold_n_rows_of_n_finite_numbers(capsys, tmp_p
                              "--backend", "float", "--matrix-file", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("energies", ["1e100000000,1", "1,-2E-4_301", "3.5e+0000012345,1"])
+def test_exact_energy_exponent_beyond_printable_digits_is_refused(capsys, energies):
+    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "2",
+                             f"--energies={energies}")
+    assert (code, out) == (2, "")
+    literal = next(x for x in energies.split(",") if "e" in x.lower())
+    assert err.startswith("error:") and repr(literal) in err
+
+
+def test_exact_energy_exponent_at_the_bound_is_read(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "1", "--p", "1",
+                           f"--energies=1e-{cli.MAX_EXPONENT}")
+    assert code == 0
+    assert json.loads(out)[1] == {"value": f"1/{10 ** cli.MAX_EXPONENT}", "mult": 1}
 
 
 # Exit code and stdout sha256 of small commands: a change that alters any
@@ -317,6 +343,8 @@ GOLDEN = [
     ("lie --kind bose --n 3 --p 3 --json", 0, "e49081e42c44ed267b4d35f95ebf2f11b6010f37e0e281dfb77b806763856e9b"),
     ("ops --kind fermi --n 3 --p 2 --op create --i 2 --normalization orthonormal", 0, "c42ab43fb071edc3042f3d6db32a9361f651d270eda57389785c72cfa4739116"),
     ("verify --grid 3 3 --json", 0, "11e16baa2a4b44d8cfb00458a488bb043780a0e3d43c05c56c5bc91da9c1392f"),
+    ("spectrum --kind bose --n 3 --p 12 --energies=-1/2,3,7/3", 0, "5d7c49dab0be4c54b54bdfb8333b8f3c8e5f44befbf5ddfe9d6656f2fa41a405"),
+    ("spectrum --kind fermi --n 5 --p 3 --energies=-1/3,2/7,5,-11/4,3/2", 0, "d20893e1109cefede0a217eba022d414459a16cb08dcf10b5c8bcd05a33feac8"),
 ]
 
 

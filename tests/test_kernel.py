@@ -3,15 +3,15 @@
 Every operator FockSpace builds is a MonomialMatrix.  These tests rerun the
 suites on SparseMatrix copies (and so on the RowReducer orbit path) and
 require the same reports, show that a wrong ladder operator yields failing
-reports rather than an exception, and count that a passing suite never
-leaves the kernel.
+reports rather than an exception, and count that a passing suite or command
+never leaves the kernel.
 """
 
 from collections import Counter
 
 import pytest
 
-from fockcap import AlgebraSpec, Kind, operators, run_lie_suite, run_suite
+from fockcap import AlgebraSpec, Kind, cli, operators, run_lie_suite, run_suite
 from fockcap.operators import FockSpace, fock_space
 from fockcap.relations import EXACT, FLOAT
 from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix, orbit_ranks
@@ -89,7 +89,8 @@ def test_reachability_is_the_orbit_rank(spec):
         assert orbit_ranks(generators, range(dim), dim) == orbit_ranks(sparse, range(dim), dim)
 
 
-def test_passing_suites_stay_in_the_kernel(monkeypatch, fresh_spaces):
+def _count_calls(monkeypatch, targets) -> Counter:
+    """Counts of calls to each (class, method name) in targets, from now on."""
     calls = Counter()
 
     def counting(cls, name):
@@ -101,11 +102,41 @@ def test_passing_suites_stay_in_the_kernel(monkeypatch, fresh_spaces):
 
         monkeypatch.setattr(cls, name, counted)
 
-    for cls, name in ((SparseMatrix, "__matmul__"), (SparseMatrix, "__add__"),
-                      (SparseMatrix, "__sub__"), (RowReducer, "add")):
+    for cls, name in targets:
         counting(cls, name)
+    return calls
+
+
+def test_passing_suites_stay_in_the_kernel(monkeypatch, fresh_spaces):
+    calls = _count_calls(monkeypatch, ((SparseMatrix, "__matmul__"), (SparseMatrix, "__add__"),
+                                       (SparseMatrix, "__sub__"), (RowReducer, "add")))
     for spec in (AlgebraSpec(Kind.BOSE, 3, 3), AlgebraSpec(Kind.FERMI, 3, 2),
                  AlgebraSpec(Kind.BOSE, 2, 4), AlgebraSpec(Kind.FERMI, 4, 4)):
         for reports in _suites(spec):
             assert all(rep.passed for rep in reports)
+    assert calls == Counter()
+
+
+HOPPING = "[[1.0, -0.5, 0.0], [-0.5, 2.0, 0.25], [0.0, 0.25, 0.5]]"
+
+
+@pytest.mark.parametrize("command", [
+    "dim --kind bose --n 3 --p 3 --json", "basis --kind fermi --n 3 --p 2 --json",
+    "ops --kind bose --n 3 --p 3 --op eij --i 1 --j 2",
+    "ops --kind fermi --n 3 --p 2 --op create --i 2 --normalization orthonormal",
+    "verify --kind bose --n 3 --p 3", "verify --kind fermi --n 3 --p 2 --backend float",
+    "verify --grid 2 2", "lie --kind bose --n 3 --p 3", "lie --kind fermi --n 3 --p 2",
+    "thermo --kind bose --n 3 --p 3 --beta 1 --mu 0",
+    "spectrum --kind bose --n 3 --p 4 --energies 1/2,0,3",
+    "spectrum --kind fermi --n 3 --p 2 --energies 1,2,3 --backend float",
+    "spectrum --kind bose --n 3 --p 3 --backend float --matrix-file {hopping}",
+    "spectrum --kind fermi --n 3 --p 2 --backend float --matrix-file {hopping}",
+    "toy --p 10", "toy --p 6 --json"])
+def test_passing_commands_construct_no_sparse_matrix(monkeypatch, fresh_spaces, capsys,
+                                                     tmp_path, command):
+    hopping = tmp_path / "hopping.json"
+    hopping.write_text(HOPPING)
+    calls = _count_calls(monkeypatch, ((SparseMatrix, "__init__"), (RowReducer, "__init__")))
+    assert cli.main(command.format(hopping=hopping).split()) == 0
+    capsys.readouterr()
     assert calls == Counter()

@@ -98,8 +98,9 @@ def test_identity_resolution():
         total = table[(0, 0)]
         for i in range(1, spec.n + 1):
             total = total + table[(i, i)]
-        from fockcap import SparseMatrix
-        assert total == spec.p * SparseMatrix.identity(dimension(spec), total.tag)
+        from fockcap.sparse import SparseMatrix
+        dim = dimension(spec)
+        assert total == SparseMatrix(dim, dim, {(r, r): spec.p for r in range(dim)}, total.tag)
 
 
 def test_identification_suite():

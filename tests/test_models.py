@@ -1,12 +1,15 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fockcap import (AlgebraSpec, Kind, diagonal_hamiltonian, diagonal_spectrum,
                      dimension, enumerate_basis, quadratic_hamiltonian_spectrum,
-                     rank, spectrum_of_diagonal, toy_levels, toy_spectrum)
+                     models, rank, spectrum_of_diagonal, toy_levels, toy_spectrum)
+from fockcap.operators import ORTHONORMAL, fock_space
+from fockcap.sparse import MonomialMatrix, SparseMatrix
 
 from conftest import small_grid
 
@@ -15,6 +18,7 @@ B22 = AlgebraSpec(Kind.BOSE, 2, 2)
 
 def test_diagonal_hamiltonian_entries():
     h = diagonal_hamiltonian(B22, [1, 1])
+    assert isinstance(h, MonomialMatrix)
     r = rank(B22, (1, 1))
     assert h.get(r, r) == 1          # 2 * (1 - 1/2)
     assert h.get(0, 0) == 0
@@ -124,6 +128,37 @@ def test_quadratic_hopping_frozen():
     assert mults == [1, 1, 1]
 
 
+TABLES = {
+    "diagonal": lambda n: [[0.5 + 1.25 * i if i == j else 0.0 for j in range(n)]
+                           for i in range(n)],
+    "degenerate": lambda n: [[1.0] * n for _ in range(n)],
+    "hopping": lambda n: [[0.3 * (i + 1) if i == j else -0.7 if abs(i - j) == 1 else 0.0
+                           for j in range(n)] for i in range(n)],
+}
+
+
+def _dict_of_keys_levels(spec, table):
+    """The float spectrum with H summed as a SparseMatrix of the products."""
+    space = fock_space(spec)
+    dim = dimension(spec)
+    h = SparseMatrix(dim, dim)
+    for i in range(1, spec.n + 1):
+        for j in range(1, spec.n + 1):
+            t = table[i - 1][j - 1]
+            if t != 0:
+                product = space.ladder(i, +1, ORTHONORMAL) @ space.ladder(j, -1, ORTHONORMAL)
+                h = h + t * product.to_sparse()
+    return models._cluster(np.linalg.eigvalsh(h.to_dense()), models.CLUSTER_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_quadratic_spectrum_matches_the_dict_of_keys_oracle(name):
+    for spec in small_grid(3, 3):
+        table = TABLES[name](spec.n)
+        assert quadratic_hamiltonian_spectrum(spec, table).levels == \
+            _dict_of_keys_levels(spec, table)
+
+
 def test_quadratic_rejects_asymmetric_table():
     with pytest.raises(ValueError):
         quadratic_hamiltonian_spectrum(B22, [[0.0, 1.0], [0.5, 0.0]])
@@ -147,7 +182,6 @@ def test_toy_total_multiplicity_property(p):
 
 
 def test_zero_coefficient_builds_no_product(monkeypatch):
-    from fockcap.sparse import MonomialMatrix
     products = []
     matmul = MonomialMatrix.__matmul__
 
