@@ -6,16 +6,12 @@ from .basis import (AlgebraSpec, Kind, OccupationVector, basis_csv, dimension,
                     grade_offsets, rank, unrank, validate_vector)
 from .lie import (check_adjoint_action, check_branching, check_gl_commutators,
                   check_identification, diagonal_action_value,
-                  extended_rescaled_generators, gl_generator, run_lie_suite,
-                  weight_vector)
+                  extended_rescaled_generators, run_lie_suite, weight_vector)
 from .models import (SpectrumReport, diagonal_hamiltonian, diagonal_spectrum,
                      quadratic_hamiltonian_spectrum, spectrum_of_diagonal,
                      toy_levels, toy_spectrum)
-from .operators import (GramForm, adjoint_wrt_gram, build_annihilation,
-                        build_creation, build_gram, build_number, gram_value,
-                        normalize, operator_json_payload,
-                        orthonormal_annihilation, orthonormal_creation,
-                        orthonormal_number)
+from .operators import (GramForm, adjoint_wrt_gram, fock_space, gram_value,
+                        normalize, operator_json_payload)
 from .relations import (ClassicalLimitReport, RelationReport,
                         check_backend_agreement, check_cap,
                         check_classical_limit, check_hermiticity, check_mixed,

@@ -24,9 +24,11 @@ from .relations import run_grid, run_suite
 from .thermo import sweep, thermo_csv
 
 OP_CHOICES = ("create", "annihilate", "number", "eij")
-# Fraction forms a literal with decimal exponent e from 10**|e|, of |e| + 1 digits: past
-# CPython's 4300-digit int-to-str limit no output could print it, and a huge |e| never ends.
-MAX_EXPONENT = 4300 - 1
+# CPython converts an int of at most MAX_DIGITS digits to text, so exact output can print no
+# more.  Fraction forms a literal with decimal exponent e from 10**|e|, of |e| + 1 digits: past
+# the limit no output could print it, and a huge |e| never ends.
+MAX_DIGITS = 4300
+MAX_EXPONENT = MAX_DIGITS - 1
 
 
 def _dump_json(payload) -> str:
@@ -108,11 +110,12 @@ def cmd_basis(args) -> int:
 
 def cmd_ops(args) -> int:
     spec = _spec_from_args(args)
-    needs_i = args.op in ("create", "annihilate", "eij")
-    if needs_i and args.i is None:
-        raise ValueError(f"--op {args.op} requires --i")
-    if args.op == "eij" and args.j is None:
-        raise ValueError("--op eij requires --j")
+    for flag, value, used in (("--i", args.i, args.op != "number"),
+                              ("--j", args.j, args.op == "eij")):
+        if used and value is None:
+            raise ValueError(f"--op {args.op} requires {flag}")
+        if not used and value is not None:
+            raise ValueError(f"--op {args.op} takes no {flag}")
     space = fock_space(spec)
     if args.op == "create":
         op = space.ladder(args.i, +1)
@@ -124,7 +127,7 @@ def cmd_ops(args) -> int:
         op = space.bilinear(args.i, args.j)
     if args.normalization == ORTHONORMAL:
         op = normalize(op, space.gram)
-    _emit(_dump_json(operator_json_payload(spec, op)), args.output)
+    _emit(_dump_json(operator_json_payload(op)), args.output)
     return 0
 
 
@@ -194,14 +197,23 @@ def cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
     if args.energies is None and args.matrix_file is None:
         raise ValueError("one of --energies or --matrix-file is required")
+    if args.energies is not None and args.matrix_file is not None:
+        raise ValueError("--energies cannot be combined with --matrix-file")
     if args.backend == EXACT:
         if args.matrix_file is not None:
             raise ValueError("--backend exact supports only --energies (diagonal models)")
         report = diagonal_spectrum(spec, _fraction_list(args.energies))
+        bound = 10 ** MAX_DIGITS
+        if any(abs(v.numerator) >= bound or v.denominator >= bound for v, _ in report.levels):
+            raise ValueError(f"--energies {args.energies!r} give a level beyond the "
+                             f"{MAX_DIGITS}-digit limit of exact output")
     else:
         if args.matrix_file is not None:
             with open(args.matrix_file, "r", encoding="utf-8") as fh:
-                table = json.load(fh)
+                try:
+                    table = json.load(fh)
+                except ValueError as exc:
+                    raise ValueError(f"--matrix-file {args.matrix_file!r}: {exc}") from None
         else:
             energies = _float_list(args.energies)
             if len(energies) != spec.n:

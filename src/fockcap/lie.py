@@ -33,11 +33,6 @@ from .sparse import MonomialMatrix, bracket, orbit_ranks
 LIE_CHECKS = ("brackets", "identify", "branching")
 
 
-def gl_generator(spec: AlgebraSpec, i: int, j: int) -> MonomialMatrix:
-    """The exact bilinear e_ij = p*{a_i^+, a_j^-} (Fermi) / p*[a_i^+, a_j^-] (Bose)."""
-    return fock_space(spec).bilinear(i, j)
-
-
 def diagonal_action_value(spec: AlgebraSpec, v: Sequence[int], i: int) -> int:
     """Eigenvalue of e_ii on a basis vector: p-|v|+v_i (Fermi), v_i+|v|-p (Bose)."""
     k = sum(v)

@@ -18,11 +18,12 @@ The squared norms of the unnormalized basis form the diagonal Gram form
 
 Conjugating by the square roots of the Gram entries yields the orthonormal
 backend, whose entries are floats; there the actions carry the familiar
-square-root coefficients (see orthonormal_creation / orthonormal_annihilation,
-which build them directly as an independent construction route).
+square-root coefficients (see FockSpace.ladder, which also builds them
+directly as an independent construction route).
 
 fock_space(spec) hands out the one FockSpace of a spec, which builds the
-basis, the Gram form and each operator at most once for every caller.
+basis, the Gram form and each operator at most once for every caller; it is
+the one way to obtain an operator.
 
 Mode indices are 1-based in every public signature.
 """
@@ -78,16 +79,8 @@ def _bumped(v: OccupationVector, i: int, delta: int) -> OccupationVector:
     return v[: i - 1] + (v[i - 1] + delta,) + v[i:]
 
 
-def exact_tag(spec: AlgebraSpec) -> BasisTag:
-    return BasisTag(spec, UNNORMALIZED)
-
-
-def float_tag(spec: AlgebraSpec) -> BasisTag:
-    return BasisTag(spec, ORTHONORMAL)
-
-
 class FockSpace:
-    """Everything the builders and checks read of one capped Fock space.
+    """Everything the checks, models and CLI read of one capped Fock space.
 
     Holds the basis, its rank index, the grade of each basis vector, the
     grade offsets, the Gram form, and the ladder operators (per mode and
@@ -120,10 +113,19 @@ class FockSpace:
 
     @cached_property
     def gram(self) -> GramForm:
-        return GramForm(tuple(gram_value(self.spec, v) for v in self.basis), exact_tag(self.spec))
+        return GramForm(tuple(gram_value(self.spec, v) for v in self.basis),
+                        BasisTag(self.spec, UNNORMALIZED))
 
     def ladder(self, i: int, delta: int, normalization: str = UNNORMALIZED) -> MonomialMatrix:
-        """a_i^+ (delta = +1) or a_i^- (delta = -1) in the given normalization."""
+        """a_i^+ (delta = +1) or a_i^- (delta = -1) in the given normalization.
+
+        ORTHONORMAL builds the operator straight from its action on
+        orthonormal vectors, at grade k = |v|:
+            a_i^+  Fermi (1-v_i)*sign_i(v)*sqrt((p-k)/p),  Bose sqrt((v_i+1)(p-k)/p)
+            a_i^-  Fermi v_i*sign_i(v)*sqrt((p-k+1)/p),    Bose sqrt(v_i(p-k+1)/p)
+        This route never touches the Gram form, so it is the oracle that
+        normalize() is checked against.
+        """
         _check_mode(self.spec, i)
         if delta not in (+1, -1) or normalization not in (UNNORMALIZED, ORTHONORMAL):
             raise ValueError(f"no ladder operator with delta={delta!r}, {normalization!r}")
@@ -156,9 +158,8 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
     # One walk v -> w = v + delta*e_i for all four ladder operators; w is
     # admissible exactly when it is in the index.  With u the one of v, w that
     # holds more quanta, the orthonormal entry is sign*sqrt(u_i (p-|u|+1)/p)
-    # either way, taken straight from the action on orthonormal vectors and
-    # never from the Gram form: it is the oracle that normalize() is checked
-    # against (check_backend_agreement, acceptance criterion 8).  The
+    # either way: the oracle route of FockSpace.ladder, compared with
+    # normalize() by check_backend_agreement (acceptance criterion 8).  The
     # unnormalized basis puts the whole square on a_i^-, as the integer
     # sign*v_i*(p-|v|+1) over the denominator p, and 1 on a_i^+.
     spec, index, p = space.spec, space.index, space.spec.p
@@ -189,27 +190,12 @@ def _orthonormal_magnitude(u: Sequence[int], i: int, p: int) -> float:
 
 def _number_matrix(space: FockSpace, normalization: str) -> MonomialMatrix:
     value = Fraction if normalization == UNNORMALIZED else float
-    return grade_diagonal(space.spec, value, normalization=normalization)
+    return grade_diagonal(space, value, normalization=normalization)
 
 
 def _bilinear_matrix(space: FockSpace, i: int, j: int) -> MonomialMatrix:
     spec = space.spec
     return spec.p * bracket(space.ladder(i, +1), space.ladder(j, -1), spec.kind.anticommuting)
-
-
-def build_creation(spec: AlgebraSpec, i: int) -> MonomialMatrix:
-    """Exact creation operator for mode i on the unnormalized basis."""
-    return fock_space(spec).ladder(i, +1)
-
-
-def build_annihilation(spec: AlgebraSpec, i: int) -> MonomialMatrix:
-    """Exact annihilation operator for mode i; carries (p-k+1)/p on grade k."""
-    return fock_space(spec).ladder(i, -1)
-
-
-def build_number(spec: AlgebraSpec) -> MonomialMatrix:
-    """Total number operator: diagonal with entry |v| at each basis vector."""
-    return fock_space(spec).number()
 
 
 def gram_value(spec: AlgebraSpec, v: Sequence[int]) -> Fraction:
@@ -220,10 +206,6 @@ def gram_value(spec: AlgebraSpec, v: Sequence[int]) -> Fraction:
         for x in v:
             g *= factorial(x)
     return g
-
-
-def build_gram(spec: AlgebraSpec) -> GramForm:
-    return fock_space(spec).gram
 
 
 def _check_gram_tag(op, gram: GramForm) -> None:
@@ -240,7 +222,7 @@ def normalize(op: MonomialMatrix, gram: GramForm) -> MonomialMatrix:
     _check_gram_tag(op, gram)
     g = gram.values
     return op.map_entries(lambda r, c, val: float(val) * math.sqrt(float(g[r] / g[c])),
-                          float_tag(gram.tag.spec))
+                          BasisTag(gram.tag.spec, ORTHONORMAL))
 
 
 def adjoint_wrt_gram(op: MonomialMatrix, gram: GramForm) -> MonomialMatrix:
@@ -253,38 +235,19 @@ def adjoint_wrt_gram(op: MonomialMatrix, gram: GramForm) -> MonomialMatrix:
     return op.transpose().map_entries(lambda r, c, val: val * g[c] / g[r], op.tag)
 
 
-def orthonormal_creation(spec: AlgebraSpec, i: int) -> MonomialMatrix:
-    """Creation operator built directly on the orthonormal basis.
-
-    Coefficients come straight from the action on orthonormal vectors:
-    Fermi (1-v_i)*sign*sqrt((p-k)/p), Bose sqrt((v_i+1)(p-k)/p); this route
-    never touches the Gram form, so it cross-checks normalize().
-    """
-    return fock_space(spec).ladder(i, +1, ORTHONORMAL)
+def grade_diagonal(space: FockSpace, func, *, normalization: str = UNNORMALIZED) -> MonomialMatrix:
+    """Diagonal operator on space whose entry at v is func(|v|); used for
+    scalar polynomials in the number operator."""
+    values = [func(k) for k in space.grades]
+    return MonomialMatrix.diagonal(values, BasisTag(space.spec, normalization))
 
 
-def orthonormal_annihilation(spec: AlgebraSpec, i: int) -> MonomialMatrix:
-    """Annihilation operator built directly on the orthonormal basis.
-
-    Fermi v_i*sign*sqrt((p-k+1)/p), Bose sqrt(v_i(p-k+1)/p) at grade k.
-    """
-    return fock_space(spec).ladder(i, -1, ORTHONORMAL)
-
-
-def orthonormal_number(spec: AlgebraSpec) -> MonomialMatrix:
-    return fock_space(spec).number(ORTHONORMAL)
-
-
-def grade_diagonal(spec: AlgebraSpec, func, *, normalization: str = UNNORMALIZED) -> MonomialMatrix:
-    """Diagonal operator whose entry at v is func(|v|); used for scalar
-    polynomials in the number operator."""
-    values = [func(k) for k in fock_space(spec).grades]
-    return MonomialMatrix.diagonal(values, BasisTag(spec, normalization))
-
-
-def operator_json_payload(spec: AlgebraSpec, op: MonomialMatrix) -> dict:
-    """JSON-ready export of an operator, entries row-major ascending."""
-    normalization = op.tag.normalization if isinstance(op.tag, BasisTag) else UNNORMALIZED
+def operator_json_payload(op: MonomialMatrix) -> dict:
+    """JSON-ready export of an operator, entries row-major ascending; the
+    spec and the normalization are read from the operator's basis tag."""
+    if not isinstance(op.tag, BasisTag):
+        raise ValueError(f"cannot export an operator without a basis tag: {op!r}")
+    spec, normalization = op.tag.spec, op.tag.normalization
     if normalization == UNNORMALIZED:
         entries = [[r, c, v.numerator, v.denominator] for r, c, v in op.entries()]
     else:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .basis import AlgebraSpec, Kind, dimension, enumerate_basis, graded_dimensions
 from .operators import (EXACT, FLOAT, NORMALIZATION, ORTHONORMAL, FockSpace,
@@ -132,8 +132,8 @@ def check_mixed(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]
     else:
         upper = lambda k: 1.0 - (k - 1) / p  # noqa: E731
         lower = lambda k: 1.0 - k / p  # noqa: E731
-    c_upper = grade_diagonal(spec, upper, normalization=norm)
-    c_lower = grade_diagonal(spec, lower, normalization=norm)
+    c_upper = grade_diagonal(space, upper, normalization=norm)
+    c_lower = grade_diagonal(space, lower, normalization=norm)
     rhs_full = c_lower @ c_upper
     out = []
     for i in range(1, spec.n + 1):
@@ -224,10 +224,9 @@ def run_suite(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
     return sorted(reports, key=RelationReport.sort_key)
 
 
-def run_grid(n_max: int, p_max: int, backend: str = EXACT,
-             kinds: Iterable[Kind] = (Kind.FERMI, Kind.BOSE)) -> list[RelationReport]:
+def run_grid(n_max: int, p_max: int, backend: str = EXACT) -> list[RelationReport]:
     reports = []
-    for kind in kinds:
+    for kind in (Kind.FERMI, Kind.BOSE):
         for n in range(1, n_max + 1):
             for p in range(1, p_max + 1):
                 reports += run_suite(AlgebraSpec(kind, n, p), backend)

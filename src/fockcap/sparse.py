@@ -25,8 +25,6 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 Scalar = Fraction | float | int
 Entry = tuple[int, int, Scalar]
 
@@ -110,9 +108,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
-    def is_zero(self) -> bool:
-        return not self.data
-
     def max_abs(self, where=None) -> Scalar:
         """Largest absolute entry; 0 for the zero matrix.  With ``where``, only
         the entries at the (r, c) where ``where(r, c)`` holds."""
@@ -132,12 +127,6 @@ class SparseMatrix:
         """Matrix-vector product on a sparse column vector (a one-column @)."""
         column = SparseMatrix(self.cols, 1, {(c, 0): x for c, x in vec.items()})
         return {r: v for (r, _), v in (self @ column).data.items()}
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        for (r, c), v in self.data.items():
-            dense[r, c] = float(v)
-        return dense
 
     def _check_shape(self, other: "SparseMatrix") -> None:
         if self.shape != other.shape:
@@ -211,9 +200,6 @@ class MonomialMatrix:
     @property
     def nnz(self) -> int:
         return self.cols + 1 - self.coef.count(0)
-
-    def is_zero(self) -> bool:
-        return not self.nnz
 
     def _value(self, x) -> Scalar:
         return Fraction(x, self.denom) if self.exact else x

@@ -9,11 +9,10 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
-from fockcap import (AlgebraSpec, Kind, build_annihilation, build_creation,
-                     build_gram, check_backend_agreement, check_cap,
+from fockcap import (AlgebraSpec, Kind, check_backend_agreement, check_cap,
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic,
-                     diagonal_spectrum, dimension, enumerate_basis,
+                     diagonal_spectrum, dimension, enumerate_basis, fock_space,
                      graded_dimensions, quadratic_hamiltonian_spectrum,
                      run_lie_suite, toy_levels, toy_spectrum)
 from fockcap.relations import EXACT
@@ -54,7 +53,7 @@ def test_criterion_1_exact_relation_suite():
 def test_criterion_2_gram_formulas_and_oracle():
     checked = 0
     for spec in GRID:
-        gram = build_gram(spec)
+        gram = fock_space(spec).gram
         basis = enumerate_basis(spec)
         # closed forms
         for g, v in zip(gram.values, basis):
@@ -65,8 +64,8 @@ def test_criterion_2_gram_formulas_and_oracle():
                     expected *= factorial(x)
             assert g == expected
         # independent oracle: vacuum expectation of ladder strings
-        create = {i: build_creation(spec, i) for i in range(1, spec.n + 1)}
-        annihilate = {i: build_annihilation(spec, i) for i in range(1, spec.n + 1)}
+        create = {i: fock_space(spec).ladder(i, +1) for i in range(1, spec.n + 1)}
+        annihilate = {i: fock_space(spec).ladder(i, -1) for i in range(1, spec.n + 1)}
         for g, v in zip(gram.values, basis):
             vec = {0: Fraction(1)}
             for i in range(spec.n, 0, -1):

@@ -66,6 +66,16 @@ def test_ops_eij_requires_indices(capsys):
     assert "requires --j" in err
 
 
+@pytest.mark.parametrize("args, flag", [(("--op", "number", "--i", "7"), "--i"),
+                                        (("--op", "number", "--j", "1"), "--j"),
+                                        (("--op", "create", "--i", "1", "--j", "9"), "--j"),
+                                        (("--op", "annihilate", "--i", "2", "--j", "1"), "--j")])
+def test_ops_refuses_an_index_it_does_not_read(capsys, args, flag):
+    code, out, err = run_cli(capsys, "ops", "--kind", "bose", "--n", "2", "--p", "2", *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"takes no {flag}" in err
+
+
 def test_ops_deterministic_output(capsys):
     args = ("ops", "--kind", "bose", "--n", "3", "--p", "2", "--op", "eij",
             "--i", "1", "--j", "2")
@@ -278,6 +288,25 @@ def test_float_spectrum_beyond_float_range_is_a_usage_error(capsys):
         assert err.startswith("error:") and "float range" in err
 
 
+def test_spectrum_refuses_energies_with_a_matrix_file(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "2",
+                             "--backend", "float", "--energies", "5,5",
+                             "--matrix-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--matrix-file" in err
+
+
+def test_spectrum_matrix_file_that_is_not_json_is_named(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text("not json")
+    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "2",
+                             "--backend", "float", "--matrix-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_spectrum_rejects_zero_denominator(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "3",
                              "--energies", "1/0,1")
@@ -311,6 +340,18 @@ def test_exact_energy_exponent_beyond_printable_digits_is_refused(capsys, energi
     assert err.startswith("error:") and repr(literal) in err
 
 
+def test_exact_level_beyond_printable_digits_is_refused(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "3",
+                             "--energies=9e4299,8e4299")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'9e4299,8e4299'" in err and "4300-digit" in err
+    # a level of exactly MAX_DIGITS digits still prints
+    code, out, _ = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "1", "--p", "1",
+                           "--energies=9e4299")
+    assert code == 0
+    assert json.loads(out)[1] == {"value": str(9 * 10 ** 4299), "mult": 1}
+
+
 def test_exact_energy_exponent_at_the_bound_is_read(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "1", "--p", "1",
                            f"--energies=1e-{cli.MAX_EXPONENT}")
@@ -342,6 +383,8 @@ GOLDEN = [
     ("verify --kind bose --n 3 --p 4 --backend float --json", 0, "2725f0c84ac2afe7ff2cafb3ce8cd1bcac65f87036b05f202b856e31141f0a43"),
     ("lie --kind bose --n 3 --p 3 --json", 0, "e49081e42c44ed267b4d35f95ebf2f11b6010f37e0e281dfb77b806763856e9b"),
     ("ops --kind fermi --n 3 --p 2 --op create --i 2 --normalization orthonormal", 0, "c42ab43fb071edc3042f3d6db32a9361f651d270eda57389785c72cfa4739116"),
+    ("ops --kind bose --n 2 --p 3 --op number --normalization orthonormal", 0, "60c41f00e7cac4919778f5cbeefc9e2b51829fb0b7a06e0f0df29a76e383e142"),
+    ("ops --kind fermi --n 3 --p 2 --op eij --i 2 --j 1 --normalization orthonormal", 0, "3950189ecfeff426f2f8a863aa4f3bcbfa498532f0dd12b5c5f00af8c4f01baa"),
     ("verify --grid 3 3 --json", 0, "11e16baa2a4b44d8cfb00458a488bb043780a0e3d43c05c56c5bc91da9c1392f"),
     ("spectrum --kind bose --n 3 --p 12 --energies=-1/2,3,7/3", 0, "5d7c49dab0be4c54b54bdfb8333b8f3c8e5f44befbf5ddfe9d6656f2fa41a405"),
     ("spectrum --kind fermi --n 5 --p 3 --energies=-1/3,2/7,5,-11/4,3/2", 0, "d20893e1109cefede0a217eba022d414459a16cb08dcf10b5c8bcd05a33feac8"),
@@ -378,8 +421,10 @@ def fuzzed_argv(draw):
         argv += ["--check", draw(st.sampled_from(["brackets", "identify", "branching", "all"]))]
     elif command == "ops":
         argv += ["--op", draw(st.sampled_from(["create", "annihilate", "number", "eij"])),
-                 "--i", str(draw(st.integers(0, 4))), "--j", str(draw(st.integers(0, 4))),
                  "--normalization", draw(st.sampled_from(["unnormalized", "orthonormal"]))]
+        for flag in ("--i", "--j"):  # each optional: both accepted and refused calls occur
+            if draw(st.booleans()):
+                argv += [flag, str(draw(st.integers(0, 4)))]
     elif command == "thermo":
         argv += [f"--beta={_csv(draw(st.lists(FLOATS, min_size=1, max_size=2)))}",
                  f"--mu={_csv(draw(st.lists(FLOATS, min_size=1, max_size=2)))}",

@@ -3,8 +3,7 @@ from collections import Counter
 
 import pytest
 
-from fockcap import (AlgebraSpec, Kind, basis, build_creation, build_gram, lie,
-                     operators, run_lie_suite, run_suite)
+from fockcap import AlgebraSpec, Kind, basis, lie, operators, run_lie_suite, run_suite
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, fock_space
 from fockcap.relations import EXACT, FLOAT
 
@@ -49,6 +48,17 @@ def test_suites_build_each_space_and_operator_once(monkeypatch, fresh_spaces):
                                 for i in range(1, spec.n + 1) for j in range(1, spec.n + 1))
 
 
+def test_a_space_builds_its_number_operator_from_itself(monkeypatch, fresh_spaces):
+    enumerations = Counter()
+    _count_calls(monkeypatch, basis, "enumerate_basis", enumerations, lambda spec: spec)
+    spec = SPECS[0]
+    space = operators.FockSpace(spec)
+    for norm in (UNNORMALIZED, ORTHONORMAL):
+        assert [space.number(norm).get(r, r) for r in range(len(space.basis))] == space.grades
+    assert enumerations == Counter([spec])
+    assert fock_space.cache_info().currsize == 0
+
+
 def test_lie_suite_builds_the_extended_table_once(monkeypatch):
     tables = Counter()
     _count_calls(monkeypatch, lie, "extended_rescaled_generators", tables, lambda spec: spec)
@@ -60,8 +70,8 @@ def test_lie_suite_builds_the_extended_table_once(monkeypatch):
 def test_builders_share_the_space_of_equal_specs(fresh_spaces):
     a, b = AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec("bose", 2, 3)
     assert fock_space(a) is fock_space(b)
-    assert build_creation(a, 1) is build_creation(b, 1)
-    assert build_gram(a) is fock_space(b).gram
+    assert fock_space(a).ladder(1, +1) is fock_space(b).ladder(1, +1)
+    assert fock_space(a).gram is fock_space(b).gram
 
 
 def test_ladder_rejects_unknown_direction_and_normalization():

@@ -3,11 +3,10 @@ from math import factorial
 
 import pytest
 
-from fockcap import (AlgebraSpec, Kind, adjoint_wrt_gram, build_annihilation,
-                     build_creation, build_gram, build_number, dimension,
-                     enumerate_basis, gram_value, normalize,
-                     operator_json_payload, orthonormal_annihilation,
-                     orthonormal_creation, orthonormal_number, rank)
+from fockcap import (AlgebraSpec, Kind, MonomialMatrix, adjoint_wrt_gram,
+                     dimension, enumerate_basis, fock_space, gram_value,
+                     normalize, operator_json_payload, rank)
+from fockcap.operators import ORTHONORMAL
 
 from conftest import small_grid
 
@@ -25,52 +24,52 @@ def column_image(spec, op, v):
 
 def test_creation_respects_the_cap():
     # total occupation already at the cap: creation gives zero
-    op = build_creation(F21, 2)
+    op = fock_space(F21).ladder(2, +1)
     assert column_image(F21, op, (1, 0)) == {}
 
 
 def test_creation_sign_from_preceding_modes():
-    op = build_creation(F22, 2)
+    op = fock_space(F22).ladder(2, +1)
     assert column_image(F22, op, (1, 0)) == {(1, 1): Fraction(-1)}
     # no occupied mode in front: plain +1
-    assert column_image(F22, build_creation(F22, 1), (0, 1)) == {(1, 1): Fraction(1)}
+    assert column_image(F22, fock_space(F22).ladder(1, +1), (0, 1)) == {(1, 1): Fraction(1)}
 
 
 def test_bose_creation_is_unit_coefficient():
     spec = AlgebraSpec(Kind.BOSE, 1, 3)
-    assert column_image(spec, build_creation(spec, 1), (2,)) == {(3,): Fraction(1)}
+    assert column_image(spec, fock_space(spec).ladder(1, +1), (2,)) == {(3,): Fraction(1)}
 
 
 def test_annihilation_coefficients():
     # grade k = 2 at cap p = 2: coefficient (p-k+1)/p = 1/2
-    op = build_annihilation(F22, 1)
+    op = fock_space(F22).ladder(1, -1)
     assert column_image(F22, op, (1, 1)) == {(0, 1): Fraction(1, 2)}
     spec = AlgebraSpec(Kind.BOSE, 1, 2)
-    assert column_image(spec, build_annihilation(spec, 1), (2,)) == {(1,): Fraction(1)}
+    assert column_image(spec, fock_space(spec).ladder(1, -1), (2,)) == {(1,): Fraction(1)}
 
 
 def test_annihilation_kills_vacuum():
     for spec in small_grid(3, 3):
         for i in range(1, spec.n + 1):
-            assert column_image(spec, build_annihilation(spec, i), (0,) * spec.n) == {}
+            assert column_image(spec, fock_space(spec).ladder(i, -1), (0,) * spec.n) == {}
 
 
 def test_number_operator():
     spec = AlgebraSpec(Kind.FERMI, 3, 2)
-    N = build_number(spec)
+    N = fock_space(spec).number()
     assert N.get(0, 0) == 0
     trace = sum(N.get(r, r) for r in range(dimension(spec)))
     assert trace == 9
-    assert B22 and build_number(B22).get(rank(B22, (1, 1)), rank(B22, (1, 1))) == 2
+    assert B22 and fock_space(B22).number().get(rank(B22, (1, 1)), rank(B22, (1, 1))) == 2
 
 
 def test_mode_index_validation():
     with pytest.raises(ValueError):
-        build_creation(F21, 0)
+        fock_space(F21).ladder(0, +1)
     with pytest.raises(ValueError):
-        build_annihilation(F21, 3)
+        fock_space(F21).ladder(3, -1)
     with pytest.raises(ValueError):
-        build_creation(F21, True)  # bool is an int subclass
+        fock_space(F21).ladder(True, +1)  # bool is an int subclass
 
 
 def test_gram_closed_forms():
@@ -109,8 +108,9 @@ def test_gram_recurrence():
 
 def gram_from_matrix_elements(spec):
     """Independent oracle: <v|v> from vacuum expectation of ladder strings."""
-    create = {i: build_creation(spec, i) for i in range(1, spec.n + 1)}
-    annihilate = {i: build_annihilation(spec, i) for i in range(1, spec.n + 1)}
+    space = fock_space(spec)
+    create = {i: space.ladder(i, +1) for i in range(1, spec.n + 1)}
+    annihilate = {i: space.ladder(i, -1) for i in range(1, spec.n + 1)}
     values = []
     for v in enumerate_basis(spec):
         vec = {0: Fraction(1)}
@@ -126,53 +126,58 @@ def gram_from_matrix_elements(spec):
 
 def test_gram_matches_matrix_element_oracle():
     for spec in small_grid(3, 3):
-        gram = build_gram(spec)
+        gram = fock_space(spec).gram
         assert list(gram.values) == gram_from_matrix_elements(spec)
 
 
 def test_adjoint_swaps_ladder_operators():
     for spec in small_grid(4, 4):
-        gram = build_gram(spec)
+        space = fock_space(spec)
+        gram = space.gram
         for i in range(1, spec.n + 1):
-            up = build_creation(spec, i)
-            assert adjoint_wrt_gram(up, gram) == build_annihilation(spec, i)
+            up = space.ladder(i, +1)
+            assert adjoint_wrt_gram(up, gram) == space.ladder(i, -1)
             assert adjoint_wrt_gram(adjoint_wrt_gram(up, gram), gram) == up
-        N = build_number(spec)
+        N = space.number()
         assert adjoint_wrt_gram(N, gram) == N
 
 
 def test_adjoint_requires_matching_tag():
-    gram = build_gram(F21)
+    gram = fock_space(F21).gram
     with pytest.raises(ValueError):
-        adjoint_wrt_gram(build_creation(F22, 1), gram)
+        adjoint_wrt_gram(fock_space(F22).ladder(1, +1), gram)
     with pytest.raises(ValueError):
-        normalize(build_creation(F22, 1), gram)
+        normalize(fock_space(F22).ladder(1, +1), gram)
 
 
 def test_number_commutators_exact():
     for spec in small_grid(3, 3):
-        N = build_number(spec)
+        space = fock_space(spec)
+        N = space.number()
         for i in range(1, spec.n + 1):
-            up = build_creation(spec, i)
-            down = build_annihilation(spec, i)
-            assert (N @ up - up @ N - up).is_zero()
-            assert (N @ down - down @ N + down).is_zero()
+            up = space.ladder(i, +1)
+            down = space.ladder(i, -1)
+            assert (N @ up - up @ N - up).nnz == 0
+            assert (N @ down - down @ N + down).nnz == 0
 
 
 def test_normalized_vacuum_coefficients():
     spec = AlgebraSpec(Kind.FERMI, 1, 2)
-    op = normalize(build_creation(spec, 1), build_gram(spec))
+    space = fock_space(spec)
+    op = normalize(space.ladder(1, +1), space.gram)
     assert op.get(rank(spec, (1,)), rank(spec, (0,))) == pytest.approx(1.0)
     spec = AlgebraSpec(Kind.BOSE, 1, 2)
-    op = normalize(build_creation(spec, 1), build_gram(spec))
+    space = fock_space(spec)
+    op = normalize(space.ladder(1, +1), space.gram)
     # sqrt(2*(2-1)/2) = 1 from the singly occupied state
     assert op.get(rank(spec, (2,)), rank(spec, (1,))) == pytest.approx(1.0)
 
 
 def test_normalize_keeps_diagonals():
     for spec in (F22, B22):
-        N = build_number(spec)
-        N_norm = normalize(N, build_gram(spec))
+        space = fock_space(spec)
+        N = space.number()
+        N_norm = normalize(N, space.gram)
         for r in range(dimension(spec)):
             assert N_norm.get(r, r) == float(N.get(r, r))
 
@@ -181,10 +186,10 @@ def test_normalized_creation_column_norms():
     # squared column sum at a grade-k source: (p-k)/p (fermi, acting columns)
     # resp. (l_i+1)(p-k)/p (bose)
     for spec in small_grid(3, 3):
-        gram = build_gram(spec)
+        space = fock_space(spec)
         basis = enumerate_basis(spec)
         for i in range(1, spec.n + 1):
-            op = normalize(build_creation(spec, i), gram)
+            op = normalize(space.ladder(i, +1), space.gram)
             by_col = {}
             for (r, c), val in op.data.items():
                 by_col.setdefault(c, 0.0)
@@ -200,38 +205,53 @@ def test_normalized_creation_column_norms():
 
 def test_direct_orthonormal_build_matches_normalization():
     for spec in small_grid(3, 3):
-        gram = build_gram(spec)
+        space = fock_space(spec)
         for i in range(1, spec.n + 1):
-            via_gram = normalize(build_creation(spec, i), gram)
-            direct = orthonormal_creation(spec, i)
+            via_gram = normalize(space.ladder(i, +1), space.gram)
+            direct = space.ladder(i, +1, ORTHONORMAL)
             assert set(via_gram.data) == set(direct.data)
             for key, val in direct.data.items():
                 assert via_gram.data[key] == pytest.approx(val, abs=1e-14)
-            via_gram = normalize(build_annihilation(spec, i), gram)
-            direct = orthonormal_annihilation(spec, i)
+            via_gram = normalize(space.ladder(i, -1), space.gram)
+            direct = space.ladder(i, -1, ORTHONORMAL)
             for key, val in direct.data.items():
                 assert via_gram.data[key] == pytest.approx(val, abs=1e-14)
-    assert orthonormal_number(F22).get(3, 3) == 2.0
+    assert fock_space(F22).number(ORTHONORMAL).get(3, 3) == 2.0
 
 
 def test_grade_block_structure():
     for spec in small_grid(3, 3):
         basis = enumerate_basis(spec)
         totals = [sum(v) for v in basis]
+        space = fock_space(spec)
         for i in range(1, spec.n + 1):
-            for (r, c), _ in build_creation(spec, i).data.items():
+            for (r, c), _ in space.ladder(i, +1).data.items():
                 assert totals[r] == totals[c] + 1
-            for (r, c), _ in build_annihilation(spec, i).data.items():
+            for (r, c), _ in space.ladder(i, -1).data.items():
                 assert totals[r] == totals[c] - 1
 
 
 def test_json_payload_schema():
-    payload = operator_json_payload(F21, build_creation(F21, 1))
+    space = fock_space(F21)
+    payload = operator_json_payload(space.ladder(1, +1))
     assert payload["spec"] == {"kind": "fermi", "n": 2, "p": 1}
     assert payload["basis"] == "graded-lex"
     assert payload["normalization"] == "unnormalized"
     assert payload["dims"] == [3, 3]
     assert payload["entries"] == [[2, 0, 1, 1]]
-    norm = operator_json_payload(F21, normalize(build_creation(F21, 1), build_gram(F21)))
+    norm = operator_json_payload(normalize(space.ladder(1, +1), space.gram))
     assert norm["normalization"] == "orthonormal"
     assert norm["entries"] == [[2, 0, 1.0]]
+
+
+def test_json_payload_reads_spec_and_normalization_from_the_tag():
+    payload = operator_json_payload(fock_space(F22).ladder(1, +1, ORTHONORMAL))
+    assert payload["spec"] == {"kind": "fermi", "n": 2, "p": 2}
+    assert payload["normalization"] == "orthonormal"
+    assert payload["dims"] == [4, 4]
+
+
+def test_json_payload_refuses_an_untagged_operator():
+    for op in (MonomialMatrix(2, [1, -1], [1, 0]), MonomialMatrix(2, [1, -1], [0.5, 0.0])):
+        with pytest.raises(ValueError, match="basis tag"):
+            operator_json_payload(op)
