@@ -17,8 +17,8 @@ from .relations import (ClassicalLimitReport, RelationReport,
                         check_classical_limit, check_hermiticity, check_mixed,
                         check_number, check_pp, check_vacuum_cyclic, run_grid,
                         run_suite)
-from .sparse import MonomialMatrix, max_entry_difference
-from .thermo import (CharacterPolynomial, character, grand_partition,
-                     mean_occupation, occupation_summary, sweep)
+from .sparse import MonomialMatrix
+from .thermo import (CharacterPolynomial, character, occupation_summary,
+                     sweep)
 
 __version__ = "0.1.0"

@@ -241,7 +241,7 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
         out.append(_report("branching-invariant", spec, ij, cross, EXACT))
 
     # offsets are closed-form; a block vector missing from the basis has no orbit
-    ranks = orbit_ranks(generators, range(dim), dim) + [0] * (offsets[-1] - dim)
+    ranks = orbit_ranks(generators, range(dim)) + [0] * (offsets[-1] - dim)
     for k in range(spec.p + 1):
         failed = sum(ranks[seed] != dims[k] for seed in range(offsets[k], offsets[k + 1]))
         out.append(_report("branching-irreducible", spec, (k,), Fraction(failed), EXACT))

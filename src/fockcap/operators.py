@@ -189,8 +189,7 @@ def _orthonormal_magnitude(u: Sequence[int], i: int, p: int) -> float:
 
 
 def _number_matrix(space: FockSpace, normalization: str) -> MonomialMatrix:
-    value = Fraction if normalization == UNNORMALIZED else float
-    return grade_diagonal(space, value, normalization=normalization)
+    return grade_diagonal(space, Fraction if normalization == UNNORMALIZED else float)
 
 
 def _bilinear_matrix(space: FockSpace, i: int, j: int) -> MonomialMatrix:
@@ -235,11 +234,14 @@ def adjoint_wrt_gram(op: MonomialMatrix, gram: GramForm) -> MonomialMatrix:
     return op.transpose().map_entries(lambda r, c, val: val * g[c] / g[r], op.tag)
 
 
-def grade_diagonal(space: FockSpace, func, *, normalization: str = UNNORMALIZED) -> MonomialMatrix:
+def grade_diagonal(space: FockSpace, func) -> MonomialMatrix:
     """Diagonal operator on space whose entry at v is func(|v|); used for
-    scalar polynomials in the number operator."""
-    values = [func(k) for k in space.grades]
-    return MonomialMatrix.diagonal(values, BasisTag(space.spec, normalization))
+    scalar polynomials in the number operator.  A diagonal operator is the
+    same matrix in both bases, so the values name its tag: floats the
+    orthonormal one, rationals the unnormalized one."""
+    op = MonomialMatrix.diagonal([func(k) for k in space.grades])
+    op.tag = BasisTag(space.spec, UNNORMALIZED if op.exact else ORTHONORMAL)
+    return op
 
 
 def operator_json_payload(op: MonomialMatrix) -> dict:
@@ -249,6 +251,9 @@ def operator_json_payload(op: MonomialMatrix) -> dict:
         raise ValueError(f"cannot export an operator without a basis tag: {op!r}")
     spec, normalization = op.tag.spec, op.tag.normalization
     if normalization == UNNORMALIZED:
+        if any(isinstance(v, float) for _, _, v in op.entries()):
+            raise ValueError(f"float entries in an operator tagged {UNNORMALIZED!r}: "
+                             f"exact export needs rational entries: {op!r}")
         entries = [[r, c, v.numerator, v.denominator] for r, c, v in op.entries()]
     else:
         entries = [[r, c, float(v)] for r, c, v in op.entries()]

@@ -16,7 +16,8 @@ Two storage types share one method surface (``@``, ``+``, ``-``, scalar
 Entries are rationals in the exact backend and floats in the orthonormal
 (normalized) backend; explicit zeros are never stored.  Every matrix carries
 a ``tag`` identifying the basis it acts on, so operators built for different
-spaces or normalizations cannot be combined by accident.
+spaces or normalizations cannot be combined by accident; a residual is
+``(lhs - rhs).max_abs()``, so it passes the same check.
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ class MonomialMatrix:
             raise TypeError("use @ for matrix products")
         if isinstance(scalar, float) or not self.exact:
             if not math.isfinite(scalar):
-                return self.to_sparse() * scalar
+                # 0 * scalar would put nan in every empty slot
+                raise ValueError(f"cannot scale an operator by the non-finite {scalar!r}")
             s = float(scalar)
             return _filled(self.rows, self.target, [x * s for x in self._as_float().coef], 1,
                            False, self.tag)
@@ -356,15 +358,6 @@ def _same_kind(a: MonomialMatrix, b: MonomialMatrix) -> tuple[MonomialMatrix, Mo
     return a._as_float(), b._as_float()
 
 
-def max_entry_difference(a, b) -> Scalar:
-    """Sup-norm of a - b over the union of stored entries."""
-    if isinstance(a, MonomialMatrix):
-        return a._plus(b, -1, None).max_abs()
-    a._check_shape(b)
-    keys = set(a.data) | set(b.data)
-    return max((abs(a.get(r, c) - b.get(r, c)) for r, c in keys), default=0)
-
-
 def bracket(x, y, anti: bool = False):
     """The anticommutator x@y + y@x if anti, else the commutator x@y - y@x."""
     return x @ y + y @ x if anti else x @ y - y @ x
@@ -377,8 +370,7 @@ class RowReducer:
     against the stored pivot rows and keeps it iff it enlarges the span.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         self.pivots: dict[int, dict[int, Fraction]] = {}
 
     @property
@@ -386,37 +378,27 @@ class RowReducer:
         return len(self.pivots)
 
     def add(self, vec: Mapping[int, Scalar]) -> bool:
-        v = self._reduce(vec)
-        if not v:
-            return False
-        lead = min(v)
-        scale = v[lead]
-        self.pivots[lead] = {k: x / scale for k, x in v.items()}
-        return True
-
-    def contains(self, vec: Mapping[int, Scalar]) -> bool:
-        return not self._reduce(vec)
-
-    def _reduce(self, vec: Mapping[int, Scalar]) -> dict[int, Fraction]:
-        """What is left of vec after eliminating against the pivot rows: empty
-        iff vec lies in the span, else its lowest index has no pivot yet."""
+        """Eliminate vec against the pivot rows.  If something is left, its
+        lowest index has no pivot yet: store it there, scaled to lead with 1,
+        and return True; return False if vec lies in the span."""
         v = {k: Fraction(x) for k, x in vec.items() if x != 0}
         while v:
             lead = min(v)
             pivot_row = self.pivots.get(lead)
-            if pivot_row is None:
-                break
             factor = v[lead]
+            if pivot_row is None:
+                self.pivots[lead] = {k: x / factor for k, x in v.items()}
+                return True
             for k, x in pivot_row.items():
                 nv = v.get(k, Fraction(0)) - factor * x
                 if nv:
                     v[k] = nv
                 else:
                     v.pop(k, None)
-        return v
+        return False
 
 
-def orbit_ranks(generators: Sequence, seeds: Sequence[int], dim: int) -> list[int]:
+def orbit_ranks(generators: Sequence, seeds: Sequence[int]) -> list[int]:
     """For each seed, the dimension of the smallest subspace that contains
     basis vector ``seed`` and is invariant under every generator.
 
@@ -428,33 +410,25 @@ def orbit_ranks(generators: Sequence, seeds: Sequence[int], dim: int) -> list[in
     of the word's path from the seed and c is the product of the coefficients
     along it; c != 0 exactly when every step of the path is a nonzero entry.
     The span of these c*e_t is the span of the distinct e_t reached, and
-    distinct basis vectors are independent.  Generators with two entries in a column
-    break the first step, so they keep the exact rank: breadth-first images
-    with a RowReducer per seed, the new vectors of every seed's orbit at one
-    level being the columns of one matrix, so a level costs one product per
-    generator.
+    distinct basis vectors are independent.  Generators with two entries in a
+    column break the first step, so they keep the exact rank: breadth-first
+    images of one seed at a time, each kept by the seed's RowReducer iff it
+    enlarges the span.  Only the dict-of-keys oracle and wrong operators take
+    this walk.
     """
     if all(isinstance(op, MonomialMatrix) for op in generators):
         return _reachable_counts([[r if x else -1 for r, x in zip(op.target, op.coef)]
                                   for op in generators], seeds)
-    reducers = [RowReducer(dim) for _ in seeds]
-    frontier = [(owner, {seed: Fraction(1)}) for owner, seed in enumerate(seeds)]
-    for owner, vec in frontier:
-        reducers[owner].add(vec)
-    while frontier:
-        block = SparseMatrix(dim, len(frontier), {(r, c): x for c, (_, vec) in enumerate(frontier)
-                                                  for r, x in vec.items()})
-        new_frontier = []  # (seed position, vector) pairs that enlarged their orbit's span
-        for op in generators:
-            images: dict[int, dict[int, Scalar]] = {}
-            for (r, c), x in (op @ block).data.items():
-                images.setdefault(c, {})[r] = x
-            for c in sorted(images):
-                owner = frontier[c][0]
-                if reducers[owner].add(images[c]):
-                    new_frontier.append((owner, images[c]))
-        frontier = new_frontier
-    return [reducer.rank for reducer in reducers]
+    ranks = []
+    for seed in seeds:
+        reducer = RowReducer()
+        frontier = [{seed: Fraction(1)}]
+        reducer.add(frontier[0])
+        while frontier:
+            frontier = [img for vec in frontier for op in generators
+                        if reducer.add(img := op.apply(vec))]
+        ranks.append(reducer.rank)
+    return ranks
 
 
 def _reachable_counts(targets: Sequence[Sequence[int]], seeds: Sequence[int]) -> list[int]:

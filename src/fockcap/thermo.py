@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .basis import AlgebraSpec, graded_dimensions
-from .operators import _check_mode, fock_space
+from .operators import fock_space
 
 
 @dataclass(frozen=True)
@@ -73,31 +73,13 @@ def _finite(beta: float, mu: float, *values: float) -> None:
         raise _out_of_range(beta, mu)
 
 
-def grand_partition(spec: AlgebraSpec, beta: float, energies: Sequence[float],
-                    mu: float) -> float:
-    """Xi = sum over basis vectors of exp(-beta*(sum_i eps_i v_i - mu|v|)).
-
-    With all energies zero this collapses to the character evaluated at
-    z = exp(beta*mu).  A weight or a sum beyond the float range is a
-    ValueError.
-    """
-    xi = sum(w for _, w in _weights(spec, beta, energies, mu))
-    _finite(beta, mu, xi)
-    return xi
-
-
-def mean_occupation(spec: AlgebraSpec, beta: float, energies: Sequence[float],
-                    mu: float, i: int) -> float:
-    """Grand-canonical mean occupation of mode i (1-based)."""
-    _check_mode(spec, i)
-    return occupation_summary(spec, beta, energies, mu)[1][i - 1]
-
-
 def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float],
                        mu: float) -> tuple[float, list[float], float]:
     """(Xi, per-mode mean occupations, mean total) in a single basis pass.
 
-    A weight or a sum beyond the float range is a ValueError naming beta and mu."""
+    Xi = sum over basis vectors of exp(-beta*(sum_i eps_i v_i - mu|v|)); with
+    all energies zero it is the character evaluated at z = exp(beta*mu).  A
+    weight or a sum beyond the float range is a ValueError naming beta and mu."""
     weights = _weights(spec, beta, energies, mu)
     xi = sum(w for _, w in weights)
     _finite(beta, mu, xi)

@@ -209,6 +209,19 @@ def test_spectrum_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, message", [
+    ("verify --grid 0 3", "grid bounds must be positive"),
+    ("thermo --kind bose --n 2 --p 2 --beta 1 --mu 0 --energies 1", "expected 2 energies, got 1"),
+    ("spectrum --kind bose --n 2 --p 2 --backend float --energies 1",
+     "expected 2 energies, got 1"),
+    ("spectrum --kind bose --n 2 --p 2 --energies ,", "empty numeric list"),
+])
+def test_usage_errors_name_the_input(capsys, command, message):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 def test_toy_human_table(capsys):
     code, out, _ = run_cli(capsys, "toy", "--p", "2")
     assert code == 0

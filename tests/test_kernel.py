@@ -86,7 +86,7 @@ def test_reachability_is_the_orbit_rank(spec):
     dim = len(space.basis)
     for generators in (ups + downs, downs, ups, bilinears, bilinears[:1]):
         sparse = [op.to_sparse() for op in generators]
-        assert orbit_ranks(generators, range(dim), dim) == orbit_ranks(sparse, range(dim), dim)
+        assert orbit_ranks(generators, range(dim)) == orbit_ranks(sparse, range(dim))
 
 
 def _count_calls(monkeypatch, targets) -> Counter:

@@ -3,10 +3,11 @@ from math import factorial
 
 import pytest
 
+import fockcap
 from fockcap import (AlgebraSpec, Kind, MonomialMatrix, adjoint_wrt_gram,
                      dimension, enumerate_basis, fock_space, gram_value,
                      normalize, operator_json_payload, rank)
-from fockcap.operators import ORTHONORMAL
+from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 
 from conftest import small_grid
 
@@ -255,3 +256,25 @@ def test_json_payload_refuses_an_untagged_operator():
     for op in (MonomialMatrix(2, [1, -1], [1, 0]), MonomialMatrix(2, [1, -1], [0.5, 0.0])):
         with pytest.raises(ValueError, match="basis tag"):
             operator_json_payload(op)
+
+
+def test_json_payload_refuses_float_entries_in_the_exact_basis():
+    op = 1.0 * fock_space(F21).ladder(1, +1)  # a float scalar keeps the unnormalized tag
+    assert op.tag.normalization == UNNORMALIZED
+    with pytest.raises(ValueError, match="float entries in an operator tagged 'unnormalized'"):
+        operator_json_payload(op)
+
+
+def test_grade_diagonal_takes_its_tag_from_its_values():
+    space = fock_space(F22)
+    for func, normalization in ((lambda k: 1.0 - k / 2, ORTHONORMAL),
+                                (lambda k: Fraction(1) - Fraction(k, 2), UNNORMALIZED),
+                                (lambda k: k, UNNORMALIZED)):
+        op = grade_diagonal(space, func)
+        assert (op.tag.spec, op.tag.normalization) == (F22, normalization)
+        assert [op.get(r, r) for r in range(op.rows)] == [func(k) for k in space.grades]
+
+
+def test_removed_second_routes_are_gone():
+    for name in ("max_entry_difference", "grand_partition", "mean_occupation"):
+        assert not hasattr(fockcap, name)

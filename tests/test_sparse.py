@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcap.sparse import (MonomialMatrix, RowReducer, SparseMatrix, max_entry_difference,
-                            orbit_ranks)
+from fockcap import AlgebraSpec, Kind, fock_space
+from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix, orbit_ranks
 
 
 def _mat(rows, cols, entries, tag=None):
@@ -64,23 +64,30 @@ def test_apply_vector():
     assert out == {1: Fraction(2), 2: Fraction(-3)}
 
 
-def test_max_entry_difference():
+def test_residual_is_the_max_abs_of_the_difference():
     a = _mat(2, 2, [(0, 0, 1), (1, 1, 2)])
     b = _mat(2, 2, [(0, 0, 1), (1, 0, 5)])
-    assert max_entry_difference(a, b) == 5
-    assert max_entry_difference(a, a) == 0
+    assert (a - b).max_abs() == 5
+    assert (a - a).max_abs() == 0
+    # two 6-dim spaces of different specs, and two bases of one space
+    up = fock_space(AlgebraSpec(Kind.BOSE, 2, 2)).ladder(1, +1)
+    for other in (fock_space(AlgebraSpec(Kind.FERMI, 5, 1)).ladder(1, +1),
+                  fock_space(AlgebraSpec(Kind.BOSE, 2, 2)).ladder(1, +1, "orthonormal")):
+        with pytest.raises(ValueError, match="basis tag mismatch"):
+            up - other
 
 
 def test_row_reducer_incremental():
-    reducer = RowReducer(3)
+    reducer = RowReducer()
     assert reducer.add({0: Fraction(1, 2), 2: Fraction(1)})
     assert not reducer.add({0: Fraction(1), 2: Fraction(2)})
     assert reducer.add({1: Fraction(7)})
     assert reducer.rank == 2
-    assert reducer.contains({0: Fraction(3), 1: Fraction(1), 2: Fraction(6)})
-    assert not reducer.contains({2: Fraction(1)})
+    assert not reducer.add({0: Fraction(3), 1: Fraction(1), 2: Fraction(6)})
+    assert reducer.add({2: Fraction(1)})
+    assert reducer.rank == 3
     # rank 1 over the rationals despite four nonzero entries, then 2
-    reducer = RowReducer(2)
+    reducer = RowReducer()
     assert reducer.add({0: Fraction(1), 1: Fraction(2)})
     assert not reducer.add({0: Fraction(2), 1: Fraction(4)})
     assert reducer.rank == 1
@@ -106,7 +113,7 @@ def _times(m, vec):
 def _enumerated_orbit_rank(generators, seed, dim):
     """Rank of every word of length < dim in the generators applied to e_seed."""
     level = [{seed: Fraction(1)}]
-    reducer = RowReducer(dim)
+    reducer = RowReducer()
     reducer.add(level[0])
     for _ in range(dim - 1):
         level = [_times(g, v) for g in generators for v in level]
@@ -116,12 +123,12 @@ def _enumerated_orbit_rank(generators, seed, dim):
 
 
 def test_orbit_ranks_is_an_exact_rank_not_reachability():
-    assert orbit_ranks([A], [0, 1, 2, 3], 4) == [2, 2, 2, 1]
+    assert orbit_ranks([A], [0, 1, 2, 3]) == [2, 2, 2, 1]
     # a proper invariant subspace holds the orbit of e0 below the full dimension
-    assert orbit_ranks([A, SWAP], [0, 3, 1], 4) == [2, 1, 3]
+    assert orbit_ranks([A, SWAP], [0, 3, 1]) == [2, 1, 3]
     for generators in ([A], [A, SWAP], [A, C], [C, SWAP], [A, SWAP, C]):
         seeds = [3, 0, 2, 1, 0]
-        assert orbit_ranks(generators, seeds, 4) == [
+        assert orbit_ranks(generators, seeds) == [
             _enumerated_orbit_rank(generators, seed, 4) for seed in seeds]
 
 
@@ -161,12 +168,23 @@ def test_monomial_kernel_matches_the_dict_of_keys_kernel(pair, scalar):
     assert a.max_abs() == sa.max_abs()
     off_diagonal = lambda r, c: r != c  # noqa: E731
     assert a.max_abs(off_diagonal) == sa.max_abs(off_diagonal)
-    assert max_entry_difference(a, b) == max_entry_difference(sa, sb)
+    assert (a - b).max_abs() == (sa - sb).max_abs()
     vec = {c: Fraction(c + 1, 2) for c in range(a.cols)}
     assert a.apply(vec) == sa.apply(vec)
     assert [a.get(r, c) for r in range(a.rows) for c in range(a.cols)] == \
         [sa.get(r, c) for r in range(a.rows) for c in range(a.cols)]
     assert a == sa and (a @ b).tag == "tag"
+
+
+def test_non_finite_scalar_is_refused():
+    # 0 * inf is nan, so no scaled matrix keeps its empty slots empty
+    half = MonomialMatrix(2, [1, -1], [1, 0], 2)
+    for scalar in (math.inf, -math.inf, math.nan):
+        for op in (half, 1.0 * half):
+            with pytest.raises(ValueError, match="non-finite"):
+                scalar * op
+            with pytest.raises(ValueError, match="non-finite"):
+                op * scalar
 
 
 def test_sum_of_clashing_monomials_is_the_general_sum():
@@ -186,7 +204,7 @@ def test_monomial_denominators_and_zero_entries():
     # a cancelled entry is no entry, and orbits do not walk through it
     cancelled = half - half
     assert cancelled.nnz == 0 and cancelled.max_abs() == 0 and cancelled.data == {}
-    assert orbit_ranks([cancelled], [0], 2) == [1]
-    assert orbit_ranks([half], [0, 1], 2) == [2, 1]
+    assert orbit_ranks([cancelled], [0]) == [1]
+    assert orbit_ranks([half], [0, 1]) == [2, 1]
     assert (6 * half).denom == 1 and (6 * half).get(1, 0) == 3
     assert MonomialMatrix.diagonal([Fraction(1, 2), Fraction(1, 3)]).denom == 6

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from fockcap import (AlgebraSpec, Kind, character, dimension, grand_partition,
-                     graded_dimensions, mean_occupation, occupation_summary)
+from fockcap import (AlgebraSpec, Kind, character, dimension, graded_dimensions,
+                     occupation_summary)
 from fockcap.thermo import thermo_csv
 
 from conftest import small_grid
@@ -31,26 +31,26 @@ def test_partition_function_collapses_to_character():
     for spec in (AlgebraSpec(Kind.FERMI, 3, 2), AlgebraSpec(Kind.BOSE, 2, 3)):
         z = character(spec)
         for beta, mu in [(1.0, 0.0), (0.7, 0.3), (2.0, -0.5)]:
-            xi = grand_partition(spec, beta, [0.0] * spec.n, mu)
+            xi = occupation_summary(spec, beta, [0.0] * spec.n, mu)[0]
             assert xi == pytest.approx(z(math.exp(beta * mu)), rel=1e-12)
 
 
 def test_two_state_partition_function():
     spec = AlgebraSpec(Kind.BOSE, 1, 1)
-    xi = grand_partition(spec, 1.0, [1.0], 0.0)
+    xi = occupation_summary(spec, 1.0, [1.0], 0.0)[0]
     assert xi == pytest.approx(1 + math.exp(-1), rel=1e-14)
 
 
 def test_ground_state_dominates_at_low_temperature():
     spec = AlgebraSpec(Kind.BOSE, 2, 3)
-    xi = grand_partition(spec, 200.0, [1.0, 2.0], 0.0)
+    xi = occupation_summary(spec, 200.0, [1.0, 2.0], 0.0)[0]
     assert xi == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fermi_function_recovered():
     spec = AlgebraSpec(Kind.FERMI, 1, 1)
     for beta, eps, mu in [(1.0, 1.0, 0.0), (2.5, 0.3, 0.8)]:
-        mean = mean_occupation(spec, beta, [eps], mu, 1)
+        mean = occupation_summary(spec, beta, [eps], mu)[1][0]
         assert mean == pytest.approx(1 / (math.exp(beta * (eps - mu)) + 1), rel=1e-13)
 
 
@@ -73,7 +73,7 @@ def test_mean_total_bounded_by_cap():
 
 def test_partition_monotone_in_mu():
     spec = AlgebraSpec(Kind.BOSE, 2, 2)
-    values = [grand_partition(spec, 1.0, [1.0, 2.0], mu) for mu in (-1.0, 0.0, 1.0, 2.0)]
+    values = [occupation_summary(spec, 1.0, [1.0, 2.0], mu)[0] for mu in (-1.0, 0.0, 1.0, 2.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(v > 0 for v in values)
 
@@ -82,7 +82,7 @@ def test_capped_mode_approaches_geometric_series_from_below():
     # single bose mode with beta(eps-mu) > 0: Xi(p) increases with p toward
     # the uncapped geometric sum
     beta, eps, mu = 1.0, 1.0, 0.0
-    xs = [grand_partition(AlgebraSpec(Kind.BOSE, 1, p), beta, [eps], mu)
+    xs = [occupation_summary(AlgebraSpec(Kind.BOSE, 1, p), beta, [eps], mu)[0]
           for p in (1, 2, 4, 8, 16)]
     assert all(a < b for a, b in zip(xs, xs[1:]))
     geometric = 1 / (1 - math.exp(-beta * (eps - mu)))
@@ -93,20 +93,16 @@ def test_capped_mode_approaches_geometric_series_from_below():
 def test_argument_validation():
     spec = AlgebraSpec(Kind.BOSE, 2, 1)
     with pytest.raises(ValueError):
-        grand_partition(spec, 0.0, [1.0, 1.0], 0.0)
+        occupation_summary(spec, 0.0, [1.0, 1.0], 0.0)
     with pytest.raises(ValueError):
-        grand_partition(spec, 1.0, [1.0], 0.0)
-    with pytest.raises(ValueError):
-        mean_occupation(spec, 1.0, [1.0, 1.0], 0.0, 3)
-    with pytest.raises(ValueError):
-        mean_occupation(spec, 1.0, [1.0, 1.0], 0.0, True)  # bool is an int subclass
+        occupation_summary(spec, 1.0, [1.0], 0.0)
     nan, inf = float("nan"), float("inf")
     for beta, energies, mu in [(nan, [1.0, 1.0], 0.0), (inf, [1.0, 1.0], 0.0),
                                (-1.0, [1.0, 1.0], 0.0), (1.0, [1.0, 1.0], nan),
                                (1.0, [1.0, 1.0], -inf), (1.0, [inf, 1.0], 0.0),
                                (1.0, [1.0, nan], 0.0)]:
         with pytest.raises(ValueError, match="finite"):
-            grand_partition(spec, beta, energies, mu)
+            occupation_summary(spec, beta, energies, mu)
 
 
 def test_weights_beyond_float_range_are_rejected():
@@ -116,20 +112,10 @@ def test_weights_beyond_float_range_are_rejected():
                            (AlgebraSpec(Kind.FERMI, 2, 3), 1.0, 700.0),
                            (AlgebraSpec(Kind.BOSE, 3, 1), 1.0, 709.0)]:
         energies = [0.0] * spec.n
-        for call in (occupation_summary, grand_partition):
-            with pytest.raises(ValueError, match=f"beta={beta!r}, mu={mu!r}"):
-                call(spec, beta, energies, mu)
+        with pytest.raises(ValueError, match=f"beta={beta!r}, mu={mu!r}"):
+            occupation_summary(spec, beta, energies, mu)
     xi, means, _ = occupation_summary(AlgebraSpec(Kind.BOSE, 3, 1), 1.0, [0.0] * 3, 700.0)
     assert math.isfinite(xi) and means == pytest.approx([1 / 3] * 3)
-
-
-def test_mean_occupation_is_the_summary_entry():
-    for spec in (AlgebraSpec(Kind.FERMI, 3, 2), AlgebraSpec(Kind.BOSE, 3, 4)):
-        energies = [0.3, -0.7, 1.9]
-        for beta, mu in [(0.4, -1.0), (1.7, 0.6)]:
-            _, means, _ = occupation_summary(spec, beta, energies, mu)
-            assert [mean_occupation(spec, beta, energies, mu, i)
-                    for i in range(1, spec.n + 1)] == means
 
 
 def test_csv_sweep_layout():
