@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .basis import AlgebraSpec, dimension
 from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, BasisTag,
                         fock_space)
@@ -111,7 +109,9 @@ def toy_spectrum(p: int) -> SpectrumReport:
     return _merged((value, mult) for _, value, mult, _ in toy_levels(p))
 
 
-def _cluster(values: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
+def _cluster(values: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:
+    import numpy as np
+
     levels: list[tuple[float, int]] = []
     cluster: list[float] = []
     for x in np.sort(values):
@@ -132,9 +132,11 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
     for symmetry (a failure would indicate a builder bug) before calling the
     symmetric eigensolver.  Eigenvalues are clustered at CLUSTER_TOL.
     """
+    import numpy as np  # here, so that only a float spectrum pays for the import
+
     try:
         table = np.asarray(t, dtype=float)
-    except (TypeError, OverflowError):  # e.g. a mapping, or an integer beyond float range
+    except (TypeError, ValueError, OverflowError):  # a mapping, ragged rows, a huge int
         table = None
     if (table is None or table.shape != (spec.n, spec.n) or not np.isfinite(table).all()
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)

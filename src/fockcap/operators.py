@@ -11,10 +11,13 @@ rational:
                   Bose:  v_i * (p-k+1)/p * |v - e_i>,     k = |v|
     sign_i(v) = (-1)^(v_1 + ... + v_{i-1})
 
-The squared norms of the unnormalized basis form the diagonal Gram form
+The squared norms of the unnormalized basis form the Gram form G, a diagonal
+operator (FockSpace.gram)
 
     Fermi:  <v|v> = p! / (p^k (p-k)!)
     Bose:   <v|v> = p! * prod_i v_i! / (p^k (p-k)!)
+
+and a_i^+, a_i^- are mutually adjoint for it: (a_i^+)^T G = G a_i^-.
 
 Conjugating by the square roots of the Gram entries yields the orthonormal
 backend, whose entries are floats; there the actions carry the familiar
@@ -55,14 +58,6 @@ SPACE_CACHE_SIZE = 4
 class BasisTag:
     spec: AlgebraSpec
     normalization: str
-
-
-@dataclass(frozen=True)
-class GramForm:
-    """Diagonal of squared norms of the unnormalized basis, all positive."""
-
-    values: tuple[Fraction, ...]
-    tag: BasisTag
 
 
 def _check_mode(spec: AlgebraSpec, i: int) -> None:
@@ -112,9 +107,11 @@ class FockSpace:
         return grade_offsets(self.spec)
 
     @cached_property
-    def gram(self) -> GramForm:
-        return GramForm(tuple(gram_value(self.spec, v) for v in self.basis),
-                        BasisTag(self.spec, UNNORMALIZED))
+    def gram(self) -> MonomialMatrix:
+        """The Gram form G as a diagonal operator: G(v, v) = <v|v> > 0, integer
+        coefficients over one common denominator."""
+        return MonomialMatrix.diagonal([gram_value(self.spec, v) for v in self.basis],
+                                       BasisTag(self.spec, UNNORMALIZED))
 
     def ladder(self, i: int, delta: int, normalization: str = UNNORMALIZED) -> MonomialMatrix:
         """a_i^+ (delta = +1) or a_i^- (delta = -1) in the given normalization.
@@ -207,31 +204,19 @@ def gram_value(spec: AlgebraSpec, v: Sequence[int]) -> Fraction:
     return g
 
 
-def _check_gram_tag(op, gram: GramForm) -> None:
-    if op.tag != gram.tag:
-        raise ValueError(f"basis tag mismatch: {op.tag!r} vs {gram.tag!r}")
-
-
-def normalize(op: MonomialMatrix, gram: GramForm) -> MonomialMatrix:
+def normalize(op: MonomialMatrix, gram: MonomialMatrix) -> MonomialMatrix:
     """Conjugate an exact operator into the orthonormal basis (float entries).
 
     entry'(r, c) = entry(r, c) * sqrt(g_r / g_c), the transformation induced
-    by |v>> = |v> / sqrt(g_v).
+    by |v>> = |v> / sqrt(g_v).  The g share one denominator, so g_r / g_c is
+    the ratio of two integer coefficients, which true division rounds
+    correctly.
     """
-    _check_gram_tag(op, gram)
-    g = gram.values
-    return op.map_entries(lambda r, c, val: float(val) * math.sqrt(float(g[r] / g[c])),
+    if op.tag != gram.tag:
+        raise ValueError(f"basis tag mismatch: {op.tag!r} vs {gram.tag!r}")
+    g = gram.coef
+    return op.map_entries(lambda r, c, val: float(val) * math.sqrt(g[r] / g[c]),
                           BasisTag(gram.tag.spec, ORTHONORMAL))
-
-
-def adjoint_wrt_gram(op: MonomialMatrix, gram: GramForm) -> MonomialMatrix:
-    """Exact adjoint G^-1 op^T G for the diagonal Gram form G."""
-    _check_gram_tag(op, gram)
-    if op.rows != op.cols:
-        raise ValueError("adjoint requires a square operator")
-    g = gram.values
-    # the entry val at (r, c) of op moves to (c, r) as val * g_r / g_c
-    return op.transpose().map_entries(lambda r, c, val: val * g[c] / g[r], op.tag)
 
 
 def grade_diagonal(space: FockSpace, func) -> MonomialMatrix:

@@ -13,7 +13,9 @@ Relations covered, for a = f (Fermi, bracket {,}) or a = b (Bose, [,]):
                          = delta_ij (1-N/p)(1-(N-1)/p)
     cap              a_i^+ annihilates the top grade; ladder operators move
                      between adjacent grades only
-    hermiticity      adjoint of a_i^+ w.r.t. the Gram form equals a_i^-
+    hermiticity      (a_i^+)^T G = G a_i^- and N^T G = G N for the diagonal
+                     Gram form G: the adjoint G^-1 X^T G of a_i^+ is a_i^-,
+                     and N is self-adjoint
     vacuum cyclic    the algebra generated by the ladder operators spans the
                      whole space from the vacuum (exact rank computation)
 
@@ -31,8 +33,8 @@ from typing import Sequence
 
 from .basis import AlgebraSpec, Kind, dimension, enumerate_basis, graded_dimensions
 from .operators import (EXACT, FLOAT, NORMALIZATION, ORTHONORMAL, FockSpace,
-                        _orthonormal_magnitude, adjoint_wrt_gram, fock_space,
-                        grade_diagonal, normalize)
+                        _orthonormal_magnitude, fock_space, grade_diagonal,
+                        normalize)
 from .sparse import bracket, orbit_ranks
 
 FLOAT_TOL = 1e-12
@@ -165,21 +167,22 @@ def check_cap(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
 def check_hermiticity(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
     """Adjoint of creation is annihilation; N is self-adjoint.
 
-    Exact backend: adjoint w.r.t. the Gram form.  Float backend: plain
-    transpose, since the basis is orthonormal there.
+    For the diagonal, invertible Gram form G of the backend's basis
+    (space.gram exact, the identity orthonormal), Y is the adjoint
+    G^-1 X^T G of X exactly when X^T G - G Y = 0, with no division.  The
+    residual is the largest entry of X^T G - G Y = G (adjoint of X - Y), so
+    a failing exact one scales each entry by the Gram value of its row.
     """
     space, norm = _space(spec, backend)
+    G = space.gram if backend == EXACT else grade_diagonal(space, lambda k: 1.0)
     out = []
-    if backend == EXACT:
-        adj = lambda m: adjoint_wrt_gram(m, space.gram)  # noqa: E731
-    else:
-        adj = lambda m: m.transpose()  # noqa: E731
     for i in range(1, spec.n + 1):
-        resid = (adj(space.ladder(i, +1, norm)) - space.ladder(i, -1, norm)).max_abs()
-        out.append(_report("adjoint-is-annihilation", spec, (i,), resid, backend))
+        up, down = space.ladder(i, +1, norm), space.ladder(i, -1, norm)
+        out.append(_report("adjoint-is-annihilation", spec, (i,),
+                           (up.transpose() @ G - G @ down).max_abs(), backend))
     N = space.number(norm)
     out.append(_report("number-self-adjoint", spec, (),
-                       (adj(N) - N).max_abs(), backend))
+                       (N.transpose() @ G - G @ N).max_abs(), backend))
     return out
 
 

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only the float spectrum needs numpy; it imports it on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    subprocess.run([sys.executable, "-c",
+                    "import fockcap.cli, sys; assert 'numpy' not in sys.modules"],
+                   env={**os.environ, "PYTHONPATH": src}, check=True)
 
 
 def test_dim_human(capsys):
@@ -341,7 +352,7 @@ def test_spectrum_matrix_file_must_hold_n_rows_of_n_finite_numbers(capsys, tmp_p
     code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "1",
                              "--backend", "float", "--matrix-file", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "2x2" in err
 
 
 @pytest.mark.parametrize("energies", ["1e100000000,1", "1,-2E-4_301", "3.5e+0000012345,1"])

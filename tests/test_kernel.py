@@ -117,6 +117,15 @@ def test_passing_suites_stay_in_the_kernel(monkeypatch, fresh_spaces):
     assert calls == Counter()
 
 
+def test_passing_exact_suites_map_no_entries(monkeypatch, fresh_spaces):
+    # hermiticity is the identity (a_i^+)^T G = G a_i^-, not an entrywise adjoint
+    calls = _count_calls(monkeypatch, ((MonomialMatrix, "map_entries"),))
+    for spec in (AlgebraSpec(Kind.BOSE, 3, 3), AlgebraSpec(Kind.FERMI, 3, 2),
+                 AlgebraSpec(Kind.BOSE, 2, 4), AlgebraSpec(Kind.FERMI, 4, 4)):
+        assert all(rep.passed for rep in run_suite(spec, EXACT))
+    assert calls == Counter()
+
+
 HOPPING = "[[1.0, -0.5, 0.0], [-0.5, 2.0, 0.25], [0.0, 0.25, 0.5]]"
 
 

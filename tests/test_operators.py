@@ -4,9 +4,9 @@ from math import factorial
 import pytest
 
 import fockcap
-from fockcap import (AlgebraSpec, Kind, MonomialMatrix, adjoint_wrt_gram,
-                     dimension, enumerate_basis, fock_space, gram_value,
-                     normalize, operator_json_payload, rank)
+from fockcap import (AlgebraSpec, Kind, MonomialMatrix, dimension,
+                     enumerate_basis, fock_space, gram_value, normalize,
+                     operator_json_payload, rank)
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 
 from conftest import small_grid
@@ -128,27 +128,32 @@ def gram_from_matrix_elements(spec):
 def test_gram_matches_matrix_element_oracle():
     for spec in small_grid(3, 3):
         gram = fock_space(spec).gram
-        assert list(gram.values) == gram_from_matrix_elements(spec)
+        assert [gram.get(r, r) for r in range(dimension(spec))] == gram_from_matrix_elements(spec)
 
 
 def test_adjoint_swaps_ladder_operators():
+    # G diagonal and invertible: Y is the adjoint G^-1 X^T G of X iff X^T G = G Y
     for spec in small_grid(4, 4):
         space = fock_space(spec)
-        gram = space.gram
+        G = space.gram
         for i in range(1, spec.n + 1):
-            up = space.ladder(i, +1)
-            assert adjoint_wrt_gram(up, gram) == space.ladder(i, -1)
-            assert adjoint_wrt_gram(adjoint_wrt_gram(up, gram), gram) == up
+            up, down = space.ladder(i, +1), space.ladder(i, -1)
+            assert up.transpose() @ G == G @ down
+            assert down.transpose() @ G == G @ up
         N = space.number()
-        assert adjoint_wrt_gram(N, gram) == N
+        assert N.transpose() @ G == G @ N
 
 
 def test_adjoint_requires_matching_tag():
     gram = fock_space(F21).gram
-    with pytest.raises(ValueError):
-        adjoint_wrt_gram(fock_space(F22).ladder(1, +1), gram)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="basis tag mismatch"):
         normalize(fock_space(F22).ladder(1, +1), gram)
+    other = fock_space(AlgebraSpec(Kind.BOSE, 2, 1)).ladder(1, +1)
+    assert other.shape == gram.shape
+    with pytest.raises(ValueError, match="basis tag mismatch"):
+        normalize(other, gram)
+    with pytest.raises(ValueError, match="basis tag mismatch"):
+        gram @ other
 
 
 def test_number_commutators_exact():
@@ -276,5 +281,6 @@ def test_grade_diagonal_takes_its_tag_from_its_values():
 
 
 def test_removed_second_routes_are_gone():
-    for name in ("max_entry_difference", "grand_partition", "mean_occupation"):
+    for name in ("max_entry_difference", "grand_partition", "mean_occupation", "GramForm",
+                 "adjoint_wrt_gram"):
         assert not hasattr(fockcap, name)

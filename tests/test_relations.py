@@ -8,6 +8,7 @@ from fockcap import (AlgebraSpec, Kind, check_backend_agreement, check_cap,
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic, fock_space,
                      run_grid, run_suite)
+from fockcap.operators import ORTHONORMAL
 from fockcap.relations import EXACT, FLOAT, FLOAT_TOL
 
 from conftest import small_grid
@@ -102,6 +103,28 @@ def test_vacuum_cyclic_fails_without_creation_operators(monkeypatch, fresh_space
     spec = AlgebraSpec(Kind.BOSE, 2, 3)
     rep = check_vacuum_cyclic(spec)
     assert not rep.passed and rep.residual == dimension(spec) - 1
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2)])
+def test_hermiticity_fails_for_a_doubled_annihilation_only(monkeypatch, fresh_spaces, spec):
+    from fockcap import operators
+    space = fock_space(spec)
+    expected = (space.gram @ space.ladder(1, -1)).max_abs()
+    float_expected = space.ladder(1, -1, ORTHONORMAL).max_abs()
+    original = operators._ladder_matrix
+
+    def doubled(space, i, delta, normalization):
+        op = original(space, i, delta, normalization)
+        return 2 * op if (i, delta) == (1, -1) else op
+
+    monkeypatch.setattr(operators, "_ladder_matrix", doubled)
+    fock_space.cache_clear()
+    for backend, residual in ((EXACT, expected), (FLOAT, float_expected)):
+        reports = check_hermiticity(spec, backend)
+        failed = [(rep.relation, rep.indices) for rep in reports if not rep.passed]
+        assert failed == [("adjoint-is-annihilation", (1,))]
+        # (a_1^+)^T G - G (2 a_1^-) = -G a_1^-, and G = 1 on the float backend
+        assert reports[0].residual == residual > 0
 
 
 def test_backend_agreement():
