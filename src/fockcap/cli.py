@@ -179,7 +179,7 @@ def cmd_thermo(args) -> int:
     spec = _spec_from_args(args)
     betas = _float_list(args.beta)
     mus = _float_list(args.mu)
-    energies = _float_list(args.energies) if args.energies else [0.0] * spec.n
+    energies = _float_list(args.energies) if args.energies is not None else [0.0] * spec.n
     if len(energies) != spec.n:
         raise ValueError(f"expected {spec.n} energies, got {len(energies)}")
     if args.json:

@@ -25,8 +25,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import AlgebraSpec, Kind, dimension, graded_dimensions
-from .operators import EXACT, FLOAT, ORTHONORMAL, fock_space, normalize
+from .basis import AlgebraSpec, Kind, graded_dimensions
+from .operators import (EXACT, FLOAT, ORTHONORMAL, fock_space, grade_diagonal,
+                        normalize)
 from .relations import RelationReport, _report
 from .sparse import MonomialMatrix, bracket, orbit_ranks
 
@@ -102,9 +103,7 @@ def extended_rescaled_generators(spec: AlgebraSpec) -> dict[tuple[int, int], Mon
     the bilinears via the identification above.
     """
     space = fock_space(spec)
-    N = space.number()
-    identity = MonomialMatrix.identity(dimension(spec), N.tag)
-    e00 = spec.p * identity - N
+    e00 = grade_diagonal(space, lambda k: spec.p - k)
     table: dict[tuple[int, int], MonomialMatrix] = {(0, 0): e00}
     for i in range(1, spec.n + 1):
         table[(i, 0)] = spec.p * space.ladder(i, +1)
@@ -159,7 +158,6 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
     """
     out = []
     space = fock_space(spec)
-    dim = dimension(spec)
     labels = [(a, b) for a in range(spec.n + 1) for b in range(spec.n + 1)]
 
     exact = extended_rescaled_generators(spec)
@@ -183,9 +181,9 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
                                expr.max_abs(), FLOAT))
 
     weight_sum = sum((exact[(i, i)] for i in range(2, spec.n + 1)), exact[(1, 1)])
-    identity = MonomialMatrix.identity(dim, weight_sum.tag)
+    p_identity = grade_diagonal(space, lambda k: spec.p)
     out.append(_report("identity-resolution", spec, (),
-                       (exact[(0, 0)] + weight_sum - spec.p * identity).max_abs(), EXACT))
+                       (exact[(0, 0)] + weight_sum - p_identity).max_abs(), EXACT))
     out.append(_report("number-weight-identity", spec, (),
                        (weight_sum - space.number()).max_abs(), EXACT))
 
@@ -227,8 +225,7 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
                        Fraction(0) if enumerated == dims else Fraction(1), EXACT))
 
     dim = len(basis)
-    N = space.number()
-    e00 = spec.p * MonomialMatrix.identity(dim, N.tag) - N
+    e00 = grade_diagonal(space, lambda k: spec.p - k)
     weight_resid = max((abs(e00.get(r, r) - (spec.p - k))
                         for k in range(spec.p + 1) for r in range(offsets[k], offsets[k + 1])),
                        default=Fraction(0))

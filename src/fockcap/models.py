@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .basis import AlgebraSpec, dimension
-from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, BasisTag,
-                        fock_space)
+from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, fock_space,
+                        grade_diagonal)
 from .sparse import MonomialMatrix
 
 SYMMETRY_TOL = 1e-10
@@ -74,7 +74,7 @@ def diagonal_hamiltonian(spec: AlgebraSpec,
         raise ValueError(f"expected {spec.n} coefficients, got {len(energies)}")
     table = [[Fraction(energies[i]) if i == j else 0 for j in range(spec.n)]
              for i in range(spec.n)]
-    zero = MonomialMatrix.diagonal([0] * dimension(spec), BasisTag(spec, UNNORMALIZED))
+    zero = grade_diagonal(fock_space(spec), lambda k: 0)
     return sum((t * product for t, product in _products(spec, table, UNNORMALIZED)), zero)
 
 

@@ -108,10 +108,21 @@ class FockSpace:
 
     @cached_property
     def gram(self) -> MonomialMatrix:
-        """The Gram form G as a diagonal operator: G(v, v) = <v|v> > 0, integer
-        coefficients over one common denominator."""
-        return MonomialMatrix.diagonal([gram_value(self.spec, v) for v in self.basis],
-                                       BasisTag(self.spec, UNNORMALIZED))
+        """The Gram form G as a diagonal operator, integer coefficients over
+        one common denominator: at v of grade k = |v|,
+
+            Fermi:  G(v, v) = <v|v> = p! / (p^k (p-k)!)
+            Bose:   G(v, v) = <v|v> = p! * prod_i v_i! / (p^k (p-k)!)
+
+        The grade factor is one value per grade; the Bose product is an
+        integer diagonal."""
+        p = self.spec.p
+        G = grade_diagonal(self, lambda k: Fraction(factorial(p), p ** k * factorial(p - k)))
+        if self.spec.kind is Kind.BOSE:
+            dim = len(self.basis)
+            G = G @ MonomialMatrix(dim, range(dim), [math.prod(map(factorial, v))
+                                                     for v in self.basis], 1, G.tag)
+        return G
 
     def ladder(self, i: int, delta: int, normalization: str = UNNORMALIZED) -> MonomialMatrix:
         """a_i^+ (delta = +1) or a_i^- (delta = -1) in the given normalization.
@@ -194,16 +205,6 @@ def _bilinear_matrix(space: FockSpace, i: int, j: int) -> MonomialMatrix:
     return spec.p * bracket(space.ladder(i, +1), space.ladder(j, -1), spec.kind.anticommuting)
 
 
-def gram_value(spec: AlgebraSpec, v: Sequence[int]) -> Fraction:
-    """Squared norm of an unnormalized basis vector."""
-    k = sum(v)
-    g = Fraction(factorial(spec.p), spec.p ** k * factorial(spec.p - k))
-    if spec.kind is Kind.BOSE:
-        for x in v:
-            g *= factorial(x)
-    return g
-
-
 def normalize(op: MonomialMatrix, gram: MonomialMatrix) -> MonomialMatrix:
     """Conjugate an exact operator into the orthonormal basis (float entries).
 
@@ -220,11 +221,15 @@ def normalize(op: MonomialMatrix, gram: MonomialMatrix) -> MonomialMatrix:
 
 
 def grade_diagonal(space: FockSpace, func) -> MonomialMatrix:
-    """Diagonal operator on space whose entry at v is func(|v|); used for
-    scalar polynomials in the number operator.  A diagonal operator is the
-    same matrix in both bases, so the values name its tag: floats the
-    orthonormal one, rationals the unnormalized one."""
-    op = MonomialMatrix.diagonal([func(k) for k in space.grades])
+    """Diagonal operator on space whose entry at v is func(|v|): the number
+    operator, polynomials in it and the grade factor of the Gram form.  func
+    is called once per grade k = 0..p, and each basis vector takes the value
+    of its grade.  A diagonal operator is the same matrix in both bases, so
+    the values name its tag: floats the orthonormal one, rationals the
+    unnormalized one."""
+    values = [func(k) for k in range(space.spec.p + 1)]
+    dim = len(space.grades)
+    op = MonomialMatrix.from_columns(dim, range(dim), [values[k] for k in space.grades])
     op.tag = BasisTag(space.spec, UNNORMALIZED if op.exact else ORTHONORMAL)
     return op
 

@@ -175,14 +175,6 @@ class MonomialMatrix:
               denom, exact, tag)
 
     @staticmethod
-    def identity(dim: int, tag=None) -> "MonomialMatrix":
-        return MonomialMatrix(dim, range(dim), [1] * dim, 1, tag)
-
-    @staticmethod
-    def diagonal(values: Sequence[Scalar], tag=None) -> "MonomialMatrix":
-        return MonomialMatrix.from_columns(len(values), range(len(values)), values, tag)
-
-    @staticmethod
     def from_columns(rows: int, targets: Sequence[int], values: Sequence[Scalar],
                      tag=None) -> "MonomialMatrix":
         """Column c holds the rational or float values[c] in row targets[c]

@@ -226,6 +226,8 @@ def test_spectrum_usage_errors(capsys):
     ("spectrum --kind bose --n 2 --p 2 --backend float --energies 1",
      "expected 2 energies, got 1"),
     ("spectrum --kind bose --n 2 --p 2 --energies ,", "empty numeric list"),
+    ("thermo --kind bose --n 2 --p 2 --beta 1 --mu 0 --energies=",
+     "expected a list of finite numbers"),
 ])
 def test_usage_errors_name_the_input(capsys, command, message):
     code, out, err = run_cli(capsys, *command.split())
@@ -412,6 +414,10 @@ GOLDEN = [
     ("verify --grid 3 3 --json", 0, "11e16baa2a4b44d8cfb00458a488bb043780a0e3d43c05c56c5bc91da9c1392f"),
     ("spectrum --kind bose --n 3 --p 12 --energies=-1/2,3,7/3", 0, "5d7c49dab0be4c54b54bdfb8333b8f3c8e5f44befbf5ddfe9d6656f2fa41a405"),
     ("spectrum --kind fermi --n 5 --p 3 --energies=-1/3,2/7,5,-11/4,3/2", 0, "d20893e1109cefede0a217eba022d414459a16cb08dcf10b5c8bcd05a33feac8"),
+    ("ops --kind bose --n 2 --p 3 --op create --i 1 --normalization orthonormal", 0, "8104a4a5bf9bcfd04d2deabf0d56770b924c3b9658deb0449aca37f49a106d2d"),
+    ("ops --kind fermi --n 2 --p 4 --op annihilate --i 2 --normalization orthonormal", 0, "c804ee372f30220c68f9e33ea22dfd7b8961baecb851d80183fea9ff6088a601"),
+    ("spectrum --kind fermi --n 2 --p 5 --energies 1/3,1/7", 0, "358d499d036d0b7ed3ba22e74121855eff97440443ceb8e7bba6937eaa36ffe4"),
+    ("lie --kind fermi --n 2 --p 4 --json", 0, "e46fceda1e5c69890b53b4d07ad698197e7a6b4e60bb5797d9f90d12f8d95085"),
 ]
 
 

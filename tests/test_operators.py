@@ -5,7 +5,7 @@ import pytest
 
 import fockcap
 from fockcap import (AlgebraSpec, Kind, MonomialMatrix, dimension,
-                     enumerate_basis, fock_space, gram_value, normalize,
+                     enumerate_basis, fock_space, normalize,
                      operator_json_payload, rank)
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 
@@ -73,20 +73,27 @@ def test_mode_index_validation():
         fock_space(F21).ladder(True, +1)  # bool is an int subclass
 
 
+def gram_entry(spec, v):
+    """<v|v>, read from the Gram form of fock_space(spec)."""
+    space = fock_space(spec)
+    r = space.index[v]
+    return space.gram.get(r, r)
+
+
 def test_gram_closed_forms():
     # fermi, p=2, k=2: 2!/(2^2 0!) = 1/2
-    assert gram_value(F22, (1, 1)) == Fraction(1, 2)
+    assert gram_entry(F22, (1, 1)) == Fraction(1, 2)
     # bose, p=2, l=(2,0): 2!*2!/(2^2 0!) = 1
-    assert gram_value(B22, (2, 0)) == Fraction(1)
+    assert gram_entry(B22, (2, 0)) == Fraction(1)
     for spec in small_grid(3, 3):
-        assert gram_value(spec, (0,) * spec.n) == 1
+        assert gram_entry(spec, (0,) * spec.n) == 1
         for v in enumerate_basis(spec):
             k = sum(v)
             expected = Fraction(factorial(spec.p), spec.p ** k * factorial(spec.p - k))
             if spec.kind is Kind.BOSE:
                 for x in v:
                     expected *= factorial(x)
-            assert gram_value(spec, v) == expected > 0
+            assert gram_entry(spec, v) == expected > 0
 
 
 def test_gram_recurrence():
@@ -104,7 +111,7 @@ def test_gram_recurrence():
                 ratio = Fraction(spec.p - k, spec.p)
                 if spec.kind is Kind.BOSE:
                     ratio *= v[i - 1] + 1
-                assert gram_value(spec, w) == gram_value(spec, v) * ratio
+                assert gram_entry(spec, w) == gram_entry(spec, v) * ratio
 
 
 def gram_from_matrix_elements(spec):
@@ -280,7 +287,24 @@ def test_grade_diagonal_takes_its_tag_from_its_values():
         assert [op.get(r, r) for r in range(op.rows)] == [func(k) for k in space.grades]
 
 
+def test_grade_diagonal_calls_its_function_once_per_grade():
+    spec = AlgebraSpec(Kind.BOSE, 3, 4)
+    space = fock_space(spec)
+    assert dimension(spec) > spec.p + 1
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return Fraction(k, 3)
+
+    op = grade_diagonal(space, counting)
+    assert calls == list(range(spec.p + 1))
+    assert [op.get(r, r) for r in range(op.rows)] == [Fraction(k, 3) for k in space.grades]
+
+
 def test_removed_second_routes_are_gone():
     for name in ("max_entry_difference", "grand_partition", "mean_occupation", "GramForm",
-                 "adjoint_wrt_gram"):
+                 "adjoint_wrt_gram", "gram_value"):
         assert not hasattr(fockcap, name)
+    for name in ("identity", "diagonal"):
+        assert not hasattr(MonomialMatrix, name)

@@ -207,4 +207,4 @@ def test_monomial_denominators_and_zero_entries():
     assert orbit_ranks([cancelled], [0]) == [1]
     assert orbit_ranks([half], [0, 1]) == [2, 1]
     assert (6 * half).denom == 1 and (6 * half).get(1, 0) == 3
-    assert MonomialMatrix.diagonal([Fraction(1, 2), Fraction(1, 3)]).denom == 6
+    assert MonomialMatrix.from_columns(2, [0, 1], [Fraction(1, 2), Fraction(1, 3)]).denom == 6
