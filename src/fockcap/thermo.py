@@ -1,8 +1,11 @@
 """Characters and grand-canonical statistics of the capped Fock space.
 
 The single-variable character Z(z) = sum_k d_k z^k generates the graded
-dimensions; evaluating it with Boltzmann weights gives the grand partition
-function of noninteracting modes, from which mean occupations follow.
+dimensions.  Weighting mode i by y_i = exp(-beta*(eps_i - mu)) turns the same
+grading into the grand partition function of noninteracting modes, the
+truncated sum Xi = sum_{k<=p} h_k(y) (Bose) or e_k(y) (Fermi), which one
+recurrence over the modes builds; the mean occupations follow from the same
+polynomials, so no basis is enumerated.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .basis import AlgebraSpec, graded_dimensions
-from .operators import fock_space
+from .basis import AlgebraSpec, Kind, graded_dimensions
 
 
 @dataclass(frozen=True)
@@ -45,23 +47,10 @@ def _check_thermo_args(spec: AlgebraSpec, beta: float, energies: Sequence[float]
         raise ValueError(f"chemical potential must be finite, got {mu!r}")
     energies = [float(e) for e in energies]
     if len(energies) != spec.n:
-        raise ValueError(f"expected {spec.n} mode energies, got {len(energies)}")
+        raise ValueError(f"expected {spec.n} energies, got {len(energies)}")
     if not all(map(math.isfinite, energies)):
         raise ValueError(f"mode energies must be finite, got {energies!r}")
     return energies
-
-
-def _weights(spec: AlgebraSpec, beta: float, energies: Sequence[float],
-             mu: float) -> list[tuple[tuple[int, ...], float]]:
-    energies = _check_thermo_args(spec, beta, energies, mu)
-    out = []
-    for v in fock_space(spec).basis:
-        energy = sum(e * x for e, x in zip(energies, v))
-        try:
-            out.append((v, math.exp(-beta * (energy - mu * sum(v)))))
-        except OverflowError:
-            raise _out_of_range(beta, mu) from None
-    return out
 
 
 def _out_of_range(beta: float, mu: float) -> ValueError:
@@ -73,18 +62,54 @@ def _finite(beta: float, mu: float, *values: float) -> None:
         raise _out_of_range(beta, mu)
 
 
+def _times_mode(c: list[float], y: float, fermi: bool) -> list[float]:
+    """c times one mode's polynomial, truncated at the cap, in place.
+
+    A Fermi mode contributes 1 + y t (k falling reads the old c[k-1]); a Bose
+    mode 1 + y t + (y t)^2 + ..., i.e. 1/(1 - y t) (k rising reads the new one)."""
+    for k in (range(len(c) - 1, 0, -1) if fermi else range(1, len(c))):
+        c[k] += y * c[k - 1]
+    return c
+
+
 def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float],
                        mu: float) -> tuple[float, list[float], float]:
-    """(Xi, per-mode mean occupations, mean total) in a single basis pass.
+    """(Xi, per-mode mean occupations, mean total) from the grade polynomial.
 
-    Xi = sum over basis vectors of exp(-beta*(sum_i eps_i v_i - mu|v|)); with
-    all energies zero it is the character evaluated at z = exp(beta*mu).  A
-    weight or a sum beyond the float range is a ValueError naming beta and mu."""
-    weights = _weights(spec, beta, energies, mu)
-    xi = sum(w for _, w in weights)
+    With mode factors y_i = exp(-beta*(eps_i - mu)), c_k = h_k(y) (Bose) or
+    e_k(y) (Fermi) is the Boltzmann weight of grade k, Xi = sum_{k<=p} c_k and
+    the mean total is sum_k k*c_k / Xi; with all energies zero Xi is the
+    character evaluated at z = exp(beta*mu).  Mode i holds j quanta with weight
+    y_i^j times a grade <= p - j state of the other modes, whose polynomial is
+    the product of the prefix and suffix polynomials around i.  No basis is
+    enumerated: a point costs O(n*p^2).  A mode factor, Xi, a mean or the mean
+    total beyond the float range is a ValueError naming beta and mu."""
+    energies = _check_thermo_args(spec, beta, energies, mu)
+    try:
+        ys = [math.exp(-beta * (e - mu)) for e in energies]
+    except OverflowError:
+        raise _out_of_range(beta, mu) from None
+    p, fermi = spec.p, spec.kind is Kind.FERMI
+    after = [[1.0] + [0.0] * p]  # after[i]: the polynomial of the modes after mode i
+    for y in reversed(ys[1:]):
+        after.append(_times_mode(after[-1][:], y, fermi))
+    after.reverse()
+    grades = _times_mode(after[0][:], ys[0], fermi)
+    xi = sum(grades)
     _finite(beta, mu, xi)
-    means = [sum(v[i] * w for v, w in weights) / xi for i in range(spec.n)]
-    mean_total = sum(means)
+    means = []
+    before = [1.0] + [0.0] * p  # the polynomial of the modes before mode i
+    for y, suffix in zip(ys, after):
+        below = suffix[:]  # below[d]: weight of the modes after i at grades <= d
+        for d in range(1, p + 1):
+            below[d] += below[d - 1]
+        numerator, power = 0.0, 1.0
+        for j in range(1, spec.max_entry + 1):
+            power *= y
+            numerator += j * power * sum(before[a] * below[p - j - a] for a in range(p - j + 1))
+        means.append(numerator / xi)
+        _times_mode(before, y, fermi)
+    mean_total = sum(k * c for k, c in enumerate(grades)) / xi
     _finite(beta, mu, *means, mean_total)
     return xi, means, mean_total
 
