@@ -10,7 +10,6 @@ number operator is block diagonal with contiguous grade blocks.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
@@ -101,12 +100,15 @@ def _grade_vectors(kind: Kind, n: int, k: int) -> Iterator[OccupationVector]:
             yield (first,) + rest
 
 
+def iter_basis(spec: AlgebraSpec) -> Iterator[OccupationVector]:
+    """The basis vectors in canonical (graded, then lex) order, one at a time."""
+    for k in range(spec.p + 1):
+        yield from _grade_vectors(spec.kind, spec.n, k)
+
+
 def enumerate_basis(spec: AlgebraSpec) -> list[OccupationVector]:
     """All basis vectors in canonical (graded, then lex) order."""
-    out: list[OccupationVector] = []
-    for k in range(spec.p + 1):
-        out.extend(_grade_vectors(spec.kind, spec.n, k))
-    return out
+    return list(iter_basis(spec))
 
 
 def graded_dimensions(spec: AlgebraSpec) -> list[int]:
@@ -176,11 +178,9 @@ def unrank(spec: AlgebraSpec, r: int) -> OccupationVector:
     return tuple(out)
 
 
-def basis_csv(spec: AlgebraSpec) -> str:
-    """Basis listing as CSV with columns rank, total, occ_1..occ_n."""
-    buf = io.StringIO()
-    header = ["rank", "total"] + [f"occ_{i}" for i in range(1, spec.n + 1)]
-    buf.write(",".join(header) + "\n")
-    for r, v in enumerate(enumerate_basis(spec)):
-        buf.write(",".join([str(r), str(sum(v))] + [str(x) for x in v]) + "\n")
-    return buf.getvalue()
+def basis_csv(spec: AlgebraSpec) -> Iterator[str]:
+    """Basis listing as CSV lines with columns rank, total, occ_1..occ_n,
+    made as they are read: no list of the basis is built."""
+    yield ",".join(["rank", "total"] + [f"occ_{i}" for i in range(1, spec.n + 1)]) + "\n"
+    for r, v in enumerate(iter_basis(spec)):
+        yield f"{r},{sum(v)},{','.join(map(str, v))}\n"

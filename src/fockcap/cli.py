@@ -8,13 +8,18 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
 from fractions import Fraction
+from typing import Iterable, Iterator
 
-from .basis import (AlgebraSpec, Kind, basis_csv, dimension, enumerate_basis,
-                    fermi_cap_note, graded_dimensions)
+from .basis import (AlgebraSpec, Kind, basis_csv, dimension, fermi_cap_note,
+                    graded_dimensions, iter_basis)
 from .lie import LIE_CHECKS, run_lie_suite
 from .models import (diagonal_spectrum, quadratic_hamiltonian_spectrum,
                      toy_levels, toy_spectrum)
@@ -29,18 +34,58 @@ OP_CHOICES = ("create", "annihilate", "number", "eij")
 # the limit no output could print it, and a huge |e| never ends.
 MAX_DIGITS = 4300
 MAX_EXPONENT = MAX_DIGITS - 1
+# Output pieces (JSON tokens, CSV lines) joined into one write: enough that the cost of a
+# call vanishes, few enough that a chunk stays far below the output it is part of.
+CHUNK_PIECES = 8192
 
 
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _joined(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces, joined CHUNK_PIECES at a time."""
+    pieces = iter(pieces)
+    while batch := list(itertools.islice(pieces, CHUNK_PIECES)):
+        yield "".join(batch)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _dump_json(payload) -> Iterator[str]:
+    """json.dumps(payload, indent=2) + "\n" as a stream of chunks; no string holds it all."""
+    yield from _joined(json.JSONEncoder(indent=2).iterencode(payload))
+    yield "\n"
+
+
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks as they come, to stdout or to the file out.
+
+    A command computes everything that can refuse its input before it calls
+    this, so a refused input writes nothing.  A regular file is written under
+    a temporary name in its directory and renamed onto out only once every
+    chunk is in: on failure out is left as it was and no partial file stays.
+    The new file gets the permission bits open(out, "w") would leave.
+    """
+    if isinstance(chunks, str):  # writelines would write it one character at a time
+        raise TypeError("_emit takes an iterable of chunks; pass a str as [text]")
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):  # a directory fails to open; a device or a pipe is written into
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+        return
+    target = os.path.realpath(out)  # through a symlink, as open(out, "w") writes
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".fockcap-", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _add_spec_args(sub: argparse.ArgumentParser, required: bool = True) -> None:
@@ -92,19 +137,21 @@ def cmd_dim(args) -> int:
                        graded_dimensions=graded_dimensions(spec))
         _emit(_dump_json(payload), args.output)
     else:
-        _emit(f"{dimension(spec)}\n", args.output)
+        _emit([f"{dimension(spec)}\n"], args.output)
     return 0
 
 
 def cmd_basis(args) -> int:
     spec = _spec_from_args(args)
     if args.json:
-        rows = [{"rank": r, "total": sum(v), "occupations": list(v)}
-                for r, v in enumerate(enumerate_basis(spec))]
+        # the encoder takes only a list for an array, so the rows are one; each
+        # shares its occupation tuple with the enumeration
+        rows = [{"rank": r, "total": sum(v), "occupations": v}
+                for r, v in enumerate(iter_basis(spec))]
         payload = {"spec": _spec_payload(spec), "basis": rows}
         _emit(_dump_json(payload), args.output)
     else:
-        _emit(basis_csv(spec), args.output)
+        _emit(_joined(basis_csv(spec)), args.output)
     return 0
 
 
@@ -152,7 +199,7 @@ def _emit_reports(reports, args) -> int:
     if args.json:
         _emit(_dump_json([rep.as_dict() for rep in reports]), args.output)
     else:
-        _emit(_report_lines(reports), args.output)
+        _emit([_report_lines(reports)], args.output)
     return 1 if any(not rep.passed for rep in reports) else 0
 
 
@@ -187,7 +234,7 @@ def cmd_thermo(args) -> int:
         payload = {"spec": _spec_payload(spec), "energies": energies, "rows": rows}
         _emit(_dump_json(payload), args.output)
     else:
-        _emit(thermo_csv(spec, betas, mus, energies), args.output)
+        _emit([thermo_csv(spec, betas, mus, energies)], args.output)
     return 0
 
 
@@ -244,7 +291,7 @@ def cmd_toy(args) -> int:
         lines.append("merged spectrum:")
         for value, mult in spectrum.levels:
             lines.append(f"  E={value} mult={mult}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return 0
 
 
@@ -335,7 +382,16 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # the reader closed the pipe: report it now, not at interpreter exit
+        if code != 3:
+            print(f"io error: {exc}", file=sys.stderr)
+        code = 3
+        # the unwritten bytes go to /dev/null, so the at-exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -240,13 +240,14 @@ def operator_json_payload(op: MonomialMatrix) -> dict:
     if not isinstance(op.tag, BasisTag):
         raise ValueError(f"cannot export an operator without a basis tag: {op!r}")
     spec, normalization = op.tag.spec, op.tag.normalization
-    if normalization == UNNORMALIZED:
-        if any(isinstance(v, float) for _, _, v in op.entries()):
-            raise ValueError(f"float entries in an operator tagged {UNNORMALIZED!r}: "
-                             f"exact export needs rational entries: {op!r}")
-        entries = [[r, c, v.numerator, v.denominator] for r, c, v in op.entries()]
-    else:
-        entries = [[r, c, float(v)] for r, c, v in op.entries()]
+    exact = normalization == UNNORMALIZED
+    entries = op.entries()
+    if exact and any(isinstance(v, float) for _, _, v in entries):
+        raise ValueError(f"float entries in an operator tagged {UNNORMALIZED!r}: "
+                         f"exact export needs rational entries: {op!r}")
+    # in place, so each (row, col, value) is freed as its export replaces it
+    for k, (r, c, v) in enumerate(entries):
+        entries[k] = [r, c, v.numerator, v.denominator] if exact else [r, c, float(v)]
     return {
         "spec": {"kind": spec.kind.value, "n": spec.n, "p": spec.p},
         "basis": "graded-lex",

@@ -133,7 +133,7 @@ def test_inadmissible_vectors_rejected():
 
 
 def test_basis_csv_layout():
-    text = basis_csv(AlgebraSpec(Kind.BOSE, 2, 1))
+    text = "".join(basis_csv(AlgebraSpec(Kind.BOSE, 2, 1)))
     lines = text.strip().splitlines()
     assert lines[0] == "rank,total,occ_1,occ_2"
     assert lines[1] == "0,0,0,0"

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,6 +272,7 @@ def test_io_error_exit_code(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 3
     assert "io error" in captured.err
+    assert captured.out == "" and os.listdir(tmp_path) == []  # -o into a missing directory
 
 
 def test_output_to_file(capsys, tmp_path):
@@ -279,6 +282,154 @@ def test_output_to_file(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert target.read_text().startswith("rank,total,occ_1,occ_2")
+
+
+REFUSED_SWEEP = ("thermo", "--kind", "bose", "--n", "2", "--p", "3", "--beta", "1,1000", "--mu", "1")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+def test_a_refused_point_writes_nothing_and_keeps_the_output_file(capsys, tmp_path, fmt):
+    # beta=1 passes, beta=1000 overflows: the whole sweep is refused before a byte is out
+    code, out, err = run_cli(capsys, *REFUSED_SWEEP, *fmt)
+    assert (code, out) == (2, "") and "beta=1000.0" in err
+    target = tmp_path / "sweep.out"
+    target.write_text("earlier output\n")
+    code, out, _ = run_cli(capsys, *REFUSED_SWEEP, *fmt, "-o", str(target))
+    assert (code, out) == (2, "")
+    assert target.read_text() == "earlier output\n"
+    assert os.listdir(tmp_path) == ["sweep.out"]
+
+
+def test_output_onto_a_directory_is_an_io_error_that_leaves_it(capsys, tmp_path):
+    target = tmp_path / "reports"
+    target.mkdir()
+    (target / "kept.txt").write_text("x")
+    code, out, err = run_cli(capsys, "dim", "--kind", "bose", "--n", "2", "--p", "2",
+                             "-o", str(target))
+    assert (code, out) == (3, "") and err.startswith("io error:")
+    assert os.listdir(tmp_path) == ["reports"] and os.listdir(target) == ["kept.txt"]
+
+
+def test_a_failure_while_writing_leaves_the_output_file_as_it_was(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("earlier output\n")
+
+    def chunks():
+        yield "partial"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._emit(chunks(), str(target))
+    assert target.read_text() == "earlier output\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_output_file_mode_is_that_of_a_plain_open(capsys, tmp_path):
+    new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+    existing.write_text("")
+    existing.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        for target in (new, existing):
+            code, _, _ = run_cli(capsys, "basis", "--kind", "fermi", "--n", "2", "--p", "1",
+                                 "-o", str(target))
+            assert code == 0
+    finally:
+        os.umask(umask)
+    # a new file gets 0o666 less the umask, as open(path, "w") gives, not mkstemp's 0o600;
+    # an existing file keeps its own bits
+    assert (new.stat().st_mode & 0o777, existing.stat().st_mode & 0o777) == (0o640, 0o600)
+    assert new.read_text() == existing.read_text() == (
+        "rank,total,occ_1,occ_2\n0,0,0,0\n1,1,0,1\n2,1,1,0\n")
+
+
+def test_output_through_a_symlink_replaces_the_file_it_names(capsys, tmp_path):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("earlier output\n")
+    link.symlink_to(real)
+    code, _, _ = run_cli(capsys, "dim", "--kind", "fermi", "--n", "4", "--p", "2", "-o", str(link))
+    assert code == 0 and link.is_symlink() and real.read_text() == "11\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+def test_output_to_a_pipe_is_written_into_it(capsys, tmp_path):
+    # a device or a pipe (/dev/null, /dev/stdout) is written into, never replaced by a file
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, _ = run_cli(capsys, "dim", "--kind", "fermi", "--n", "4", "--p", "2",
+                               "-o", str(fifo))
+        data = os.read(reader, 1024)
+    finally:
+        os.close(reader)
+    assert (code, out, data) == (0, "", b"11\n")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["fifo"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--kind", "bose", "--n", "4", "--p", "12", "--json"),  # 228 KB, more than a pipe holds
+    ("dim", "--kind", "bose", "--n", "2", "--p", "2"),               # 2 bytes, left in the buffer
+], ids=["large", "small"])
+def test_a_reader_that_closes_at_once_gives_one_io_error(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffered
+    proc = subprocess.Popen([sys.executable, "-m", "fockcap.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src})
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+    finally:
+        proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    # no traceback and no "Exception ignored" from the interpreter's flush at exit
+    assert len(err.splitlines()) == 1 and err.startswith("io error:"), err
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 60, 10 ** 60),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]), st.text())
+JSON_TREES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=6), st.dictionaries(st.text(max_size=8), inner, max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES, st.integers(1, 5))
+def test_streamed_json_is_the_bytes_of_json_dumps(obj, pieces):
+    # a few encoder pieces per chunk, so that most trees span several chunks
+    with mock.patch.object(cli, "CHUNK_PIECES", pieces):
+        streamed = "".join(cli._dump_json(obj))
+    assert "".join(cli._dump_json(obj)) == streamed == json.dumps(obj, indent=2) + "\n"
+
+
+class _ChunkSizes:
+    """A stdout that keeps only the length of each chunk written to it."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, chunk):
+        self.sizes.append(len(chunk))
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def test_export_is_written_in_chunks_far_below_its_size():
+    # 46376 rows, 5.9 MB: no chunk handed to the writer may hold a sizable share of it
+    stdout = _ChunkSizes()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["basis", "--kind", "bose", "--n", "4", "--p", "30", "--json"]) == 0
+    assert sum(stdout.sizes) == 5920512
+    assert max(stdout.sizes) <= 1 << 20
+
+
+def test_emit_refuses_a_bare_string():
+    with pytest.raises(TypeError, match="iterable of chunks"):
+        cli._emit("text", None)
 
 
 def test_help_exits_zero(capsys):
@@ -418,6 +569,11 @@ GOLDEN = [
     ("ops --kind fermi --n 2 --p 4 --op annihilate --i 2 --normalization orthonormal", 0, "c804ee372f30220c68f9e33ea22dfd7b8961baecb851d80183fea9ff6088a601"),
     ("spectrum --kind fermi --n 2 --p 5 --energies 1/3,1/7", 0, "358d499d036d0b7ed3ba22e74121855eff97440443ceb8e7bba6937eaa36ffe4"),
     ("lie --kind fermi --n 2 --p 4 --json", 0, "e46fceda1e5c69890b53b4d07ad698197e7a6b4e60bb5797d9f90d12f8d95085"),
+    ("dim --kind fermi --n 3 --p 5 --json", 0, "03414532cd52f44bb8e1b9e7cc4a243e53b9fccb9792f850ec4a1ac0727eb5c1"),
+    ("basis --kind fermi --n 4 --p 2", 0, "d6d3e03055d517727dd45234181ad89f7bbbd46fa9c2b719bfab60fe38b67fee"),
+    ("verify --kind bose --n 2 --p 3 --json", 0, "f63d40b7080aa5d75641d3552c1d91a6a78546d4946bad7009a2dd4f6a2c8aaf"),
+    ("lie --kind fermi --n 2 --p 2", 0, "5e0335d5632402a071fb49a2807c34b190c5afa4027ab6ac877f810e707bec5e"),
+    ("toy --p 6 --json", 0, "705c2a42813cd0ab2bd9b9638342505f1495b2fb3a0c43653cd96b42f2695bf9"),
 ]
 
 
