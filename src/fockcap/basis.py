@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb
+from math import comb, log, log1p
 from typing import Iterator, Sequence
 
 OccupationVector = tuple[int, ...]
@@ -119,6 +119,26 @@ def graded_dimensions(spec: AlgebraSpec) -> list[int]:
 def dimension(spec: AlgebraSpec) -> int:
     """Total dimension, the sum of the graded dimensions."""
     return sum(graded_dimensions(spec))
+
+
+def log10_dimension_bound(spec: AlgebraSpec) -> float:
+    """A lower bound on log10 of the dimension, formed without any binomial.
+
+    The Bose dimension is C(n+p, p), the sum of the C(n+k-1, k); the Fermi one
+    is at least its largest term C(n, min(p, n//2)).  For 0 < b <= a/2 and
+    r = b/a, C(a, b) >= exp(a H(r)) / sqrt(8 a r (1-r)) with the entropy
+    a H(r) = b (ln(a/b) + g(r)), g(r) = -(1-r) log1p(-r) / r, which has no
+    cancellation at any size.  C(a, b) grows with b up to a/2, so b is capped
+    at 10**6, where the bound is already far past any printable size.
+    """
+    n, p = spec.n, spec.p
+    a, b = (n + p, min(n, p)) if spec.kind is Kind.BOSE else (n, min(p, n // 2))
+    b = min(b, 10 ** 6)
+    if b == 0:
+        return 0.0
+    r = b / a
+    g = -(1 - r) * log1p(-r) / r if r > 0 else 1.0  # r underflows only for a past 1e308
+    return (b * (log(a) - log(b) + g) - 0.5 * log(8 * b * (1 - r))) / log(10)
 
 
 def grade_offsets(spec: AlgebraSpec) -> list[int]:

@@ -18,13 +18,13 @@ import tempfile
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .basis import (AlgebraSpec, Kind, basis_csv, dimension, fermi_cap_note,
-                    graded_dimensions, iter_basis)
+from .basis import (AlgebraSpec, Kind, basis_csv, fermi_cap_note, graded_dimensions,
+                    iter_basis, log10_dimension_bound)
 from .lie import LIE_CHECKS, run_lie_suite
 from .models import (diagonal_spectrum, quadratic_hamiltonian_spectrum,
                      toy_levels, toy_spectrum)
-from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, fock_space,
-                        normalize, operator_json_payload)
+from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, clear_space_cache,
+                        fock_space, normalize, operator_json_payload)
 from .relations import run_grid, run_suite
 from .thermo import sweep, thermo_csv
 
@@ -132,12 +132,22 @@ def _spec_payload(spec: AlgebraSpec) -> dict:
 
 def cmd_dim(args) -> int:
     spec = _spec_from_args(args)
+    name = f"the dimension of {spec.kind.value} n={spec.n} p={spec.p}"
+    limit = f"past the {MAX_DIGITS}-digit limit of exact output"
+    # A float estimate refuses only what is clearly past the limit, before any binomial is
+    # formed (they would take minutes); near the limit the exact sum decides.
+    digits = log10_dimension_bound(spec)
+    if digits >= MAX_DIGITS + 1:
+        raise ValueError(f"{name} has at least {int(digits)} digits, {limit}")
+    graded = graded_dimensions(spec)
+    dim = sum(graded)
+    if dim >= 10 ** MAX_DIGITS:
+        raise ValueError(f"{name} has more than {MAX_DIGITS} digits, {limit}")
     if args.json:
-        payload = dict(_spec_payload(spec), dimension=dimension(spec),
-                       graded_dimensions=graded_dimensions(spec))
+        payload = dict(_spec_payload(spec), dimension=dim, graded_dimensions=graded)
         _emit(_dump_json(payload), args.output)
     else:
-        _emit([f"{dimension(spec)}\n"], args.output)
+        _emit([f"{dim}\n"], args.output)
     return 0
 
 
@@ -174,6 +184,9 @@ def cmd_ops(args) -> int:
         op = space.bilinear(args.i, args.j)
     if args.normalization == ORTHONORMAL:
         op = normalize(op, space.gram)
+    # the export reads only op: free the basis and rank index before encoding
+    del space
+    clear_space_cache()
     _emit(_dump_json(operator_json_payload(op)), args.output)
     return 0
 

@@ -11,7 +11,9 @@ the closed-form levels are E_k = k - k(k-1)/p with multiplicity k+1
 degeneracies appear and are merged exactly.  General quadratic Hamiltonians
 sum_ij t_ij a_i^+ a_j^- are handled on the float (orthonormal) backend with
 a symmetric eigensolver.  Both sum monomial products a_i^+ @ a_j^- (diagonal
-ones never clash); the float sum is scattered into the dense eigensolver input.
+ones never clash).  Each product keeps the total occupation, so the float sum
+is scattered grade block by grade block into one small eigensolver input per
+block, never into a dim x dim matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import AlgebraSpec, dimension
+from .basis import AlgebraSpec
 from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, fock_space,
                         grade_diagonal)
 from .sparse import MonomialMatrix
@@ -128,9 +130,15 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
                                    t: Sequence[Sequence[float]]) -> SpectrumReport:
     """Spectrum of H = sum_ij t_ij a_i^+ a_j^- on the orthonormal backend.
 
-    Requires a symmetric table of finite numbers; the assembled matrix is checked
-    for symmetry (a failure would indicate a builder bug) before calling the
-    symmetric eigensolver.  Eigenvalues are clustered at CLUSTER_TOL.
+    Requires a symmetric table of finite numbers.  Every a_i^+ a_j^- keeps the
+    total occupation, so H is block diagonal over the grades k = 0..p, and in
+    the graded-lex basis block k is the rank range offsets[k]..offsets[k+1].
+    Each block is assembled alone from the product entries in its columns,
+    checked to hold finite numbers, to keep every entry inside the block and
+    to be symmetric (a failure of either of the last two would indicate a
+    builder bug), and only then handed to the symmetric eigensolver; no
+    dim x dim matrix is formed.  The eigenvalues of all blocks are clustered
+    together at CLUSTER_TOL, so a level may span grades.
     """
     import numpy as np  # here, so that only a float spectrum pays for the import
 
@@ -144,23 +152,31 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
         raise ValueError(f"coefficient table must be {spec.n}x{spec.n} finite int or float numbers")
     if np.max(np.abs(table - table.T)) > 1e-12:
         raise ValueError("coefficient table must be symmetric")
-    h = np.zeros((dimension(spec),) * 2)
-    stored = []  # (rows, cols) of each product's entries
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below as beyond float range
-        for t_ij, product in _products(spec, table.tolist(), ORTHONORMAL):
-            cols = np.flatnonzero(product.coef[:-1])
-            rows = np.array(product.target)[cols]
-            h[rows, cols] += t_ij * np.array(product.coef)[cols]
-            stored.append((rows, cols))
-        finite = all(np.isfinite(h[r, c]).all() for r, c in stored)
-        asym = max((np.abs(h[r, c] - h[c, r]).max() for r, c in stored), default=0.0)
-    if not finite:
-        raise ValueError("assembled Hamiltonian has entries beyond float range")
-    if asym > SYMMETRY_TOL:
-        raise RuntimeError(f"assembled Hamiltonian not symmetric (residual {asym:g})")
-    values = np.linalg.eigvalsh(h)
+    terms = [(t_ij, np.array(product.target[:-1]), np.array(product.coef[:-1]))
+             for t_ij, product in _products(spec, table.tolist(), ORTHONORMAL)]
+    offsets = fock_space(spec).offsets
+    values = []
+    for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        h = np.zeros((hi - lo,) * 2)
+        stored = []  # (rows, cols) of each product's entries, relative to the block
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below as beyond float range
+            for t_ij, target, coef in terms:
+                cols = np.flatnonzero(coef[lo:hi])
+                rows = target[lo:hi][cols] - lo
+                if len(rows) and not 0 <= rows.min() <= rows.max() < hi - lo:
+                    raise RuntimeError(f"assembled Hamiltonian has an entry outside grade block {k}")
+                h[rows, cols] += t_ij * coef[lo:hi][cols]
+                stored.append((rows, cols))
+            finite = all(np.isfinite(h[r, c]).all() for r, c in stored)
+            asym = max((np.abs(h[r, c] - h[c, r]).max(initial=0.0) for r, c in stored),
+                       default=0.0)
+        if not finite:
+            raise ValueError("assembled Hamiltonian has entries beyond float range")
+        if asym > SYMMETRY_TOL:
+            raise RuntimeError(f"assembled Hamiltonian not symmetric (residual {asym:g})")
+        values.append(np.linalg.eigvalsh(h))
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = _cluster(values, CLUSTER_TOL)
+        levels = _cluster(np.concatenate(values), CLUSTER_TOL)
     if not all(math.isfinite(value) for value, _ in levels):
         raise ValueError("eigenvalues of the assembled Hamiltonian are beyond float range")
     return SpectrumReport(levels, FLOAT)

@@ -162,6 +162,12 @@ def fock_space(spec: AlgebraSpec) -> FockSpace:
     return FockSpace(spec)
 
 
+# Empties the fock_space cache.  Bound once, here, so that it still works where the name
+# fock_space is later rebound to a plain wrapper (the benchmark's tracer wraps every
+# public function, and a wrapper has no cache_clear).
+clear_space_cache = fock_space.cache_clear
+
+
 def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> MonomialMatrix:
     # One walk v -> w = v + delta*e_i for all four ladder operators; w is
     # admissible exactly when it is in the index.  With u the one of v, w that

@@ -1,4 +1,5 @@
-from math import comb
+import itertools
+from math import comb, log10
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from fockcap import (AlgebraSpec, Kind, basis_csv, dimension, enumerate_basis,
                      fermi_cap_note, graded_dimensions, grade_offsets, rank,
                      unrank, validate_vector)
+from fockcap.basis import log10_dimension_bound
 
 from conftest import brute_basis, small_grid
 
@@ -27,6 +29,16 @@ def test_dimension_closed_forms():
     assert dimension(AlgebraSpec(Kind.BOSE, 3, 3)) == 20
     # cap at p = n recovers the full fermionic count
     assert dimension(AlgebraSpec(Kind.FERMI, 3, 3)) == 8
+
+
+def test_log10_dimension_bound_is_a_close_lower_bound():
+    # the float bound refuses dim commands past the digit limit; it must never exceed the truth
+    specs = small_grid(6, 6) + [AlgebraSpec(kind, n, p) for kind in Kind
+                                for n, p in itertools.product((50, 1000, 10 ** 9), (1, 7, 300))]
+    specs += [AlgebraSpec(kind, 1000, 2000) for kind in Kind]
+    for spec in specs:
+        exact = log10(dimension(spec))
+        assert exact - 2 < log10_dimension_bound(spec) <= exact + 1e-9, spec
 
 
 def test_dimension_equals_enumeration_and_grade_sum():

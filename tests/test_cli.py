@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -7,12 +8,16 @@ import re
 import stat
 import subprocess
 import sys
+import time
+import weakref
+from math import comb
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcap import cli
+from fockcap import AlgebraSpec, Kind, cli
+from fockcap.operators import fock_space
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +100,32 @@ def test_ops_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_ops_frees_the_space_before_it_encodes(capsys, monkeypatch):
+    # the export reads only the operator, so the cached space (basis, rank index) goes first
+    space = weakref.ref(fock_space(AlgebraSpec(Kind.BOSE, 2, 3)))
+    seen = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda chunks, out: (seen.append(space()), emit(chunks, out)))
+    for normalization in ("unnormalized", "orthonormal"):
+        code, out, _ = run_cli(capsys, "ops", "--kind", "bose", "--n", "2", "--p", "3",
+                               "--op", "create", "--i", "1", "--normalization", normalization)
+        assert code == 0 and json.loads(out)["dims"] == [10, 10]
+        assert fock_space.cache_info().currsize == 0
+    assert seen == [None, None]
+
+
+def test_ops_frees_the_space_when_fock_space_is_wrapped(capsys, monkeypatch):
+    # a wrapper over the name (as the benchmark's tracer installs) has no cache_clear
+    from fockcap import operators
+    wrapped = functools.wraps(fock_space)(lambda spec: fock_space(spec))
+    for module in (cli, operators):
+        monkeypatch.setattr(module, "fock_space", wrapped)
+    code, out, _ = run_cli(capsys, "ops", "--kind", "fermi", "--n", "3", "--p", "2",
+                           "--op", "eij", "--i", "1", "--j", "2")
+    assert code == 0 and json.loads(out)["dims"] == [7, 7]
+    assert fock_space.cache_info().currsize == 0
 
 
 def test_verify_single_spec(capsys):
@@ -527,6 +558,30 @@ def test_exact_level_beyond_printable_digits_is_refused(capsys):
                            "--energies=9e4299")
     assert code == 0
     assert json.loads(out)[1] == {"value": str(9 * 10 ** 4299), "mult": 1}
+
+
+@pytest.mark.parametrize("argv", [("--kind", "bose", "--n", "200000", "--p", "20000"),
+                                  ("--kind", "bose", "--n", "200000", "--p", "200000"),
+                                  ("--kind", "fermi", "--n", "200000", "--p", "20000", "--json")])
+def test_dim_past_printable_digits_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dim", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "4300-digit limit" in err
+
+
+def test_dim_near_printable_digits_is_decided_exactly(capsys):
+    # C(n+500, 500) has 4300 digits at this n and 4301 at the next; the float bound
+    # reads 4299.95 for both, so the exact sum decides
+    n = 73819791733
+    code, out, _ = run_cli(capsys, "dim", "--kind", "bose", "--n", str(n), "--p", "500")
+    assert (code, out) == (0, f"{comb(n + 500, 500)}\n") and len(out) == 4301
+    code, out, _ = run_cli(capsys, "dim", "--kind", "bose", "--n", str(n), "--p", "500", "--json")
+    assert code == 0 and json.loads(out)["dimension"] == comb(n + 500, 500)
+    code, out, err = run_cli(capsys, "dim", "--kind", "bose", "--n", str(n + 1), "--p", "500")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "more than 4300 digits" in err
 
 
 def test_exact_energy_exponent_at_the_bound_is_read(capsys):

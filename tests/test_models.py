@@ -1,11 +1,13 @@
 import itertools
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fockcap import (AlgebraSpec, Kind, diagonal_hamiltonian, diagonal_spectrum,
+from fockcap import (AlgebraSpec, Kind, cli, diagonal_hamiltonian, diagonal_spectrum,
                      dimension, enumerate_basis, quadratic_hamiltonian_spectrum,
                      models, rank, spectrum_of_diagonal, toy_levels, toy_spectrum)
 from fockcap.operators import ORTHONORMAL, fock_space
@@ -14,6 +16,7 @@ from fockcap.sparse import MonomialMatrix, SparseMatrix
 from conftest import small_grid
 
 B22 = AlgebraSpec(Kind.BOSE, 2, 2)
+SPECTRUM_TOL = 1e-10  # float eigenvalues, as in acceptance criterion 8
 
 
 def test_diagonal_hamiltonian_entries():
@@ -153,12 +156,79 @@ def _dict_of_keys_levels(spec, table):
     return models._cluster(np.linalg.eigvalsh(dense), models.CLUSTER_TOL)
 
 
+def assert_levels_close(got, want):
+    """Equal multiplicities, and values within SPECTRUM_TOL (LAPACK on the
+    grade blocks and on the whole matrix rounds differently)."""
+    assert [m for _, m in got] == [m for _, m in want]
+    assert max((abs(g - w) for (g, _), (w, _) in zip(got, want)), default=0.0) <= SPECTRUM_TOL
+
+
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_quadratic_spectrum_matches_the_dict_of_keys_oracle(name):
     for spec in small_grid(3, 3):
         table = TABLES[name](spec.n)
-        assert quadratic_hamiltonian_spectrum(spec, table).levels == \
-            _dict_of_keys_levels(spec, table)
+        assert_levels_close(quadratic_hamiltonian_spectrum(spec, table).levels,
+                            _dict_of_keys_levels(spec, table))
+
+
+# Levels of `spectrum --backend float --matrix-file` from one dense eigvalsh of
+# the whole matrix, recorded before the spectrum was computed per grade block.
+# The all-ones tables merge levels across grades (bose 2 5: one zero level in
+# each of the six grades); the last two are hopping tables.
+FLOAT_SPECTRUM_GOLDEN = [
+    (('bose', 3, 4, [[0.5, 0.0, 0.0], [0.0, 1.75, 0.0], [0.0, 0.0, 3.0]]),
+     ((0.0, 1), (0.5, 2), (0.7499999999999999, 2), (0.8125, 1), (1.125, 2), (1.3750000000000002, 1),
+      (1.4375, 2), (1.6874999999999998, 1), (1.75, 4), (2.0, 2), (2.0625, 2), (2.375, 2), (2.625, 4),
+      (2.6874999999999996, 1), (3.0, 2), (3.25, 2), (3.562499999999999, 1), (3.875, 1),
+      (4.499999999999999, 2))),
+    (('fermi', 4, 3, [[-1.0, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 2.0, 0], [0, 0, 0, 0.0]]),
+     ((-1.0, 1), (-0.6666666666666666, 1), (-0.5, 1), (-0.25, 1), (0.0, 2), (0.16666666666666666, 1),
+      (0.25, 1), (0.3333333333333333, 1), (0.41666666666666663, 1), (0.6666666666666666, 1),
+      (0.75, 1), (1.3333333333333333, 1), (1.5, 1), (2.0, 1))),
+    (('bose', 2, 5, [[1.0, 1.0], [1.0, 1.0]]),
+     ((-1.3607527828777185e-16, 6), (0.3999999999999998, 1), (0.8, 2), (1.1999999999999997, 2),
+      (1.6000000000000003, 3), (2.0, 2), (2.4, 2), (3.1999999999999997, 2), (3.5999999999999996, 1))),
+    (('fermi', 3, 3, [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+     ((-1.367607616026568e-16, 4), (1.0, 1), (2.0, 2), (2.9999999999999996, 1))),
+    (('bose', 3, 3, [[1.0, -0.5, 0.0], [-0.5, 2.0, 0.25], [0.0, 0.25, 0.5]]),
+     ((0.0, 1), (0.44354994606771236, 2), (0.5685449510698085, 1), (0.5913999280902831, 1),
+      (0.6935399560719044, 1), (0.8185349610740014, 2), (0.8413899380944754, 1),
+      (1.0416716616645703, 1), (1.0913799480986683, 1), (1.1666666666666659, 1),
+      (1.291661671668763, 1), (1.6397933772614275, 1), (1.7647883822635237, 1),
+      (1.787643359283999, 1), (2.0376333692881925, 1), (2.2379150928582856, 2),
+      (2.983886790477715, 1))),
+    (('fermi', 3, 2, [[1.0, -0.5, 0.0], [-0.5, 2.0, 0.25], [0.0, 0.25, 0.5]]),
+     ((0.0, 1), (0.4435499460677123, 1), (0.6310424535708569, 1), (0.8185349610740013, 1),
+      (1.3407325194629998, 1), (1.5282250269661442, 1), (2.2379150928582865, 1))),
+]
+
+
+@pytest.mark.parametrize("case, expected", FLOAT_SPECTRUM_GOLDEN)
+def test_float_spectrum_tolerance_golden(case, expected, tmp_path, capsys):
+    kind, n, p, table = case
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    assert cli.main(["spectrum", "--kind", kind, "--n", str(n), "--p", str(p),
+                     "--backend", "float", "--matrix-file", str(path)]) == 0
+    got = tuple((level["value"], level["mult"]) for level in json.loads(capsys.readouterr().out))
+    assert_levels_close(got, expected)
+
+
+def test_float_spectrum_allocates_no_dim_squared_array(fresh_spaces):
+    # dim 12341: one dense float matrix would take 1.2 GB; the largest grade block is 861^2
+    spec = AlgebraSpec(Kind.BOSE, 3, 40)
+    eps = [Fraction(1, 2), Fraction(5, 4), Fraction(2)]
+    table = [[float(eps[i]) if i == j else 0.0 for j in range(3)] for i in range(3)]
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        report = quadratic_hamiltonian_spectrum(spec, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert report.total_multiplicity == dimension(spec)
+    exact = diagonal_spectrum(spec, eps).levels
+    assert_levels_close(report.levels, [(float(v), m) for v, m in exact])
 
 
 def test_quadratic_rejects_asymmetric_table():
@@ -212,6 +282,20 @@ def test_non_adjoint_ladder_fails_the_symmetry_check(monkeypatch, fresh_spaces):
     monkeypatch.setattr(operators, "_ladder_matrix", skewed)
     with pytest.raises(RuntimeError, match="not symmetric"):
         quadratic_hamiltonian_spectrum(B22, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_product_entry_outside_its_grade_block_is_a_builder_bug(monkeypatch, fresh_spaces):
+    from fockcap import operators
+    original = operators._ladder_matrix
+
+    def doubled(space, i, delta, normalization):
+        # a_1^+ raises by two quanta: a_1^+ a_1^- no longer keeps the grade
+        op = original(space, i, delta, normalization)
+        return op @ op if (i, delta, normalization) == (1, +1, operators.ORTHONORMAL) else op
+
+    monkeypatch.setattr(operators, "_ladder_matrix", doubled)
+    with pytest.raises(RuntimeError, match="outside grade block"):
+        quadratic_hamiltonian_spectrum(AlgebraSpec(Kind.BOSE, 2, 3), [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_energy_count_validation():
