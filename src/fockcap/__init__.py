@@ -3,7 +3,7 @@ total-occupation cap, over exact rational arithmetic."""
 
 from .basis import (AlgebraSpec, Kind, OccupationVector, basis_csv, dimension,
                     enumerate_basis, fermi_cap_note, graded_dimensions,
-                    grade_offsets, rank, unrank, validate_vector)
+                    grade_offsets)
 from .lie import (check_adjoint_action, check_branching, check_gl_commutators,
                   check_identification, diagonal_action_value,
                   extended_rescaled_generators, run_lie_suite, weight_vector)

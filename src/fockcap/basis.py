@@ -10,9 +10,9 @@ number operator is block diagonal with contiguous grade blocks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, log, log1p
-from typing import Iterator, Sequence
+from typing import Iterator
 
 OccupationVector = tuple[int, ...]
 
@@ -61,32 +61,6 @@ def fermi_cap_note(spec: AlgebraSpec) -> str | None:
     return None
 
 
-def validate_vector(spec: AlgebraSpec, v: Sequence[int]) -> OccupationVector:
-    """Check admissibility of an occupation vector; return it as a tuple."""
-    v = tuple(v)
-    if len(v) != spec.n:
-        raise ValueError(f"expected {spec.n} modes, got {len(v)}")
-    for x in v:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise ValueError(f"occupation numbers must be nonnegative integers, got {x!r}")
-        if x > spec.max_entry:
-            raise ValueError(f"entry {x} exceeds per-mode maximum {spec.max_entry}")
-    if sum(v) > spec.p:
-        raise ValueError(f"total occupation {sum(v)} exceeds cap p={spec.p}")
-    return v
-
-
-def _grade_count(kind: Kind, n: int, k: int) -> int:
-    # number of admissible vectors on n modes with total exactly k
-    if k < 0:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if kind is Kind.FERMI:
-        return comb(n, k) if k <= n else 0
-    return comb(n + k - 1, k)
-
-
 def _grade_vectors(kind: Kind, n: int, k: int) -> Iterator[OccupationVector]:
     # lexicographic ascending within the grade (n >= 1); the last mode takes
     # the remaining total when admissible, so Bose grades cost O(output)
@@ -112,13 +86,23 @@ def enumerate_basis(spec: AlgebraSpec) -> list[OccupationVector]:
 
 
 def graded_dimensions(spec: AlgebraSpec) -> list[int]:
-    """Grade-block sizes d_0..d_p: C(n,k) for Fermi, C(n+k-1,k) for Bose."""
-    return [_grade_count(spec.kind, spec.n, k) for k in range(spec.p + 1)]
+    """Grade-block sizes d_0..d_p: C(n,k) for Fermi, C(n+k-1,k) for Bose.
+
+    One running binomial, d_k = d_{k-1} (n-k+1)/k for Fermi (0 past k = n)
+    and d_{k-1} (n+k-1)/k for Bose; each division is exact.
+    """
+    n, fermi = spec.n, spec.kind is Kind.FERMI
+    out = [1]
+    for k in range(1, spec.p + 1):
+        out.append(out[-1] * (n - k + 1 if fermi else n + k - 1) // k)
+    return out
 
 
 def dimension(spec: AlgebraSpec) -> int:
-    """Total dimension, the sum of the graded dimensions."""
-    return sum(graded_dimensions(spec))
+    """Total dimension: C(n+p, p) for Bose, the sum of C(n,k) up to k = min(n, p) for Fermi."""
+    if spec.kind is Kind.BOSE:
+        return comb(spec.n + spec.p, spec.p)
+    return sum(graded_dimensions(replace(spec, p=min(spec.n, spec.p))))
 
 
 def log10_dimension_bound(spec: AlgebraSpec) -> float:
@@ -147,55 +131,6 @@ def grade_offsets(spec: AlgebraSpec) -> list[int]:
     for d in graded_dimensions(spec):
         offsets.append(offsets[-1] + d)
     return offsets
-
-
-def rank(spec: AlgebraSpec, v: Sequence[int]) -> int:
-    """Position of an admissible vector in the canonical ordering.
-
-    Computed combinatorially: vectors of lower grade come first, then the
-    lexicographic position within the grade is obtained by counting, for
-    every prefix choice smaller than v's, the completions of the remaining
-    modes.
-    """
-    v = validate_vector(spec, v)
-    k = sum(v)
-    r = sum(_grade_count(spec.kind, spec.n, j) for j in range(k))
-    remaining = k
-    for j, x in enumerate(v):
-        for smaller in range(x):
-            r += _grade_count(spec.kind, spec.n - j - 1, remaining - smaller)
-        remaining -= x
-    return r
-
-
-def unrank(spec: AlgebraSpec, r: int) -> OccupationVector:
-    """Inverse of rank()."""
-    dim = dimension(spec)
-    if not isinstance(r, int) or isinstance(r, bool) or not (0 <= r < dim):
-        raise ValueError(f"rank {r!r} out of range 0..{dim - 1}")
-    k = 0
-    pos = r
-    while True:
-        d = _grade_count(spec.kind, spec.n, k)
-        if pos < d:
-            break
-        pos -= d
-        k += 1
-    out: list[int] = []
-    remaining = k
-    for j in range(spec.n):
-        x = 0
-        while True:
-            if spec.kind is Kind.FERMI and x > 1:
-                raise AssertionError("unrank overran the fermionic entry range")
-            cnt = _grade_count(spec.kind, spec.n - j - 1, remaining - x)
-            if pos < cnt:
-                break
-            pos -= cnt
-            x += 1
-        out.append(x)
-        remaining -= x
-    return tuple(out)
 
 
 def basis_csv(spec: AlgebraSpec) -> Iterator[str]:

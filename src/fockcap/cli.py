@@ -18,10 +18,10 @@ import tempfile
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .basis import (AlgebraSpec, Kind, basis_csv, fermi_cap_note, graded_dimensions,
-                    iter_basis, log10_dimension_bound)
+from .basis import (AlgebraSpec, Kind, basis_csv, dimension, fermi_cap_note,
+                    graded_dimensions, iter_basis, log10_dimension_bound)
 from .lie import LIE_CHECKS, run_lie_suite
-from .models import (diagonal_spectrum, quadratic_hamiltonian_spectrum,
+from .models import (diagonal_spectrum, diagonal_table, quadratic_hamiltonian_spectrum,
                      toy_levels, toy_spectrum)
 from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, clear_space_cache,
                         fock_space, normalize, operator_json_payload)
@@ -77,7 +77,10 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
         return
     target = os.path.realpath(out)  # through a symlink, as open(out, "w") writes
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".fockcap-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".fockcap-", suffix=".tmp")
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fd, stat.S_IMODE(mode))
@@ -135,16 +138,16 @@ def cmd_dim(args) -> int:
     name = f"the dimension of {spec.kind.value} n={spec.n} p={spec.p}"
     limit = f"past the {MAX_DIGITS}-digit limit of exact output"
     # A float estimate refuses only what is clearly past the limit, before any binomial is
-    # formed (they would take minutes); near the limit the exact sum decides.
+    # formed (they would take minutes); near the limit the exact closed form decides.
     digits = log10_dimension_bound(spec)
     if digits >= MAX_DIGITS + 1:
         raise ValueError(f"{name} has at least {int(digits)} digits, {limit}")
-    graded = graded_dimensions(spec)
-    dim = sum(graded)
+    dim = dimension(spec)
     if dim >= 10 ** MAX_DIGITS:
         raise ValueError(f"{name} has more than {MAX_DIGITS} digits, {limit}")
     if args.json:
-        payload = dict(_spec_payload(spec), dimension=dim, graded_dimensions=graded)
+        payload = dict(_spec_payload(spec), dimension=dim,
+                       graded_dimensions=graded_dimensions(spec))
         _emit(_dump_json(payload), args.output)
     else:
         _emit([f"{dim}\n"], args.output)
@@ -273,11 +276,7 @@ def cmd_spectrum(args) -> int:
                 except ValueError as exc:
                     raise ValueError(f"--matrix-file {args.matrix_file!r}: {exc}") from None
         else:
-            energies = _float_list(args.energies)
-            if len(energies) != spec.n:
-                raise ValueError(f"expected {spec.n} energies, got {len(energies)}")
-            table = [[energies[i] if i == j else 0.0 for j in range(spec.n)]
-                     for i in range(spec.n)]
+            table = diagonal_table(spec, _float_list(args.energies))
         report = quadratic_hamiltonian_spectrum(spec, table)
     _emit(_dump_json(report.as_dicts()), args.output)
     return 0

@@ -69,13 +69,18 @@ def _merged(pairs, denom: int = 1) -> SpectrumReport:
     return SpectrumReport(tuple((Fraction(v, denom), m) for v, m in sorted(counts.items())), EXACT)
 
 
+def diagonal_table(spec: AlgebraSpec, energies: Sequence) -> list[list]:
+    """The coefficient table t_ij of H = sum_i eps_i a_i^+ a_i^-: eps_i on the
+    diagonal, 0 elsewhere; one energy per mode."""
+    if len(energies) != spec.n:
+        raise ValueError(f"expected {spec.n} energies, got {len(energies)}")
+    return [[energies[i] if i == j else 0 for j in range(spec.n)] for i in range(spec.n)]
+
+
 def diagonal_hamiltonian(spec: AlgebraSpec,
                          energies: Sequence[Fraction | int]) -> MonomialMatrix:
     """Exact H = sum_i eps_i a_i^+ a_i^-, formed by matrix products."""
-    if len(energies) != spec.n:
-        raise ValueError(f"expected {spec.n} coefficients, got {len(energies)}")
-    table = [[Fraction(energies[i]) if i == j else 0 for j in range(spec.n)]
-             for i in range(spec.n)]
+    table = diagonal_table(spec, [Fraction(e) for e in energies])
     zero = grade_diagonal(fock_space(spec), lambda k: 0)
     return sum((t * product for t, product in _products(spec, table, UNNORMALIZED)), zero)
 

@@ -261,6 +261,7 @@ def test_spectrum_usage_errors(capsys):
     ("spectrum --kind bose --n 2 --p 2 --energies ,", "empty numeric list"),
     ("thermo --kind bose --n 2 --p 2 --beta 1 --mu 0 --energies=",
      "expected a list of finite numbers"),
+    ("spectrum --kind bose --n 2 --p 2 --energies 1", "expected 2 energies, got 1"),
 ])
 def test_usage_errors_name_the_input(capsys, command, message):
     code, out, err = run_cli(capsys, *command.split())
@@ -304,6 +305,8 @@ def test_io_error_exit_code(capsys, tmp_path):
     assert code == 3
     assert "io error" in captured.err
     assert captured.out == "" and os.listdir(tmp_path) == []  # -o into a missing directory
+    # the message names the path given to -o, not the temporary file beside it
+    assert repr(str(missing_dir)) in captured.err and ".fockcap-" not in captured.err
 
 
 def test_output_to_file(capsys, tmp_path):
@@ -573,7 +576,7 @@ def test_dim_past_printable_digits_is_refused_at_once(capsys, argv):
 
 def test_dim_near_printable_digits_is_decided_exactly(capsys):
     # C(n+500, 500) has 4300 digits at this n and 4301 at the next; the float bound
-    # reads 4299.95 for both, so the exact sum decides
+    # reads 4299.95 for both, so the exact closed form decides
     n = 73819791733
     code, out, _ = run_cli(capsys, "dim", "--kind", "bose", "--n", str(n), "--p", "500")
     assert (code, out) == (0, f"{comb(n + 500, 500)}\n") and len(out) == 4301
@@ -582,6 +585,19 @@ def test_dim_near_printable_digits_is_decided_exactly(capsys):
     code, out, err = run_cli(capsys, "dim", "--kind", "bose", "--n", str(n + 1), "--p", "500")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("kind, n, p, expected", [
+    ("bose", 1, 10 ** 8, 10 ** 8 + 1),
+    ("fermi", 3, 10 ** 8, 8),
+    ("fermi", 14000, 13000, 2 ** 14000 - sum(comb(14000, k) for k in range(13001, 14001))),
+])
+def test_dim_at_a_huge_cap_is_the_closed_form(capsys, kind, n, p, expected):
+    # the text output forms no per-grade list, so a cap of 10**8 costs nothing
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "dim", "--kind", kind, "--n", str(n), "--p", str(p))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (0, f"{expected}\n")
 
 
 def test_exact_energy_exponent_at_the_bound_is_read(capsys):

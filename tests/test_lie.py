@@ -5,8 +5,7 @@ import pytest
 from fockcap import (AlgebraSpec, Kind, check_adjoint_action, check_branching,
                      check_gl_commutators, check_identification,
                      diagonal_action_value, dimension, enumerate_basis,
-                     extended_rescaled_generators, fock_space, rank,
-                     run_lie_suite)
+                     extended_rescaled_generators, fock_space, run_lie_suite)
 
 F21 = AlgebraSpec(Kind.FERMI, 2, 1)
 F22 = AlgebraSpec(Kind.FERMI, 2, 2)
@@ -15,10 +14,10 @@ B22 = AlgebraSpec(Kind.BOSE, 2, 2)
 
 def test_diagonal_generator_eigenvalues():
     e11 = fock_space(F22).bilinear(1, 1)
-    r = rank(F22, (1, 0))
+    r = fock_space(F22).index[(1, 0)]
     assert e11.get(r, r) == 2            # p - |v| + v_1 = 2 - 1 + 1
     e11 = fock_space(B22).bilinear(1, 1)
-    r = rank(B22, (1, 1))
+    r = fock_space(B22).index[(1, 1)]
     assert e11.get(r, r) == 1            # v_1 + |v| - p = 1 + 2 - 2
 
 

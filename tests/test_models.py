@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from fockcap import (AlgebraSpec, Kind, cli, diagonal_hamiltonian, diagonal_spectrum,
                      dimension, enumerate_basis, quadratic_hamiltonian_spectrum,
-                     models, rank, spectrum_of_diagonal, toy_levels, toy_spectrum)
+                     models, spectrum_of_diagonal, toy_levels, toy_spectrum)
 from fockcap.operators import ORTHONORMAL, fock_space
 from fockcap.sparse import MonomialMatrix, SparseMatrix
 
@@ -22,7 +22,7 @@ SPECTRUM_TOL = 1e-10  # float eigenvalues, as in acceptance criterion 8
 def test_diagonal_hamiltonian_entries():
     h = diagonal_hamiltonian(B22, [1, 1])
     assert isinstance(h, MonomialMatrix)
-    r = rank(B22, (1, 1))
+    r = fock_space(B22).index[(1, 1)]
     assert h.get(r, r) == 1          # 2 * (1 - 1/2)
     assert h.get(0, 0) == 0
     spec = AlgebraSpec(Kind.FERMI, 1, 1)

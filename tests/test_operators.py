@@ -6,7 +6,7 @@ import pytest
 import fockcap
 from fockcap import (AlgebraSpec, Kind, MonomialMatrix, dimension,
                      enumerate_basis, fock_space, normalize,
-                     operator_json_payload, rank)
+                     operator_json_payload)
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 
 from conftest import small_grid
@@ -18,7 +18,7 @@ B22 = AlgebraSpec(Kind.BOSE, 2, 2)
 
 def column_image(spec, op, v):
     """Decode op|v> into a dict occupation-vector -> coefficient."""
-    col = rank(spec, v)
+    col = fock_space(spec).index[v]
     basis = enumerate_basis(spec)
     return {basis[r]: val for (r, c), val in op.data.items() if c == col}
 
@@ -61,7 +61,8 @@ def test_number_operator():
     assert N.get(0, 0) == 0
     trace = sum(N.get(r, r) for r in range(dimension(spec)))
     assert trace == 9
-    assert B22 and fock_space(B22).number().get(rank(B22, (1, 1)), rank(B22, (1, 1))) == 2
+    r = fock_space(B22).index[(1, 1)]
+    assert fock_space(B22).number().get(r, r) == 2
 
 
 def test_mode_index_validation():
@@ -178,12 +179,12 @@ def test_normalized_vacuum_coefficients():
     spec = AlgebraSpec(Kind.FERMI, 1, 2)
     space = fock_space(spec)
     op = normalize(space.ladder(1, +1), space.gram)
-    assert op.get(rank(spec, (1,)), rank(spec, (0,))) == pytest.approx(1.0)
+    assert op.get(space.index[(1,)], space.index[(0,)]) == pytest.approx(1.0)
     spec = AlgebraSpec(Kind.BOSE, 1, 2)
     space = fock_space(spec)
     op = normalize(space.ladder(1, +1), space.gram)
     # sqrt(2*(2-1)/2) = 1 from the singly occupied state
-    assert op.get(rank(spec, (2,)), rank(spec, (1,))) == pytest.approx(1.0)
+    assert op.get(space.index[(2,)], space.index[(1,)]) == pytest.approx(1.0)
 
 
 def test_normalize_keeps_diagonals():
@@ -304,7 +305,9 @@ def test_grade_diagonal_calls_its_function_once_per_grade():
 
 def test_removed_second_routes_are_gone():
     for name in ("max_entry_difference", "grand_partition", "mean_occupation", "GramForm",
-                 "adjoint_wrt_gram", "gram_value"):
+                 "adjoint_wrt_gram", "gram_value", "rank", "unrank", "validate_vector"):
         assert not hasattr(fockcap, name)
+    for name in ("rank", "unrank", "validate_vector", "_grade_count"):  # fock_space(spec).index
+        assert not hasattr(fockcap.basis, name)
     for name in ("identity", "diagonal"):
         assert not hasattr(MonomialMatrix, name)
