@@ -37,6 +37,13 @@ MAX_EXPONENT = MAX_DIGITS - 1
 # Output pieces (JSON tokens, CSV lines) joined into one write: enough that the cost of a
 # call vanishes, few enough that a chunk stays far below the output it is part of.
 CHUNK_PIECES = 8192
+# Rows of a streamed JSON array joined into one write: a basis row is about 30 encoder
+# tokens and 128 bytes, so a chunk holds about as much as CHUNK_PIECES tokens would.
+CHUNK_ROWS = CHUNK_PIECES // 32
+# Stands in for a value whose text is filled in later: a string the encoder always writes
+# as the same escape, and no payload or row template holds otherwise.
+_HOLE = "\0"
+_HOLE_JSON = json.dumps(_HOLE)
 
 
 def _joined(pieces: Iterable[str]) -> Iterator[str]:
@@ -50,6 +57,38 @@ def _dump_json(payload) -> Iterator[str]:
     """json.dumps(payload, indent=2) + "\n" as a stream of chunks; no string holds it all."""
     yield from _joined(json.JSONEncoder(indent=2).iterencode(payload))
     yield "\n"
+
+
+def _with_hole(payload: dict, path: tuple) -> dict:
+    """A copy of payload with _HOLE at the end of the key path."""
+    key, *rest = path
+    return {**payload, key: _with_hole(payload[key], rest) if rest else _HOLE}
+
+
+def _dump_json_rows(payload: dict, key, rows: Iterable[tuple], sample) -> Iterator[str]:
+    """_dump_json(payload) with payload[key] = list(rows), streamed from the iterator rows.
+
+    key is a key of payload, or a tuple of keys down to the array.  Each row is a flat
+    tuple of ints and finite floats, one for each _HOLE of sample, in encoding order;
+    sample gives the layout a row shares.  The text around the array is _dump_json's, and
+    each row fills one str.format template made by the encoder from sample, indented to
+    the depth of the array, so the bytes are those of json.dumps(indent=2) with no layout
+    written here.  A finite float formats as the encoder writes it (float.__repr__).
+    """
+    path = key if isinstance(key, tuple) else (key,)
+    head, tail = "".join(_dump_json(_with_hole(payload, path))).split(_HOLE_JSON)
+    line = head[head.rfind("\n") + 1:]
+    outer = line[:len(line) - len(line.lstrip(" "))]
+    inner = outer + "  "
+    template = json.dumps(sample, indent=2).replace("{", "{{").replace("}", "}}")
+    fill = template.replace("\n", "\n" + inner).replace(_HOLE_JSON, "{}").format
+    texts = itertools.starmap(fill, rows)
+    sep = ",\n" + inner
+    opened = False
+    while chunk := sep.join(itertools.islice(texts, CHUNK_ROWS)):
+        yield (sep if opened else head + "[\n" + inner) + chunk
+        opened = True
+    yield ("\n" + outer + "]" if opened else head + "[]") + tail
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -157,12 +196,10 @@ def cmd_dim(args) -> int:
 def cmd_basis(args) -> int:
     spec = _spec_from_args(args)
     if args.json:
-        # the encoder takes only a list for an array, so the rows are one; each
-        # shares its occupation tuple with the enumeration
-        rows = [{"rank": r, "total": sum(v), "occupations": v}
-                for r, v in enumerate(iter_basis(spec))]
-        payload = {"spec": _spec_payload(spec), "basis": rows}
-        _emit(_dump_json(payload), args.output)
+        rows = ((r, sum(v), *v) for r, v in enumerate(iter_basis(spec)))
+        sample = {"rank": _HOLE, "total": _HOLE, "occupations": [_HOLE] * spec.n}
+        _emit(_dump_json_rows({"spec": _spec_payload(spec)}, "basis", rows, sample),
+              args.output)
     else:
         _emit(_joined(basis_csv(spec)), args.output)
     return 0
@@ -190,7 +227,9 @@ def cmd_ops(args) -> int:
     # the export reads only op: free the basis and rank index before encoding
     del space
     clear_space_cache()
-    _emit(_dump_json(operator_json_payload(op)), args.output)
+    payload = operator_json_payload(op)
+    sample = [_HOLE] * (3 if args.normalization == ORTHONORMAL else 4)
+    _emit(_dump_json_rows(payload, "entries", payload["entries"], sample), args.output)
     return 0
 
 

@@ -246,14 +246,21 @@ def operator_json_payload(op: MonomialMatrix) -> dict:
     if not isinstance(op.tag, BasisTag):
         raise ValueError(f"cannot export an operator without a basis tag: {op!r}")
     spec, normalization = op.tag.spec, op.tag.normalization
-    exact = normalization == UNNORMALIZED
-    entries = op.entries()
-    if exact and any(isinstance(v, float) for _, _, v in entries):
-        raise ValueError(f"float entries in an operator tagged {UNNORMALIZED!r}: "
-                         f"exact export needs rational entries: {op!r}")
-    # in place, so each (row, col, value) is freed as its export replaces it
-    for k, (r, c, v) in enumerate(entries):
-        entries[k] = [r, c, v.numerator, v.denominator] if exact else [r, c, float(v)]
+    denom = op.denom
+    if normalization == UNNORMALIZED:
+        if not op.exact and op.nnz:
+            raise ValueError(f"float entries in an operator tagged {UNNORMALIZED!r}: "
+                             f"exact export needs rational entries: {op!r}")
+        # x/denom in lowest terms, as Fraction(x, denom) would hold it (denom > 0)
+        entries = [[r, c, x // g, denom // g]
+                   for r, c, x in sorted(op._live()) for g in (math.gcd(x, denom),)]
+    else:
+        # the encoder would write a non-finite float as Infinity or NaN, which is no JSON.
+        # Every coefficient is read: max() skips a NaN that is not first.
+        if not op.exact and not all(map(math.isfinite, op.coef)):
+            raise ValueError(f"non-finite entries in an operator tagged {normalization!r}: "
+                             f"{op!r}")
+        entries = [[r, c, x / denom] for r, c, x in sorted(op._live())]
     return {
         "spec": {"kind": spec.kind.value, "n": spec.n, "p": spec.p},
         "basis": "graded-lex",

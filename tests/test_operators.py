@@ -278,6 +278,41 @@ def test_json_payload_refuses_float_entries_in_the_exact_basis():
         operator_json_payload(op)
 
 
+def _exported_ops(space):
+    """Every operator `ops` exports for the space, as cmd_ops builds it."""
+    n = space.spec.n
+    yield space.number()
+    for i in range(1, n + 1):
+        yield space.ladder(i, +1)
+        yield space.ladder(i, -1)
+        for j in range(1, n + 1):
+            yield space.bilinear(i, j)
+
+
+def test_json_payload_entries_are_those_of_the_fraction_route():
+    for spec in small_grid(3, 3):
+        space = fock_space(spec)
+        for op in _exported_ops(space):
+            exact = operator_json_payload(op)["entries"]
+            assert exact == [[r, c, v.numerator, v.denominator] for r, c, v in op.entries()]
+            norm = normalize(op, space.gram)
+            floats = operator_json_payload(norm)["entries"]
+            assert floats == [[r, c, float(v)] for r, c, v in norm.entries()]
+            assert all(type(v) is float for *_, v in floats)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_json_payload_refuses_non_finite_entries(value):
+    space = fock_space(F22)
+    op = space.ladder(1, +1, ORTHONORMAL)
+    for c in range(op.cols - 1, -1, -1):  # the last entry, behind finite ones
+        if op.coef[c]:
+            break
+    bad = op.map_entries(lambda r, col, v: value if col == c else v, op.tag)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        operator_json_payload(bad)
+
+
 def test_grade_diagonal_takes_its_tag_from_its_values():
     space = fock_space(F22)
     for func, normalization in ((lambda k: 1.0 - k / 2, ORTHONORMAL),
