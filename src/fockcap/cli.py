@@ -59,21 +59,26 @@ def _dump_json(payload) -> Iterator[str]:
     yield "\n"
 
 
-def _with_hole(payload: dict, path: tuple) -> dict:
-    """A copy of payload with _HOLE at the end of the key path."""
+def _with_hole(payload, path) -> dict | str:
+    """A copy of payload with _HOLE at the end of the key path; _HOLE for an empty path."""
+    if not path:
+        return _HOLE
     key, *rest = path
     return {**payload, key: _with_hole(payload[key], rest) if rest else _HOLE}
 
 
-def _dump_json_rows(payload: dict, key, rows: Iterable[tuple], sample) -> Iterator[str]:
+def _dump_json_rows(payload, key, rows: Iterable[tuple], sample) -> Iterator[str]:
     """_dump_json(payload) with payload[key] = list(rows), streamed from the iterator rows.
 
-    key is a key of payload, or a tuple of keys down to the array.  Each row is a flat
-    tuple of ints and finite floats, one for each _HOLE of sample, in encoding order;
-    sample gives the layout a row shares.  The text around the array is _dump_json's, and
-    each row fills one str.format template made by the encoder from sample, indented to
-    the depth of the array, so the bytes are those of json.dumps(indent=2) with no layout
-    written here.  A finite float formats as the encoder writes it (float.__repr__).
+    key is a key of payload, or a tuple of keys down to the array; the empty tuple ()
+    makes the array the whole output, and payload is then not read.  Each row is a flat
+    tuple, one value for each _HOLE of sample, in encoding order: ints, finite floats, and
+    strings passed already encoded, as json.dumps(text) gives them, which are written as
+    they are.  sample gives the layout a row shares.  The text around the array is
+    _dump_json's, and each row fills one str.format template made by the encoder from
+    sample, indented to the depth of the array, so the bytes are those of
+    json.dumps(indent=2) with no layout written here.  A finite float formats as the
+    encoder writes it (float.__repr__).
     """
     path = key if isinstance(key, tuple) else (key,)
     head, tail = "".join(_dump_json(_with_hole(payload, path))).split(_HOLE_JSON)
@@ -317,7 +322,9 @@ def cmd_spectrum(args) -> int:
         else:
             table = diagonal_table(spec, _float_list(args.energies))
         report = quadratic_hamiltonian_spectrum(spec, table)
-    _emit(_dump_json(report.as_dicts()), args.output)
+    rows = ((json.dumps(str(value)) if isinstance(value, Fraction) else value, mult)
+            for value, mult in report.levels)
+    _emit(_dump_json_rows(None, (), rows, {"value": _HOLE, "mult": _HOLE}), args.output)
     return 0
 
 

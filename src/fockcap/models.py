@@ -9,11 +9,13 @@ at the basis vector v.  For two capped boson modes with unit coefficients
 the closed-form levels are E_k = k - k(k-1)/p with multiplicity k+1
 (k = 0..p); the gap between consecutive levels is 1 - 2k/p, so accidental
 degeneracies appear and are merged exactly.  General quadratic Hamiltonians
-sum_ij t_ij a_i^+ a_j^- are handled on the float (orthonormal) backend with
-a symmetric eigensolver.  Both sum monomial products a_i^+ @ a_j^- (diagonal
-ones never clash).  Each product keeps the total occupation, so the float sum
-is scattered grade block by grade block into one small eigensolver input per
-block, never into a dim x dim matrix.
+sum_ij t_ij a_i^+ a_j^- are handled on the float (orthonormal) backend.  Both
+sum monomial products a_i^+ @ a_j^- (diagonal ones never clash).  Each product
+keeps the total occupation, so the float sum falls into one block per grade,
+never into a dim x dim matrix.  A block with no off-diagonal entry needs no
+eigensolver: its diagonal is its spectrum, in plain Python floats.  Only the
+other blocks go to a symmetric eigensolver, and numpy is imported for them
+alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .basis import AlgebraSpec
 from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, fock_space,
@@ -116,19 +118,79 @@ def toy_spectrum(p: int) -> SpectrumReport:
     return _merged((value, mult) for _, value, mult, _ in toy_levels(p))
 
 
-def _cluster(values: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:
-    import numpy as np
+def _pairwise_sum(x: Sequence[float], lo: int, hi: int) -> float:
+    """The sum of x[lo:hi] as numpy adds a float64 array (pairwise_sum in its
+    loops_utils): below 8 values one running sum from 0.0; up to 128, eight
+    strided running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the tail; above that, the two halves split at n//2 rounded down to a
+    multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        total = 0.0
+        for i in range(lo, hi):
+            total += x[i]
+        return total
+    if n <= 128:
+        end = hi - n % 8
+        r = []
+        for j in range(lo, lo + 8):  # sum() would not do: it compensates from Python 3.12
+            acc = x[j]
+            for y in x[j + 8:end:8]:
+                acc += y
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, hi):
+            total += x[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x, lo, lo + half) + _pairwise_sum(x, lo + half, hi)
 
+
+def _mean(x: Sequence[float]) -> float:
+    """float(np.mean(x)), bit for bit: numpy reduces from the identity 0.0.
+    The mean of k equal floats is not always that float."""
+    return (0.0 + _pairwise_sum(x, 0, len(x))) / len(x)
+
+
+def _cluster(values: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:
+    """Sorted values grouped wherever consecutive ones differ by more than tol;
+    each level is its group's mean and size."""
     levels: list[tuple[float, int]] = []
     cluster: list[float] = []
-    for x in np.sort(values):
+    for x in sorted(map(float, values)):
         if cluster and x - cluster[-1] > tol:
-            levels.append((float(np.mean(cluster)), len(cluster)))
+            levels.append((_mean(cluster), len(cluster)))
             cluster = []
-        cluster.append(float(x))
+        cluster.append(x)
     if cluster:
-        levels.append((float(np.mean(cluster)), len(cluster)))
+        levels.append((_mean(cluster), len(cluster)))
     return tuple(levels)
+
+
+def _float_table(n: int, t) -> list[list[float]]:
+    """t as n rows of n floats.  ValueError unless every t[i][j] is an int or
+    a float (not a bool) that is finite as a float, and t is symmetric to 1e-12."""
+    message = f"coefficient table must be {n}x{n} finite int or float numbers"
+    try:
+        if (isinstance(t, Mapping) or len(t) != n
+                or any(isinstance(t[i], Mapping) or len(t[i]) != n for i in range(n))):
+            raise ValueError(message)
+        entries = [[t[i][j] for j in range(n)] for i in range(n)]
+    except (TypeError, IndexError):  # a scalar, a row that is not a sequence
+        raise ValueError(message) from None
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for row in entries for x in row):
+        raise ValueError(message)
+    try:
+        table = [[float(x) for x in row] for row in entries]
+    except OverflowError:  # an int beyond float range
+        raise ValueError(message) from None
+    if not all(math.isfinite(x) for row in table for x in row):
+        raise ValueError(message)
+    if max(abs(table[i][j] - table[j][i]) for i in range(n) for j in range(n)) > 1e-12:
+        raise ValueError("coefficient table must be symmetric")
+    return table
 
 
 def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
@@ -138,50 +200,57 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
     Requires a symmetric table of finite numbers.  Every a_i^+ a_j^- keeps the
     total occupation, so H is block diagonal over the grades k = 0..p, and in
     the graded-lex basis block k is the rank range offsets[k]..offsets[k+1].
-    Each block is assembled alone from the product entries in its columns,
-    checked to hold finite numbers, to keep every entry inside the block and
-    to be symmetric (a failure of either of the last two would indicate a
-    builder bug), and only then handed to the symmetric eigensolver; no
+    The products are summed one at a time into one accumulator per stored
+    entry, in product order: the additions h[r, c] += t_ij * coef of a zero
+    array, so each entry is the same float.  Each block is then checked to
+    keep every entry inside it (a builder bug otherwise), to hold finite
+    numbers, and to be symmetric on the stored positions (a builder bug
+    otherwise).  A block with no stored off-diagonal entry has its diagonal as
+    its eigenvalues; only any other block is scattered into a small array and
+    handed to the symmetric eigensolver, and only then is numpy imported.  No
     dim x dim matrix is formed.  The eigenvalues of all blocks are clustered
     together at CLUSTER_TOL, so a level may span grades.
     """
-    import numpy as np  # here, so that only a float spectrum pays for the import
-
-    try:
-        table = np.asarray(t, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # a mapping, ragged rows, a huge int
-        table = None
-    if (table is None or table.shape != (spec.n, spec.n) or not np.isfinite(table).all()
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for row in t for x in row)):
-        raise ValueError(f"coefficient table must be {spec.n}x{spec.n} finite int or float numbers")
-    if np.max(np.abs(table - table.T)) > 1e-12:
-        raise ValueError("coefficient table must be symmetric")
-    terms = [(t_ij, np.array(product.target[:-1]), np.array(product.coef[:-1]))
-             for t_ij, product in _products(spec, table.tolist(), ORTHONORMAL)]
-    offsets = fock_space(spec).offsets
-    values = []
-    for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-        h = np.zeros((hi - lo,) * 2)
-        stored = []  # (rows, cols) of each product's entries, relative to the block
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below as beyond float range
-            for t_ij, target, coef in terms:
-                cols = np.flatnonzero(coef[lo:hi])
-                rows = target[lo:hi][cols] - lo
-                if len(rows) and not 0 <= rows.min() <= rows.max() < hi - lo:
-                    raise RuntimeError(f"assembled Hamiltonian has an entry outside grade block {k}")
-                h[rows, cols] += t_ij * coef[lo:hi][cols]
-                stored.append((rows, cols))
-            finite = all(np.isfinite(h[r, c]).all() for r, c in stored)
-            asym = max((np.abs(h[r, c] - h[c, r]).max(initial=0.0) for r, c in stored),
-                       default=0.0)
-        if not finite:
+    table = _float_table(spec.n, t)
+    space = fock_space(spec)
+    grades, offsets = space.grades, space.offsets
+    diag = [0.0] * len(grades)  # an unstored diagonal entry is the 0.0 it starts from
+    off: list[dict[tuple[int, int], float]] = [{} for _ in offsets[1:]]  # per grade block
+    outside = len(offsets)  # the first grade block with an entry outside it, if any
+    for t_ij, product in _products(spec, table, ORTHONORMAL):
+        for c, (r, x) in enumerate(zip(product.target, product.coef)):
+            if not x:
+                continue
+            if r == c:
+                diag[c] += t_ij * x
+                continue
+            k = grades[c]
+            if grades[r] != k:
+                outside = min(outside, k)
+            else:
+                block = off[k]
+                block[r, c] = block.get((r, c), 0.0) + t_ij * x
+    values: list[float] = []
+    for k, (block, lo, hi) in enumerate(zip(off, offsets, offsets[1:])):
+        if k == outside:
+            raise RuntimeError(f"assembled Hamiltonian has an entry outside grade block {k}")
+        if not (all(map(math.isfinite, diag[lo:hi])) and all(map(math.isfinite, block.values()))):
             raise ValueError("assembled Hamiltonian has entries beyond float range")
+        # a finite diagonal entry is its own mirror image
+        asym = max((abs(h_rc - block.get((c, r), 0.0)) for (r, c), h_rc in block.items()),
+                   default=0.0)
         if asym > SYMMETRY_TOL:
             raise RuntimeError(f"assembled Hamiltonian not symmetric (residual {asym:g})")
-        values.append(np.linalg.eigvalsh(h))
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = _cluster(np.concatenate(values), CLUSTER_TOL)
+        if not block:
+            values += diag[lo:hi]
+            continue
+        import numpy as np  # here, so that only a block with an off-diagonal entry pays for it
+
+        h = np.diag(diag[lo:hi])
+        rows, cols = zip(*block)
+        h[np.array(rows) - lo, np.array(cols) - lo] = list(block.values())
+        values += np.linalg.eigvalsh(h).tolist()
+    levels = _cluster(values, CLUSTER_TOL)
     if not all(math.isfinite(value) for value, _ in levels):
         raise ValueError("eigenvalues of the assembled Hamiltonian are beyond float range")
     return SpectrumReport(levels, FLOAT)

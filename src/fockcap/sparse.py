@@ -218,12 +218,14 @@ class MonomialMatrix:
         return SparseMatrix(self.rows, self.cols, self.data, self.tag)
 
     def max_abs(self, where=None) -> Scalar:
-        """Largest absolute entry; 0 for the zero matrix.  With ``where``, only
-        the entries at the (r, c) where ``where(r, c)`` holds."""
-        if where is None:
-            top = max(map(abs, self.coef))
-        else:
-            top = max((abs(x) for r, c, x in self._live() if where(r, c)), default=0)
+        """Largest absolute entry; 0 for the zero matrix, NaN for a float matrix
+        holding a NaN (max alone would skip one that does not come first).
+        With ``where``, only the entries at the (r, c) where ``where(r, c)``
+        holds."""
+        coef = self.coef if where is None else [x for r, c, x in self._live() if where(r, c)]
+        if not self.exact and any(map(math.isnan, coef)):
+            return math.nan
+        top = max(map(abs, coef), default=0)
         return self._value(top) if top else 0
 
     def apply(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:

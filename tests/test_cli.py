@@ -35,6 +35,17 @@ def test_importing_the_cli_leaves_numpy_unloaded():
                    env={**os.environ, "PYTHONPATH": src}, check=True)
 
 
+def test_a_diagonal_float_spectrum_leaves_numpy_unloaded():
+    # no grade block of a diagonal table holds an off-diagonal entry, so none needs eigvalsh
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = ["spectrum", "--kind", "bose", "--n", "3", "--p", "4", "--backend", "float",
+            "--energies", "0.5,1.75,3"]
+    subprocess.run([sys.executable, "-c",
+                    f"import sys; from fockcap import cli; assert cli.main({argv!r}) == 0; "
+                    "assert 'numpy' not in sys.modules"],
+                   env={**os.environ, "PYTHONPATH": src}, check=True, stdout=subprocess.DEVNULL)
+
+
 def test_dim_human(capsys):
     code, out, err = run_cli(capsys, "dim", "--kind", "fermi", "--n", "4", "--p", "2")
     assert code == 0
@@ -480,6 +491,18 @@ def test_streamed_json_rows_are_the_bytes_of_json_dumps(data, sample, before, af
         assert '"rows": []' in streamed
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.text(), ROW_VALUES), st.integers()), max_size=12),
+       st.integers(1, 5))
+def test_streamed_json_rows_of_a_top_level_array_take_encoded_strings(rows, batch):
+    # the key path () makes the array the whole output; a string row value arrives encoded
+    encoded = [(json.dumps(v) if isinstance(v, str) else v, m) for v, m in rows]
+    with mock.patch.object(cli, "CHUNK_ROWS", batch):
+        streamed = "".join(cli._dump_json_rows(None, (), iter(encoded),
+                                               {"value": H, "mult": H}))
+    assert streamed == json.dumps([{"value": v, "mult": m} for v, m in rows], indent=2) + "\n"
+
+
 class _ChunkSizes:
     """A stdout that keeps only the length of each chunk written to it."""
 
@@ -664,7 +687,8 @@ def test_exact_energy_exponent_at_the_bound_is_read(capsys):
 # Exit code and stdout sha256 of small commands: a change that alters any
 # output byte fails here.  Float output is pinned only where it comes from
 # Python float arithmetic and math.sqrt (no libm exp, no LAPACK), so the
-# hashes do not depend on the platform.
+# hashes do not depend on the platform.  A float spectrum of a diagonal table
+# is such output: it calls no eigensolver.
 GOLDEN = [
     ("dim --kind fermi --n 4 --p 2", 0, "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e"),
     ("basis --kind bose --n 2 --p 3", 0, "4ab3df114d49ce80d98478509a55707bbb01253de8afd358630ccc63e730e9d8"),
@@ -703,6 +727,8 @@ GOLDEN = [
     ("ops --kind bose --n 3 --p 4 --op number", 0, "0622306114357a509e410fbe77a8ea34d5f8785f357b4b1ba9324a648fc91ebe"),
     ("ops --kind fermi --n 4 --p 3 --op create --i 2", 0, "f63e1a571460f9c4416d2c5412e7c5533393e8dae222d8e9226b5da1e09b40ac"),
     ("ops --kind bose --n 3 --p 4 --op eij --i 1 --j 3 --normalization orthonormal", 0, "9c8d07288722d69e67a6702c517ac17a8d1a3d048250655d4aae182b75588e29"),
+    ("spectrum --kind bose --n 3 --p 4 --backend float --energies 0.5,1.75,3", 0, "518c49b0d61dd0014e10fac95eea24b1af068a8f056d0335391e9bab1c7f8815"),
+    ("spectrum --kind fermi --n 4 --p 3 --backend float --energies=-1,0.25,2,0", 0, "00f29fd9b26bdfe9b2d19ca4323e0ec37e1482a1a1d4d28abbb5238e1e8cd786"),
 ]
 
 

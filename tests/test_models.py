@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -229,6 +233,56 @@ def test_float_spectrum_allocates_no_dim_squared_array(fresh_spaces):
     assert report.total_multiplicity == dimension(spec)
     exact = diagonal_spectrum(spec, eps).levels
     assert_levels_close(report.levels, [(float(v), m) for v, m in exact])
+
+
+def test_hopping_spectrum_allocates_no_dim_squared_array(fresh_spaces):
+    # dim 2925: one dense float matrix would take 68 MB; the largest grade block is 325^2
+    spec = AlgebraSpec(Kind.BOSE, 3, 24)
+    tracemalloc.start()
+    try:
+        report = quadratic_hamiltonian_spectrum(spec, TABLES["hopping"](3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert report.total_multiplicity == dimension(spec)
+
+
+def test_hopping_spectrum_still_imports_numpy_and_matches_the_dense_oracle():
+    # a block with an off-diagonal entry is the one thing that needs eigvalsh
+    spec, table = AlgebraSpec(Kind.BOSE, 3, 3), TABLES["hopping"](3)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+    script = ("import json, sys; from fockcap import AlgebraSpec, Kind, "
+              "quadratic_hamiltonian_spectrum as q; "
+              f"levels = q(AlgebraSpec(Kind.BOSE, 3, 3), {table!r}).levels; "
+              "assert 'numpy' in sys.modules; print(json.dumps(levels))")
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    assert_levels_close([tuple(level) for level in json.loads(out)],
+                        _dict_of_keys_levels(spec, table))
+
+
+def test_cluster_mean_is_numpys_mean_bit_for_bit():
+    # numpy sums pairwise: 8 running sums from 8 values on, halves above 128
+    rng = random.Random(16)
+    for length in range(1, 301):
+        base = rng.uniform(-1e3, 1e3)
+        x = [base + rng.uniform(-1e-10, 1e-10) for _ in range(length)]
+        # repr tells -0.0 from 0.0, which equality does not
+        for cluster in (x, x[:1] * length, [-0.0] * length):
+            assert repr(models._mean(cluster)) == repr(float(np.mean(cluster))), length
+
+
+def test_diagonal_levels_equal_those_of_the_dense_route():
+    # no eigensolver on a diagonal table: its levels are the dense eigvalsh ones, exactly
+    rng = random.Random(7)
+    for kind, n, p in [(kind, n, p) for kind in Kind for n in (1, 2, 3, 4) for p in (1, 3, 5)]:
+        spec = AlgebraSpec(kind, n, p)
+        energies = [rng.choice([0.0, rng.uniform(-1e3, 1e3), float(rng.randint(-3, 3))])
+                    for _ in range(n)]
+        table = [[energies[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+        assert quadratic_hamiltonian_spectrum(spec, table).levels == \
+            _dict_of_keys_levels(spec, table), (spec, energies)
 
 
 def test_quadratic_rejects_asymmetric_table():

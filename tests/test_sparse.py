@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcap import AlgebraSpec, Kind, fock_space
+from fockcap import AlgebraSpec, Kind, fock_space, relations
 from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix, orbit_ranks
 
 
@@ -75,6 +75,17 @@ def test_residual_is_the_max_abs_of_the_difference():
                   fock_space(AlgebraSpec(Kind.BOSE, 2, 2)).ladder(1, +1, "orthonormal")):
         with pytest.raises(ValueError, match="basis tag mismatch"):
             up - other
+
+
+def test_a_nan_entry_makes_a_float_residual_fail():
+    # max alone skips a NaN that does not come first: the residual would read 1.0 and pass
+    m = MonomialMatrix(2, [0, 1], [1.0, math.nan])
+    assert math.isnan(m.max_abs())
+    assert math.isnan(m.max_abs(lambda r, c: r == c))
+    assert m.max_abs(lambda r, c: c == 0) == 1.0
+    spec = AlgebraSpec(Kind.BOSE, 1, 1)
+    assert not relations._report("nan", spec, (), m.max_abs(), relations.FLOAT).passed
+    assert MonomialMatrix(2, [0, 1], [1, -3], 2).max_abs() == Fraction(3, 2)
 
 
 def test_row_reducer_incremental():
