@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import combinations, combinations_with_replacement
 from math import comb, log, log1p
+from operator import sub
 from typing import Iterator
 
 OccupationVector = tuple[int, ...]
@@ -62,16 +64,19 @@ def fermi_cap_note(spec: AlgebraSpec) -> str | None:
 
 
 def _grade_vectors(kind: Kind, n: int, k: int) -> Iterator[OccupationVector]:
-    # lexicographic ascending within the grade (n >= 1); the last mode takes
-    # the remaining total when admissible, so Bose grades cost O(output)
-    top = min(k, 1 if kind is Kind.FERMI else k)
-    if n == 1:
-        if k <= top:
-            yield (k,)
-        return
-    for first in range(0, top + 1):
-        for rest in _grade_vectors(kind, n - 1, k - first):
-            yield (first,) + rest
+    """The vectors of grade k, lexicographic ascending (n >= 1), in the order
+    itertools lists them by: Bose from the running totals v_1, v_1+v_2, ..., a
+    nondecreasing (n-1)-tuple in 0..k (stars and bars); Fermi from the positions
+    of the n-k zeros."""
+    if kind is Kind.BOSE:
+        for totals in combinations_with_replacement(range(k + 1), n - 1):
+            yield tuple(map(sub, totals + (k,), (0,) + totals))
+    elif k <= n:
+        for zeros in combinations(range(n), n - k):
+            v = [1] * n
+            for z in zeros:
+                v[z] = 0
+            yield tuple(v)
 
 
 def iter_basis(spec: AlgebraSpec) -> Iterator[OccupationVector]:

@@ -214,8 +214,9 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
     table = _float_table(spec.n, t)
     space = fock_space(spec)
     grades, offsets = space.grades, space.offsets
-    diag = [0.0] * len(grades)  # an unstored diagonal entry is the 0.0 it starts from
-    off: list[dict[tuple[int, int], float]] = [{} for _ in offsets[1:]]  # per grade block
+    dim = len(grades)
+    diag = [0.0] * dim  # an unstored diagonal entry is the 0.0 it starts from
+    off: list[dict[int, float]] = [{} for _ in offsets[1:]]  # per grade block, (r, c) at r*dim + c
     outside = len(offsets)  # the first grade block with an entry outside it, if any
     for t_ij, product in _products(spec, table, ORTHONORMAL):
         for c, (r, x) in enumerate(zip(product.target, product.coef)):
@@ -228,17 +229,17 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
             if grades[r] != k:
                 outside = min(outside, k)
             else:
-                block = off[k]
-                block[r, c] = block.get((r, c), 0.0) + t_ij * x
+                block, key = off[k], r * dim + c
+                block[key] = block.get(key, 0.0) + t_ij * x
     values: list[float] = []
     for k, (block, lo, hi) in enumerate(zip(off, offsets, offsets[1:])):
         if k == outside:
             raise RuntimeError(f"assembled Hamiltonian has an entry outside grade block {k}")
         if not (all(map(math.isfinite, diag[lo:hi])) and all(map(math.isfinite, block.values()))):
             raise ValueError("assembled Hamiltonian has entries beyond float range")
-        # a finite diagonal entry is its own mirror image
-        asym = max((abs(h_rc - block.get((c, r), 0.0)) for (r, c), h_rc in block.items()),
-                   default=0.0)
+        # a finite diagonal entry is its own mirror image; that of r*dim + c is c*dim + r
+        asym = max((abs(h_rc - block.get(key % dim * dim + key // dim, 0.0))
+                    for key, h_rc in block.items()), default=0.0)
         if asym > SYMMETRY_TOL:
             raise RuntimeError(f"assembled Hamiltonian not symmetric (residual {asym:g})")
         if not block:
@@ -247,8 +248,8 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
         import numpy as np  # here, so that only a block with an off-diagonal entry pays for it
 
         h = np.diag(diag[lo:hi])
-        rows, cols = zip(*block)
-        h[np.array(rows) - lo, np.array(cols) - lo] = list(block.values())
+        rows, cols = np.divmod(np.fromiter(block, np.int64, len(block)), dim)
+        h[rows - lo, cols - lo] = list(block.values())
         values += np.linalg.eigvalsh(h).tolist()
     levels = _cluster(values, CLUSTER_TOL)
     if not all(math.isfinite(value) for value, _ in levels):

@@ -46,10 +46,9 @@ from .sparse import MonomialMatrix, bracket
 
 UNNORMALIZED = "unnormalized"
 ORTHONORMAL = "orthonormal"
-# Backends of the relation and spectrum reports, and the basis each works in.
+# Backends of the relation and spectrum reports.
 EXACT = "exact"
 FLOAT = "float"
-NORMALIZATION = {EXACT: UNNORMALIZED, FLOAT: ORTHONORMAL}
 # Spaces kept alive by fock_space(); one command works on one spec at a time.
 SPACE_CACHE_SIZE = 4
 
@@ -193,7 +192,7 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
         targets.append(row)
         coefs.append(coef)
     denom = p if normalization == UNNORMALIZED and delta < 0 else 1
-    return MonomialMatrix(len(index), targets, coefs, denom, BasisTag(spec, normalization))
+    return MonomialMatrix(len(space.basis), targets, coefs, denom, BasisTag(spec, normalization))
 
 
 def _orthonormal_magnitude(u: Sequence[int], i: int, p: int) -> float:

@@ -10,8 +10,12 @@ Two storage types share one method surface (``@``, ``+``, ``-``, scalar
   docstring); products and sums are index compositions over Python integers.
 - ``SparseMatrix`` (dict-of-keys) and ``RowReducer`` (exact rank) serve no
   passing run.  They are the oracle the kernel is tested against, and the
-  fallback that keeps a wrong operator's results exact, such as a sum whose
-  terms clash on a column.  ``perfbench/tracing.py`` finds both here by name.
+  fallback that keeps a wrong operator's results exact.  Of the faults in
+  ``tests/test_fault_catalogue.py``, a target moved to a same-grade
+  neighbour reaches it by a ``_plus`` clash and, off the orthonormal route,
+  a non-monomial orbit; a repeated basis vector by a ``_plus`` clash and a
+  transpose with two entries in one row.  ``perfbench/tracing.py`` finds
+  both here by name.
 
 Entries are rationals in the exact backend and floats in the orthonormal
 (normalized) backend; explicit zeros are never stored.  Every matrix carries

@@ -38,11 +38,11 @@ def test_criterion_1_exact_relation_suite():
     t0 = time.perf_counter()
     reports = []
     for spec in GRID:
-        reports += check_pp(spec, EXACT)
-        reports += check_number(spec, EXACT)
-        reports += check_mixed(spec, EXACT)
-        reports += check_cap(spec, EXACT)
-        reports += check_hermiticity(spec, EXACT)
+        reports += check_pp(spec)
+        reports += check_number(spec)
+        reports += check_mixed(spec)
+        reports += check_cap(spec)
+        reports += check_hermiticity(spec)
     elapsed = time.perf_counter() - t0
     zero = all(rep.residual == 0 for rep in reports)
     ok = zero and elapsed < 10.0

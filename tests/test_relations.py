@@ -8,8 +8,7 @@ from fockcap import (AlgebraSpec, Kind, check_backend_agreement, check_cap,
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic, fock_space,
                      run_grid, run_suite)
-from fockcap.operators import ORTHONORMAL
-from fockcap.relations import EXACT, FLOAT, FLOAT_TOL
+from fockcap.relations import EXACT, FLOAT, FLOAT_TOL, RelationReport
 
 from conftest import small_grid
 
@@ -73,9 +72,11 @@ def test_cap_reports():
 
 
 def test_hermiticity_exact_and_float():
+    # the float suite holds the exact hermiticity reports, not a float copy of them
     spec = AlgebraSpec(Kind.BOSE, 2, 3)
-    assert all(rep.residual == 0 for rep in check_hermiticity(spec, EXACT))
-    assert all(rep.passed for rep in check_hermiticity(spec, FLOAT))
+    reports = check_hermiticity(spec)
+    assert all(rep.residual == 0 and rep.backend == EXACT for rep in reports)
+    assert set(reports) <= set(run_suite(spec, FLOAT))
 
 
 def test_vacuum_cyclic_rank_is_full():
@@ -85,10 +86,18 @@ def test_vacuum_cyclic_rank_is_full():
 
 
 def test_float_backend_suite():
+    # the float suite is the exact suite plus the orthonormal agreement checks:
+    # conjugation by the diagonal square roots of G keeps every relation
     for spec in (AlgebraSpec(Kind.FERMI, 3, 2), AlgebraSpec(Kind.BOSE, 2, 4)):
-        for rep in run_suite(spec, FLOAT):
+        reports = run_suite(spec, FLOAT)
+        assert reports == sorted(run_suite(spec, EXACT) + check_backend_agreement(spec),
+                                 key=RelationReport.sort_key)
+        assert len(reports) == 2 * spec.n ** 2 + 9 * spec.n + 4
+        for rep in reports:
             assert rep.passed, (rep.relation, rep.indices, rep.residual)
             assert float(rep.residual) <= FLOAT_TOL
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_suite(spec, "orthonormal")
 
 
 def test_vacuum_cyclic_fails_without_creation_operators(monkeypatch, fresh_spaces):
@@ -110,7 +119,6 @@ def test_hermiticity_fails_for_a_doubled_annihilation_only(monkeypatch, fresh_sp
     from fockcap import operators
     space = fock_space(spec)
     expected = (space.gram @ space.ladder(1, -1)).max_abs()
-    float_expected = space.ladder(1, -1, ORTHONORMAL).max_abs()
     original = operators._ladder_matrix
 
     def doubled(space, i, delta, normalization):
@@ -119,12 +127,11 @@ def test_hermiticity_fails_for_a_doubled_annihilation_only(monkeypatch, fresh_sp
 
     monkeypatch.setattr(operators, "_ladder_matrix", doubled)
     fock_space.cache_clear()
-    for backend, residual in ((EXACT, expected), (FLOAT, float_expected)):
-        reports = check_hermiticity(spec, backend)
-        failed = [(rep.relation, rep.indices) for rep in reports if not rep.passed]
-        assert failed == [("adjoint-is-annihilation", (1,))]
-        # (a_1^+)^T G - G (2 a_1^-) = -G a_1^-, and G = 1 on the float backend
-        assert reports[0].residual == residual > 0
+    reports = check_hermiticity(spec)
+    failed = [(rep.relation, rep.indices) for rep in reports if not rep.passed]
+    assert failed == [("adjoint-is-annihilation", (1,))]
+    # (a_1^+)^T G - G (2 a_1^-) = -G a_1^-
+    assert reports[0].residual == expected > 0
 
 
 def test_backend_agreement():
@@ -147,8 +154,9 @@ def test_report_serialization():
     payload = rep.as_dict()
     assert payload["kind"] == "fermi" and payload["pass"] is True
     assert payload["residual"] == "0"
-    rep = run_suite(AlgebraSpec(Kind.FERMI, 1, 1), FLOAT)[0]
-    assert isinstance(rep.as_dict()["residual"], float)
+    rep = check_backend_agreement(AlgebraSpec(Kind.FERMI, 1, 1))[0]
+    payload = rep.as_dict()
+    assert payload["backend"] == FLOAT and isinstance(payload["residual"], float)
 
 
 @given(st.sampled_from(["fermi", "bose"]), st.integers(1, 3), st.integers(1, 3),
