@@ -1,11 +1,15 @@
 """Hamiltonians built from the capped ladder operators and their spectra.
 
-The diagonal model H = sum_i eps_i a_i^+ a_i^- is assembled by exact matrix
-products and stays diagonal in the occupation basis with entry
+The diagonal model H = sum_i eps_i a_i^+ a_i^- is diagonal in the occupation
+basis with entry
 
     sum_i eps_i v_i (p - |v| + 1)/p
 
-at the basis vector v.  For two capped boson modes with unit coefficients
+at the basis vector v (the Fermi sign squares to 1), so each level depends
+only on the grade |v| and the energy sum sum_i eps_i v_i.  diagonal_spectrum
+counts the basis vectors by those two numbers, one mode at a time, and builds
+no space and no operator; diagonal_hamiltonian assembles H by exact matrix
+products and is its oracle.  For two capped boson modes with unit coefficients
 the closed-form levels are E_k = k - k(k-1)/p with multiplicity k+1
 (k = 0..p); the gap between consecutive levels is 1 - 2k/p, so accidental
 degeneracies appear and are merged exactly.  General quadratic Hamiltonians
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .basis import AlgebraSpec
+from .basis import AlgebraSpec, Kind
 from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, fock_space,
                         grade_diagonal)
 from .sparse import MonomialMatrix
@@ -63,32 +67,43 @@ def _products(spec: AlgebraSpec, table: Sequence[Sequence], normalization: str):
                 yield t, space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization)
 
 
+def _report(counts: Mapping[Fraction | int, int], denom: int = 1) -> SpectrumReport:
+    """Levels value/denom of distinct values and their multiplicities, ascending."""
+    return SpectrumReport(tuple((Fraction(v, denom), m) for v, m in sorted(counts.items())), EXACT)
+
+
 def _merged(pairs, denom: int = 1) -> SpectrumReport:
     """Levels value/denom of (value, multiplicity) pairs, coincident values merged, ascending."""
     counts: dict[Fraction | int, int] = {}
     for value, mult in pairs:
         counts[value] = counts.get(value, 0) + mult
-    return SpectrumReport(tuple((Fraction(v, denom), m) for v, m in sorted(counts.items())), EXACT)
+    return _report(counts, denom)
+
+
+def _check_energy_count(spec: AlgebraSpec, energies: Sequence) -> None:
+    if len(energies) != spec.n:
+        raise ValueError(f"expected {spec.n} energies, got {len(energies)}")
 
 
 def diagonal_table(spec: AlgebraSpec, energies: Sequence) -> list[list]:
     """The coefficient table t_ij of H = sum_i eps_i a_i^+ a_i^-: eps_i on the
     diagonal, 0 elsewhere; one energy per mode."""
-    if len(energies) != spec.n:
-        raise ValueError(f"expected {spec.n} energies, got {len(energies)}")
+    _check_energy_count(spec, energies)
     return [[energies[i] if i == j else 0 for j in range(spec.n)] for i in range(spec.n)]
 
 
 def diagonal_hamiltonian(spec: AlgebraSpec,
                          energies: Sequence[Fraction | int]) -> MonomialMatrix:
-    """Exact H = sum_i eps_i a_i^+ a_i^-, formed by matrix products."""
+    """Exact H = sum_i eps_i a_i^+ a_i^-, formed by matrix products: the
+    product-route oracle of diagonal_spectrum."""
     table = diagonal_table(spec, [Fraction(e) for e in energies])
     zero = grade_diagonal(fock_space(spec), lambda k: 0)
     return sum((t * product for t, product in _products(spec, table, UNNORMALIZED)), zero)
 
 
 def spectrum_of_diagonal(h: MonomialMatrix) -> SpectrumReport:
-    """Exact spectrum of a diagonal operator; coincident values merge."""
+    """Exact spectrum of a diagonal operator; coincident values merge.  With
+    diagonal_hamiltonian, the product-route oracle of diagonal_spectrum."""
     if h.max_abs(lambda r, c: r != c) != 0:
         raise ValueError("operator is not diagonal in the occupation basis")
     return _merged(((x, 1) for x in h.coef[:-1]), h.denom)
@@ -96,7 +111,39 @@ def spectrum_of_diagonal(h: MonomialMatrix) -> SpectrumReport:
 
 def diagonal_spectrum(spec: AlgebraSpec,
                       energies: Sequence[Fraction | int]) -> SpectrumReport:
-    return spectrum_of_diagonal(diagonal_hamiltonian(spec, energies))
+    """Exact spectrum of H = sum_i eps_i a_i^+ a_i^-, from a count of the
+    basis vectors by grade k = |v| and energy sum S = sum_i w_i v_i.
+
+    Over the common denominator D of the energies, eps_i = w_i/D with integer
+    w_i, and the level at v is S (p - k + 1)/(D p).  One pass over the modes
+    keeps, per grade reached so far, a dict from S to its count: a Bose mode
+    adds j = 0..p-k quanta, a Fermi mode j = 0 or 1.  The last mode's counts
+    go straight into the levels.  That is at most n*dim dict updates, and far
+    fewer where energies coincide; no basis, index or operator is formed.
+    """
+    _check_energy_count(spec, energies)
+    eps = [Fraction(e) for e in energies]
+    p, denom = spec.p, math.lcm(*(e.denominator for e in eps))
+    *weights, last = [e.numerator * (denom // e.denominator) for e in eps]
+    top = 1 if spec.kind is Kind.FERMI else p  # quanta one mode may hold
+    grades: list[dict[int, int]] = [{0: 1}]  # grade k -> {S: count}
+    for w in weights:
+        reached: list[dict[int, int]] = [{} for _ in range(min(len(grades) - 1 + top, p) + 1)]
+        for k, counts in enumerate(grades):
+            for j in range(min(top, p - k) + 1):
+                target, shift = reached[k + j], j * w
+                for s, m in counts.items():
+                    key = s + shift
+                    target[key] = target.get(key, 0) + m
+        grades = reached
+    levels: dict[int, int] = {}  # S (p - k + 1) -> count
+    for k, counts in enumerate(grades):
+        for j in range(min(top, p - k) + 1):
+            factor, shift = p - k - j + 1, j * last
+            for s, m in counts.items():
+                key = (s + shift) * factor
+                levels[key] = levels.get(key, 0) + m
+    return _report(levels, denom * p)
 
 
 def toy_levels(p: int) -> list[tuple[int, Fraction, int, Fraction | None]]:

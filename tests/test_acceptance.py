@@ -12,9 +12,10 @@ from math import comb, factorial
 from fockcap import (AlgebraSpec, Kind, check_backend_agreement, check_cap,
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic,
-                     diagonal_spectrum, dimension, enumerate_basis, fock_space,
-                     graded_dimensions, quadratic_hamiltonian_spectrum,
-                     run_lie_suite, toy_levels, toy_spectrum)
+                     diagonal_hamiltonian, diagonal_spectrum, dimension,
+                     enumerate_basis, fock_space, graded_dimensions,
+                     quadratic_hamiltonian_spectrum, run_lie_suite,
+                     spectrum_of_diagonal, toy_levels, toy_spectrum)
 from fockcap.relations import EXACT
 
 GRID = [AlgebraSpec(kind, n, p)
@@ -126,7 +127,8 @@ def test_criterion_5_toy_model():
     t0 = time.perf_counter()
     for p in (1, 2, 3, 10, 100):
         spec = AlgebraSpec(Kind.BOSE, 2, p)
-        assert toy_spectrum(p).levels == diagonal_spectrum(spec, [1, 1]).levels
+        h = diagonal_hamiltonian(spec, [1, 1])  # by matrix products, not the closed form
+        assert toy_spectrum(p).levels == spectrum_of_diagonal(h).levels
     # closed-form level table at p=10: level 3 sits at 12/5 with multiplicity 4
     k, value, mult, gap = toy_levels(10)[3]
     assert (value, mult) == (Fraction(12, 5), 4)

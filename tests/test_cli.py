@@ -46,6 +46,14 @@ def test_a_diagonal_float_spectrum_leaves_numpy_unloaded():
                    env={**os.environ, "PYTHONPATH": src}, check=True, stdout=subprocess.DEVNULL)
 
 
+def test_an_exact_spectrum_builds_no_space(capsys, fresh_spaces):
+    # the levels are counted by grade and energy sum: no basis, index or operator
+    code, out, _ = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "3", "--p", "4",
+                           "--energies", "1/2,-1,2")
+    assert code == 0 and sum(level["mult"] for level in json.loads(out)) == 35
+    assert fock_space.cache_info().currsize == 0
+
+
 def test_dim_human(capsys):
     code, out, err = run_cli(capsys, "dim", "--kind", "fermi", "--n", "4", "--p", "2")
     assert code == 0

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fockcap import (AlgebraSpec, Kind, cli, diagonal_hamiltonian, diagonal_spectrum,
                      dimension, enumerate_basis, quadratic_hamiltonian_spectrum,
@@ -69,10 +69,15 @@ def test_toy_spectrum_merges_degeneracies():
     assert report.total_multiplicity == dimension(AlgebraSpec(Kind.BOSE, 2, 10))
 
 
+def _product_route_levels(spec, energies):
+    """The oracle: H assembled from the products a_i^+ @ a_i^-, its diagonal read off."""
+    return spectrum_of_diagonal(diagonal_hamiltonian(spec, energies)).levels
+
+
 def test_toy_spectrum_equals_matrix_diagonalization():
     for p in (1, 2, 3, 10):
         spec = AlgebraSpec(Kind.BOSE, 2, p)
-        assert toy_spectrum(p).levels == diagonal_spectrum(spec, [1, 1]).levels
+        assert toy_spectrum(p).levels == _product_route_levels(spec, [1, 1])
 
 
 def test_toy_levels_approach_uncapped_ladder():
@@ -94,6 +99,29 @@ def test_spectrum_of_diagonal_rejects_offdiagonal():
     spec = AlgebraSpec(Kind.BOSE, 2, 1)
     with pytest.raises(ValueError):
         spectrum_of_diagonal(fock_space(spec).bilinear(1, 2))
+
+
+def test_diagonal_spectrum_equals_the_product_route():
+    # zero, negative, repeated and non-integer energies; small_grid holds Fermi specs with p >= n
+    rng = random.Random(18)
+    for spec in small_grid(4, 4):
+        n = spec.n
+        draws = [[Fraction(0)] * n, [Fraction(5, 3)] * n,
+                 [Fraction(-7, 4), Fraction(0), Fraction(2, 9), Fraction(-7, 4)][:n],
+                 [-3, 2, -1, 4][:n]]
+        draws += [[Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(n)]
+                  for _ in range(2)]
+        for eps in draws:
+            assert diagonal_spectrum(spec, eps).levels == _product_route_levels(spec, eps), \
+                (spec, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(Kind), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_diagonal_spectrum_matches_the_product_route_property(kind, n, p, data):
+    spec = AlgebraSpec(kind, n, p)
+    eps = data.draw(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=n, max_size=n))
+    assert diagonal_spectrum(spec, eps).levels == _product_route_levels(spec, eps)
 
 
 def test_multiplicities_sum_to_dimension():
@@ -355,3 +383,6 @@ def test_product_entry_outside_its_grade_block_is_a_builder_bug(monkeypatch, fre
 def test_energy_count_validation():
     with pytest.raises(ValueError):
         diagonal_hamiltonian(B22, [1])
+    for energies in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match=f"^expected 2 energies, got {len(energies)}$"):
+            diagonal_spectrum(B22, energies)
