@@ -10,7 +10,7 @@ from .lie import (check_adjoint_action, check_branching, check_gl_commutators,
 from .models import (SpectrumReport, diagonal_hamiltonian, diagonal_spectrum,
                      quadratic_hamiltonian_spectrum, spectrum_of_diagonal,
                      toy_levels, toy_spectrum)
-from .operators import fock_space, normalize, operator_json_payload
+from .operators import FockSpace, normalize, operator_json_payload
 from .relations import (ClassicalLimitReport, RelationReport,
                         check_backend_agreement, check_cap,
                         check_classical_limit, check_hermiticity, check_mixed,

@@ -23,8 +23,8 @@ from .basis import (AlgebraSpec, Kind, basis_csv, dimension, fermi_cap_note,
 from .lie import LIE_CHECKS, run_lie_suite
 from .models import (diagonal_spectrum, diagonal_table, quadratic_hamiltonian_spectrum,
                      toy_levels, toy_spectrum)
-from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, clear_space_cache,
-                        fock_space, normalize, operator_json_payload)
+from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, FockSpace, normalize,
+                        operator_json_payload)
 from .relations import run_grid, run_suite
 from .thermo import sweep, thermo_csv
 
@@ -59,29 +59,20 @@ def _dump_json(payload) -> Iterator[str]:
     yield "\n"
 
 
-def _with_hole(payload, path) -> dict | str:
-    """A copy of payload with _HOLE at the end of the key path; _HOLE for an empty path."""
-    if not path:
-        return _HOLE
-    key, *rest = path
-    return {**payload, key: _with_hole(payload[key], rest) if rest else _HOLE}
-
-
 def _dump_json_rows(payload, key, rows: Iterable[tuple], sample) -> Iterator[str]:
     """_dump_json(payload) with payload[key] = list(rows), streamed from the iterator rows.
 
-    key is a key of payload, or a tuple of keys down to the array; the empty tuple ()
-    makes the array the whole output, and payload is then not read.  Each row is a flat
-    tuple, one value for each _HOLE of sample, in encoding order: ints, finite floats, and
-    strings passed already encoded, as json.dumps(text) gives them, which are written as
-    they are.  sample gives the layout a row shares.  The text around the array is
-    _dump_json's, and each row fills one str.format template made by the encoder from
-    sample, indented to the depth of the array, so the bytes are those of
-    json.dumps(indent=2) with no layout written here.  A finite float formats as the
-    encoder writes it (float.__repr__).
+    key is a top-level key of payload, or () to make the array the whole output, and
+    payload is then not read.  Each row is a flat tuple, one value for each _HOLE of
+    sample, in encoding order: ints, finite floats, and strings passed already encoded,
+    as json.dumps(text) gives them, which are written as they are.  sample gives the
+    layout a row shares.  The text around the array is _dump_json's, and each row fills
+    one str.format template made by the encoder from sample, indented to the depth of
+    the array, so the bytes are those of json.dumps(indent=2) with no layout written
+    here.  A finite float formats as the encoder writes it (float.__repr__).
     """
-    path = key if isinstance(key, tuple) else (key,)
-    head, tail = "".join(_dump_json(_with_hole(payload, path))).split(_HOLE_JSON)
+    outline = _HOLE if key == () else {**payload, key: _HOLE}
+    head, tail = "".join(_dump_json(outline)).split(_HOLE_JSON)
     line = head[head.rfind("\n") + 1:]
     outer = line[:len(line) - len(line.lstrip(" "))]
     inner = outer + "  "
@@ -218,7 +209,7 @@ def cmd_ops(args) -> int:
             raise ValueError(f"--op {args.op} requires {flag}")
         if not used and value is not None:
             raise ValueError(f"--op {args.op} takes no {flag}")
-    space = fock_space(spec)
+    space = FockSpace(spec)
     if args.op == "create":
         op = space.ladder(args.i, +1)
     elif args.op == "annihilate":
@@ -231,7 +222,6 @@ def cmd_ops(args) -> int:
         op = normalize(op, space.gram)
     # the export reads only op: free the basis and rank index before encoding
     del space
-    clear_space_cache()
     payload = operator_json_payload(op)
     sample = [_HOLE] * (3 if args.normalization == ORTHONORMAL else 4)
     _emit(_dump_json_rows(payload, "entries", payload["entries"], sample), args.output)

@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .basis import AlgebraSpec, Kind, graded_dimensions
-from .operators import (EXACT, FLOAT, ORTHONORMAL, fock_space, grade_diagonal,
-                        normalize)
+from .operators import EXACT, FLOAT, ORTHONORMAL, FockSpace, grade_diagonal, normalize
 from .relations import RelationReport, _report
 from .sparse import MonomialMatrix, bracket, orbit_ranks
 
@@ -49,10 +48,10 @@ def weight_vector(spec: AlgebraSpec, v: Sequence[int]) -> tuple[int, ...]:
     return (spec.p - sum(v),) + tuple(v)
 
 
-def check_gl_commutators(spec: AlgebraSpec) -> list[RelationReport]:
+def check_gl_commutators(space: FockSpace) -> list[RelationReport]:
     """[e_ij, e_kl] = delta_jk e_il - delta_il e_kj over all index quadruples:
     _bracket_residual over the e_ij, none of which is a crossing generator."""
-    e = fock_space(spec).bilinear
+    spec, e = space.spec, space.bilinear
     idx = range(1, spec.n + 1)
     table = {(i, j): e(i, j) for i in idx for j in idx}
     return [_report("gl-commutator", spec, ij + kl,
@@ -60,7 +59,7 @@ def check_gl_commutators(spec: AlgebraSpec) -> list[RelationReport]:
             for ij in table for kl in table]
 
 
-def check_adjoint_action(spec: AlgebraSpec) -> list[RelationReport]:
+def check_adjoint_action(space: FockSpace) -> list[RelationReport]:
     """Commutators of e_ij with the ladder operators.
 
     Fermi: [e_ij, a_k^+] = d_jk a_i^+ - d_ij a_k^+,
@@ -68,7 +67,7 @@ def check_adjoint_action(spec: AlgebraSpec) -> list[RelationReport]:
     Bose:  [e_ij, a_k^+] = d_jk a_i^+ + d_ij a_k^+,
            [e_ij, a_k^-] = -d_ik a_j^- - d_ij a_k^-.
     """
-    space = fock_space(spec)
+    spec = space.spec
     e = space.bilinear
     ups = {i: space.ladder(i, +1) for i in range(1, spec.n + 1)}
     downs = {i: space.ladder(i, -1) for i in range(1, spec.n + 1)}
@@ -95,14 +94,14 @@ def check_adjoint_action(spec: AlgebraSpec) -> list[RelationReport]:
     return out
 
 
-def extended_rescaled_generators(spec: AlgebraSpec) -> dict[tuple[int, int], MonomialMatrix]:
+def extended_rescaled_generators(space: FockSpace) -> dict[tuple[int, int], MonomialMatrix]:
     """Exact (n+1)x(n+1) generator family with crossing entries scaled by p.
 
     Index 0 is the adjoined direction: entry (i,0) is p*a_i^+, (0,i) is
     p*a_i^-, (0,0) is p*Id - N; diagonal entries for i >= 1 are built from
     the bilinears via the identification above.
     """
-    space = fock_space(spec)
+    spec = space.spec
     e00 = grade_diagonal(space, lambda k: spec.p - k)
     table: dict[tuple[int, int], MonomialMatrix] = {(0, 0): e00}
     for i in range(1, spec.n + 1):
@@ -148,7 +147,7 @@ def _bracket_residual(kind: Kind, p_scale, table, ab, cd):
     return expr
 
 
-def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
+def check_identification(space: FockSpace) -> list[RelationReport]:
     """Full bracket table of the adjoined generator family, the identity
     resolution, the number-operator identity, the root-ladder property and
     the highest weight of the vacuum.
@@ -156,11 +155,11 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
     The exact backend checks the p-rescaled table; the float backend checks
     the literal sqrt(p)-scaled table on the orthonormal basis.
     """
+    spec = space.spec
     out = []
-    space = fock_space(spec)
     labels = [(a, b) for a in range(spec.n + 1) for b in range(spec.n + 1)]
 
-    exact = extended_rescaled_generators(spec)
+    exact = extended_rescaled_generators(space)
     for ab in labels:
         for cd in labels:
             expr = _bracket_residual(spec.kind, spec.p, exact, ab, cd)
@@ -205,7 +204,7 @@ def check_identification(spec: AlgebraSpec) -> list[RelationReport]:
     return out
 
 
-def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
+def check_branching(space: FockSpace) -> list[RelationReport]:
     """Grade blocks as the gl(1)+gl(n) decomposition of the Fock space.
 
     Verifies block sizes against the binomial multiplicities, the E_00 value
@@ -213,8 +212,8 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
     irreducibility (the e_ij orbit of any single block vector spans the
     whole block).
     """
+    spec = space.spec
     out = []
-    space = fock_space(spec)
     basis, grades, offsets = space.basis, space.grades, space.offsets
     dims = graded_dimensions(spec)
 
@@ -258,15 +257,17 @@ def check_branching(spec: AlgebraSpec) -> list[RelationReport]:
 
 
 def run_lie_suite(spec: AlgebraSpec, which: str = "all") -> list[RelationReport]:
-    """Lie-structure checks for one spec; which selects a named subset."""
+    """Lie-structure checks for one spec; which selects a named subset.  The
+    checks share one FockSpace, built here."""
     if which not in LIE_CHECKS + ("all",):
         raise ValueError(f"unknown check {which!r}; expected one of {LIE_CHECKS + ('all',)}")
+    space = FockSpace(spec)
     reports: list[RelationReport] = []
     if which in ("brackets", "all"):
-        reports += check_gl_commutators(spec)
-        reports += check_adjoint_action(spec)
+        reports += check_gl_commutators(space)
+        reports += check_adjoint_action(space)
     if which in ("identify", "all"):
-        reports += check_identification(spec)
+        reports += check_identification(space)
     if which in ("branching", "all"):
-        reports += check_branching(spec)
+        reports += check_branching(space)
     return sorted(reports, key=RelationReport.sort_key)

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .basis import AlgebraSpec, Kind
-from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, fock_space,
-                        grade_diagonal)
+from .basis import AlgebraSpec
+from .operators import EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, FockSpace, grade_diagonal
 from .sparse import MonomialMatrix
 
 SYMMETRY_TOL = 1e-10
@@ -57,11 +56,11 @@ class SpectrumReport:
         return out
 
 
-def _products(spec: AlgebraSpec, table: Sequence[Sequence], normalization: str):
+def _products(space: FockSpace, table: Sequence[Sequence], normalization: str):
     """(t_ij, a_i^+ @ a_j^-) for every nonzero t_ij, in row-major (i, j) order."""
-    space = fock_space(spec)
-    for i in range(1, spec.n + 1):
-        for j in range(1, spec.n + 1):
+    n = space.spec.n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
             t = table[i - 1][j - 1]
             if t != 0:
                 yield t, space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization)
@@ -97,8 +96,9 @@ def diagonal_hamiltonian(spec: AlgebraSpec,
     """Exact H = sum_i eps_i a_i^+ a_i^-, formed by matrix products: the
     product-route oracle of diagonal_spectrum."""
     table = diagonal_table(spec, [Fraction(e) for e in energies])
-    zero = grade_diagonal(fock_space(spec), lambda k: 0)
-    return sum((t * product for t, product in _products(spec, table, UNNORMALIZED)), zero)
+    space = FockSpace(spec)
+    zero = grade_diagonal(space, lambda k: 0)
+    return sum((t * product for t, product in _products(space, table, UNNORMALIZED)), zero)
 
 
 def spectrum_of_diagonal(h: MonomialMatrix) -> SpectrumReport:
@@ -125,7 +125,7 @@ def diagonal_spectrum(spec: AlgebraSpec,
     eps = [Fraction(e) for e in energies]
     p, denom = spec.p, math.lcm(*(e.denominator for e in eps))
     *weights, last = [e.numerator * (denom // e.denominator) for e in eps]
-    top = 1 if spec.kind is Kind.FERMI else p  # quanta one mode may hold
+    top = spec.max_entry  # quanta one mode may hold
     grades: list[dict[int, int]] = [{0: 1}]  # grade k -> {S: count}
     for w in weights:
         reached: list[dict[int, int]] = [{} for _ in range(min(len(grades) - 1 + top, p) + 1)]
@@ -259,13 +259,13 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
     together at CLUSTER_TOL, so a level may span grades.
     """
     table = _float_table(spec.n, t)
-    space = fock_space(spec)
+    space = FockSpace(spec)
     grades, offsets = space.grades, space.offsets
     dim = len(grades)
     diag = [0.0] * dim  # an unstored diagonal entry is the 0.0 it starts from
     off: list[dict[int, float]] = [{} for _ in offsets[1:]]  # per grade block, (r, c) at r*dim + c
     outside = len(offsets)  # the first grade block with an entry outside it, if any
-    for t_ij, product in _products(spec, table, ORTHONORMAL):
+    for t_ij, product in _products(space, table, ORTHONORMAL):
         for c, (r, x) in enumerate(zip(product.target, product.coef)):
             if not x:
                 continue

@@ -24,9 +24,10 @@ backend, whose entries are floats; there the actions carry the familiar
 square-root coefficients (see FockSpace.ladder, which also builds them
 directly as an independent construction route).
 
-fock_space(spec) hands out the one FockSpace of a spec, which builds the
-basis, the Gram form and each operator at most once for every caller; it is
-the one way to obtain an operator.
+FockSpace(spec) builds the basis, the Gram form and each operator of a spec
+at most once; it is the one way to obtain an operator.  Each entry point
+(a suite, a command, a spectrum) builds one space and hands it to the code it
+calls, so the space lives exactly as long as that call.
 
 Mode indices are 1-based in every public signature.
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial
 from typing import Sequence
 
@@ -49,8 +50,6 @@ ORTHONORMAL = "orthonormal"
 # Backends of the relation and spectrum reports.
 EXACT = "exact"
 FLOAT = "float"
-# Spaces kept alive by fock_space(); one command works on one spec at a time.
-SPACE_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,9 @@ class FockSpace:
     Holds the basis, its rank index, the grade of each basis vector, the
     grade offsets, the Gram form, and the ladder operators (per mode and
     normalization), the number operator (per normalization) and the exact
-    bilinears e_ij.  Each is built on first use and at most once.  Obtain
-    spaces through fock_space(spec), which shares one per spec; the matrices
-    it hands out are shared by every caller and must not be mutated.
+    bilinears e_ij.  Each is built on first use and at most once.  The
+    matrices it hands out are shared by every caller of the space and must
+    not be mutated.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -153,18 +152,6 @@ class FockSpace:
         if op is None:
             op = self._operators[key] = kernel(self, *args)
         return op
-
-
-@lru_cache(maxsize=SPACE_CACHE_SIZE)
-def fock_space(spec: AlgebraSpec) -> FockSpace:
-    """The FockSpace of spec, shared by every caller while it stays cached."""
-    return FockSpace(spec)
-
-
-# Empties the fock_space cache.  Bound once, here, so that it still works where the name
-# fock_space is later rebound to a plain wrapper (the benchmark's tracer wraps every
-# public function, and a wrapper has no cache_clear).
-clear_space_cache = fock_space.cache_clear
 
 
 def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> MonomialMatrix:

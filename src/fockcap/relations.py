@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .basis import AlgebraSpec, Kind, dimension, enumerate_basis
-from .operators import (EXACT, FLOAT, ORTHONORMAL, _orthonormal_magnitude, fock_space,
+from .operators import (EXACT, FLOAT, ORTHONORMAL, FockSpace, _orthonormal_magnitude,
                         grade_diagonal, normalize)
 from .sparse import bracket, orbit_ranks
 
@@ -79,9 +79,9 @@ def _report(relation: str, spec: AlgebraSpec, indices: tuple[int, ...],
     return RelationReport(relation, spec, indices, residual, passed, backend)
 
 
-def check_pp(spec: AlgebraSpec) -> list[RelationReport]:
+def check_pp(space: FockSpace) -> list[RelationReport]:
     """Two creations (and two annihilations) anticommute/commute to zero."""
-    space = fock_space(spec)
+    spec = space.spec
     out = []
     for name, delta in (("double-plus", +1), ("double-minus", -1)):
         for i in range(1, spec.n + 1):
@@ -92,11 +92,11 @@ def check_pp(spec: AlgebraSpec) -> list[RelationReport]:
     return out
 
 
-def check_number(spec: AlgebraSpec) -> list[RelationReport]:
+def check_number(space: FockSpace) -> list[RelationReport]:
     """[N, a_i^pm] = pm a_i^pm, and N is k on the rank range offsets[k]..offsets[k+1]
     of the closed-form grade offsets: eigenvalue k with multiplicity d_k, on a
     basis whose grades are contiguous."""
-    space = fock_space(spec)
+    spec = space.spec
     N, offsets = space.number(), space.offsets
     out = []
     for i in range(1, spec.n + 1):
@@ -110,14 +110,14 @@ def check_number(spec: AlgebraSpec) -> list[RelationReport]:
     return out
 
 
-def check_mixed(spec: AlgebraSpec) -> list[RelationReport]:
+def check_mixed(space: FockSpace) -> list[RelationReport]:
     """The deformed mixed relation between one creation and one annihilation.
 
     (1-(N-1)/p) a_i^- a_j^+ + s (1-N/p) a_j^+ a_i^- = delta_ij (1-N/p)(1-(N-1)/p)
     with s = +1 for Fermi, -1 for Bose; the scalar polynomials in N are
     evaluated as diagonal matrices standing to the left of the products.
     """
-    space = fock_space(spec)
+    spec = space.spec
     p = spec.p
     sign = 1 if spec.kind.anticommuting else -1
     c_upper = grade_diagonal(space, lambda k: Fraction(1) - Fraction(k - 1, p))
@@ -133,9 +133,9 @@ def check_mixed(spec: AlgebraSpec) -> list[RelationReport]:
     return out
 
 
-def check_cap(spec: AlgebraSpec) -> list[RelationReport]:
+def check_cap(space: FockSpace) -> list[RelationReport]:
     """Creation kills the top grade; ladder operators shift grade by exactly 1."""
-    space = fock_space(spec)
+    spec = space.spec
     grades, top = space.grades, space.offsets[spec.p]
     out = []
     for i in range(1, spec.n + 1):
@@ -148,7 +148,7 @@ def check_cap(spec: AlgebraSpec) -> list[RelationReport]:
     return out
 
 
-def check_hermiticity(spec: AlgebraSpec) -> list[RelationReport]:
+def check_hermiticity(space: FockSpace) -> list[RelationReport]:
     """Adjoint of creation is annihilation; N is self-adjoint.
 
     For the diagonal, invertible Gram form G, Y is the adjoint G^-1 X^T G of
@@ -156,7 +156,7 @@ def check_hermiticity(spec: AlgebraSpec) -> list[RelationReport]:
     largest entry of X^T G - G Y = G (adjoint of X - Y), so a failing one
     scales each entry by the Gram value of its row.
     """
-    space = fock_space(spec)
+    spec = space.spec
     G = space.gram
     out = []
     for i in range(1, spec.n + 1):
@@ -168,19 +168,19 @@ def check_hermiticity(spec: AlgebraSpec) -> list[RelationReport]:
     return out
 
 
-def check_vacuum_cyclic(spec: AlgebraSpec) -> RelationReport:
+def check_vacuum_cyclic(space: FockSpace) -> RelationReport:
     """Irreducibility witness: the span of the vacuum orbit under the ladder
     operators has full dimension (exact rank computation)."""
-    space = fock_space(spec)
+    spec = space.spec
     generators = [space.ladder(i, delta) for delta in (+1, -1) for i in range(1, spec.n + 1)]
     residual = Fraction(dimension(spec) - orbit_ranks(generators, [0])[0])
     return _report("vacuum-cyclic", spec, (), residual)
 
 
-def check_backend_agreement(spec: AlgebraSpec) -> list[RelationReport]:
+def check_backend_agreement(space: FockSpace) -> list[RelationReport]:
     """Exact-then-normalized operators match the directly built orthonormal
     ones entrywise (within FLOAT_TOL)."""
-    space = fock_space(spec)
+    spec = space.spec
     out = []
     for i in range(1, spec.n + 1):
         for suffix, delta in (("plus", +1), ("minus", -1)):
@@ -196,17 +196,19 @@ def check_backend_agreement(spec: AlgebraSpec) -> list[RelationReport]:
 def run_suite(spec: AlgebraSpec, backend: str = EXACT) -> list[RelationReport]:
     """All relation checks for one spec, canonically ordered.
 
-    The float backend is the exact suite plus check_backend_agreement: the
-    orthonormal operators are the exact ones conjugated by a diagonal matrix,
-    which keeps every relation, so their agreement with the exact ones is all
-    that is left to check of them.
+    The checks share one FockSpace, built here, so each operator is built
+    once.  The float backend is the exact suite plus check_backend_agreement:
+    the orthonormal operators are the exact ones conjugated by a diagonal
+    matrix, which keeps every relation, so their agreement with the exact
+    ones is all that is left to check of them.
     """
     if backend not in (EXACT, FLOAT):
         raise ValueError(f"unknown backend {backend!r}")
-    reports = (check_pp(spec) + check_number(spec) + check_mixed(spec) + check_cap(spec)
-               + check_hermiticity(spec) + [check_vacuum_cyclic(spec)])
+    space = FockSpace(spec)
+    reports = (check_pp(space) + check_number(space) + check_mixed(space) + check_cap(space)
+               + check_hermiticity(space) + [check_vacuum_cyclic(space)])
     if backend == FLOAT:
-        reports += check_backend_agreement(spec)
+        reports += check_backend_agreement(space)
     return sorted(reports, key=RelationReport.sort_key)
 
 

@@ -1,9 +1,10 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
-from fockcap import AlgebraSpec, Kind
-from fockcap.operators import fock_space
+from fockcap import AlgebraSpec, FockSpace, Kind
 
 
 def small_grid(n_max=4, p_max=4):
@@ -23,9 +24,20 @@ def brute_basis(spec):
 
 
 @pytest.fixture
-def fresh_spaces():
-    """Empty the shared FockSpace cache before and after a test that patches
-    what the spaces are built from."""
-    fock_space.cache_clear()
-    yield
-    fock_space.cache_clear()
+def built_spaces(monkeypatch):
+    """Weak references to every FockSpace built while the test runs."""
+    refs = []
+    init = FockSpace.__init__
+
+    def recorded(self, spec):
+        init(self, spec)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(FockSpace, "__init__", recorded)
+    return refs
+
+
+def alive(refs):
+    """The spaces of refs that a full garbage collection leaves alive."""
+    gc.collect()
+    return [space for space in (ref() for ref in refs) if space is not None]

@@ -9,11 +9,11 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
-from fockcap import (AlgebraSpec, Kind, check_backend_agreement, check_cap,
+from fockcap import (AlgebraSpec, FockSpace, Kind, check_backend_agreement, check_cap,
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic,
                      diagonal_hamiltonian, diagonal_spectrum, dimension,
-                     enumerate_basis, fock_space, graded_dimensions,
+                     enumerate_basis, graded_dimensions,
                      quadratic_hamiltonian_spectrum, run_lie_suite,
                      spectrum_of_diagonal, toy_levels, toy_spectrum)
 from fockcap.relations import EXACT
@@ -39,11 +39,12 @@ def test_criterion_1_exact_relation_suite():
     t0 = time.perf_counter()
     reports = []
     for spec in GRID:
-        reports += check_pp(spec)
-        reports += check_number(spec)
-        reports += check_mixed(spec)
-        reports += check_cap(spec)
-        reports += check_hermiticity(spec)
+        space = FockSpace(spec)
+        reports += check_pp(space)
+        reports += check_number(space)
+        reports += check_mixed(space)
+        reports += check_cap(space)
+        reports += check_hermiticity(space)
     elapsed = time.perf_counter() - t0
     zero = all(rep.residual == 0 for rep in reports)
     ok = zero and elapsed < 10.0
@@ -54,7 +55,8 @@ def test_criterion_1_exact_relation_suite():
 def test_criterion_2_gram_formulas_and_oracle():
     checked = 0
     for spec in GRID:
-        gram = fock_space(spec).gram
+        space = FockSpace(spec)
+        gram = space.gram
         basis = enumerate_basis(spec)
         values = [gram.get(r, r) for r in range(len(basis))]
         # closed forms
@@ -66,8 +68,8 @@ def test_criterion_2_gram_formulas_and_oracle():
                     expected *= factorial(x)
             assert g == expected
         # independent oracle: vacuum expectation of ladder strings
-        create = {i: fock_space(spec).ladder(i, +1) for i in range(1, spec.n + 1)}
-        annihilate = {i: fock_space(spec).ladder(i, -1) for i in range(1, spec.n + 1)}
+        create = {i: space.ladder(i, +1) for i in range(1, spec.n + 1)}
+        annihilate = {i: space.ladder(i, -1) for i in range(1, spec.n + 1)}
         for g, v in zip(values, basis):
             vec = {0: Fraction(1)}
             for i in range(spec.n, 0, -1):
@@ -164,7 +166,7 @@ def test_criterion_6_classical_limit():
 def test_criterion_7_irreducibility_witness():
     ok = True
     for spec in GRID:
-        rep = check_vacuum_cyclic(spec)
+        rep = check_vacuum_cyclic(FockSpace(spec))
         ok = ok and rep.passed and rep.residual == 0
     _announce(7, "vacuum-orbit span has full dimension (exact rank)", ok,
               f"{len(GRID)} specs")
@@ -174,7 +176,7 @@ def test_criterion_8_backend_agreement():
     ok = True
     worst = 0.0
     for spec in GRID:
-        for rep in check_backend_agreement(spec):
+        for rep in check_backend_agreement(FockSpace(spec)):
             ok = ok and rep.passed and float(rep.residual) <= 1e-12
             worst = max(worst, float(rep.residual))
     # float quadratic route with diagonal coefficients vs exact diagonal route

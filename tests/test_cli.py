@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -10,7 +9,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import weakref
 from math import comb
 from unittest import mock
 
@@ -18,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockcap import AlgebraSpec, Kind, cli, run_suite
-from fockcap.operators import fock_space
+
+from conftest import alive
 
 
 def run_cli(capsys, *argv):
@@ -46,12 +45,27 @@ def test_a_diagonal_float_spectrum_leaves_numpy_unloaded():
                    env={**os.environ, "PYTHONPATH": src}, check=True, stdout=subprocess.DEVNULL)
 
 
-def test_an_exact_spectrum_builds_no_space(capsys, fresh_spaces):
+def test_an_exact_spectrum_builds_no_space(capsys, built_spaces):
     # the levels are counted by grade and energy sum: no basis, index or operator
     code, out, _ = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "3", "--p", "4",
                            "--energies", "1/2,-1,2")
     assert code == 0 and sum(level["mult"] for level in json.loads(out)) == 35
-    assert fock_space.cache_info().currsize == 0
+    assert built_spaces == []
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --kind bose --n 2 --p 3",
+    "verify --kind fermi --n 2 --p 2 --backend float",
+    "verify --grid 2 2",
+    "lie --kind fermi --n 2 --p 2",
+    "ops --kind bose --n 2 --p 3 --op eij --i 1 --j 2",
+    "ops --kind bose --n 2 --p 3 --op create --i 1 --normalization orthonormal",
+    "spectrum --kind bose --n 2 --p 3 --backend float --energies 1,2",
+])
+def test_no_space_outlives_its_command(capsys, built_spaces, argv):
+    # each entry point builds its spaces itself; nothing keeps one once it returns
+    code, _, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and built_spaces and alive(built_spaces) == []
 
 
 def test_dim_human(capsys):
@@ -122,30 +136,18 @@ def test_ops_deterministic_output(capsys):
     assert first == second
 
 
-def test_ops_frees_the_space_before_it_encodes(capsys, monkeypatch):
-    # the export reads only the operator, so the cached space (basis, rank index) goes first
-    space = weakref.ref(fock_space(AlgebraSpec(Kind.BOSE, 2, 3)))
+def test_ops_frees_the_space_before_it_encodes(capsys, monkeypatch, built_spaces):
+    # the export reads only the operator, so the space (basis, rank index) goes first,
+    # freed by its reference count, with no garbage collection
     seen = []
     emit = cli._emit
-    monkeypatch.setattr(cli, "_emit", lambda chunks, out: (seen.append(space()), emit(chunks, out)))
+    monkeypatch.setattr(cli, "_emit", lambda chunks, out: (
+        seen.append([ref() for ref in built_spaces]), emit(chunks, out)))
     for normalization in ("unnormalized", "orthonormal"):
         code, out, _ = run_cli(capsys, "ops", "--kind", "bose", "--n", "2", "--p", "3",
                                "--op", "create", "--i", "1", "--normalization", normalization)
         assert code == 0 and json.loads(out)["dims"] == [10, 10]
-        assert fock_space.cache_info().currsize == 0
-    assert seen == [None, None]
-
-
-def test_ops_frees_the_space_when_fock_space_is_wrapped(capsys, monkeypatch):
-    # a wrapper over the name (as the benchmark's tracer installs) has no cache_clear
-    from fockcap import operators
-    wrapped = functools.wraps(fock_space)(lambda spec: fock_space(spec))
-    for module in (cli, operators):
-        monkeypatch.setattr(module, "fock_space", wrapped)
-    code, out, _ = run_cli(capsys, "ops", "--kind", "fermi", "--n", "3", "--p", "2",
-                           "--op", "eij", "--i", "1", "--j", "2")
-    assert code == 0 and json.loads(out)["dims"] == [7, 7]
-    assert fock_space.cache_info().currsize == 0
+    assert seen == [[None], [None, None]]
 
 
 def test_verify_single_spec(capsys):
@@ -487,19 +489,14 @@ def _fill_holes(sample, values):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.sampled_from(ROW_SAMPLES), SIBLINGS, SIBLINGS, st.booleans(),
-       st.integers(1, 5))
-def test_streamed_json_rows_are_the_bytes_of_json_dumps(data, sample, before, after, nested,
-                                                        batch):
+@given(st.data(), st.sampled_from(ROW_SAMPLES), SIBLINGS, SIBLINGS, st.integers(1, 5))
+def test_streamed_json_rows_are_the_bytes_of_json_dumps(data, sample, before, after, batch):
     width = json.dumps(sample).count(json.dumps(H))
     rows = data.draw(st.lists(st.tuples(*[ROW_VALUES] * width), max_size=12))
     full_rows = [_fill_holes(sample, iter(row)) for row in rows]
     payload, full = {**before, "rows": None, **after}, {**before, "rows": full_rows, **after}
-    key = "rows"
-    if nested:  # the array at depth 2
-        payload, full, key = {"x": 1, "inner": payload}, {"x": 1, "inner": full}, ("inner", "rows")
     with mock.patch.object(cli, "CHUNK_ROWS", batch):
-        streamed = "".join(cli._dump_json_rows(payload, key, iter(rows), sample))
+        streamed = "".join(cli._dump_json_rows(payload, "rows", iter(rows), sample))
     assert streamed == json.dumps(full, indent=2) + "\n"
     if not rows:
         assert '"rows": []' in streamed

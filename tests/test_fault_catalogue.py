@@ -19,9 +19,10 @@ suite plus ``orthonormal-agreement-*``, so it must fail on every spec where
 ``verify`` or ``lie`` fails, and on at least one spec for every fault.  A
 fault on the unnormalized or shared route must make the exact ``verify``
 exit 1 on every spec; a fault on the orthonormal route leaves it at 0 and is
-caught by the agreement checks alone.  FALLBACKS names, for each fault, the
-dict-of-keys fallbacks of the kernel its runs take: what a deletion of
-SparseMatrix and RowReducer would have to replace.
+caught by the agreement checks alone.  Every check that ``verify`` or
+``lie`` reports fails on at least one fault-spec pair.  FALLBACKS names, for
+each fault, the dict-of-keys fallbacks of the kernel its runs take: what a
+deletion of SparseMatrix and RowReducer would have to replace.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ from typing import Callable
 import pytest
 
 from fockcap import AlgebraSpec, Kind, cli, operators
-from fockcap.operators import ORTHONORMAL, UNNORMALIZED, fock_space, grade_diagonal
+from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix
 
 SPECS = (AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2),
@@ -111,17 +112,31 @@ def _ladder_fault(edit, i, delta, route):
     return install
 
 
-def _number_fault(route):
+def _double_step(i, delta):
+    """a_i^+ (delta = +1) or a_i^- (delta = -1) walks v -> v + 2*delta*e_i."""
+    def install(mp):
+        original = operators._bumped
+
+        def bumped(v, j, d):
+            return original(v, j, 2 * d if (j, d) == (i, delta) else d)
+
+        mp.setattr(operators, "_bumped", bumped)
+    return install
+
+
+def _off_by_one(space, op):
     """N is one more than the grade on grade GRADE."""
+    one = Fraction(1) if op.exact else 1.0
+    return op + grade_diagonal(space, lambda k: one if k == GRADE else 0 * one)
+
+
+def _number_fault(edit, route):
     def install(mp):
         original = operators._number_matrix
 
         def faulty(space, normalization):
             op = original(space, normalization)
-            if normalization not in EDITED[route]:
-                return op
-            one = Fraction(1) if normalization == UNNORMALIZED else 1.0
-            return op + grade_diagonal(space, lambda k: one if k == GRADE else 0 * one)
+            return edit(space, op) if normalization in EDITED[route] else op
 
         mp.setattr(operators, "_number_matrix", faulty)
     return install
@@ -166,9 +181,13 @@ def _faults() -> list[Fault]:
             for route in (UNNORMALIZED, ORTHONORMAL, SHARED):
                 name = f"{kind}-a{i}{'+' if delta > 0 else '-'}-{route}"
                 faults.append(Fault(name, route, _ladder_fault(edit, i, delta, route)))
-    faults += [Fault(f"number-off-by-one-{route}", route, _number_fault(route))
+    faults += [Fault(f"number-off-by-one-{route}", route, _number_fault(_off_by_one, route))
                for route in (UNNORMALIZED, ORTHONORMAL, SHARED)]
     faults += [
+        Fault("double-step-a1+", SHARED, _double_step(1, +1)),
+        Fault("double-step-a2-", SHARED, _double_step(2, -1)),
+        Fault("move-target-N-unnormalized", UNNORMALIZED,
+              _number_fault(_move_target, UNNORMALIZED)),
         Fault("prefix-sign-includes-own-mode", SHARED, _prefix_sign_fault(lambda i: i), True),
         Fault("prefix-sign-skips-previous-mode", SHARED,
               _prefix_sign_fault(lambda i: max(i - 2, 0)), True),
@@ -187,14 +206,12 @@ FAULTS = _faults()
 
 def failing_checks(command: str, spec: AlgebraSpec) -> set[str]:
     """The names of the checks that fail in `command --json` on spec, run
-    through cli.main on freshly built spaces; the exit code must say the same."""
+    through cli.main, which builds its own space; the exit code must say the same."""
     argv = [*COMMANDS[command], "--kind", spec.kind.value, "--n", str(spec.n),
             "--p", str(spec.p), "--json"]
     out, err = io.StringIO(), io.StringIO()
-    fock_space.cache_clear()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    fock_space.cache_clear()
     assert code in (0, 1), (argv, code, err.getvalue())
     failed = {rep["relation"] for rep in json.loads(out.getvalue()) if not rep["pass"]}
     assert code == (1 if failed else 0), (argv, code)
@@ -246,11 +263,14 @@ FALLBACKS = {
     "move-target-a2--orthonormal": {"sum-clash"},
     "move-target-a2--shared": {"sum-clash", "non-monomial-orbit"},
     "enumeration-repeats-vector": {"sum-clash", "transpose-row-clash"},
+    "double-step-a1+": {"sum-clash"},
+    "double-step-a2-": {"sum-clash"},
+    "move-target-N-unnormalized": {"sum-clash", "transpose-row-clash"},
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda fault: fault.name)
-def test_every_fault_is_caught(monkeypatch, fresh_spaces, fault):
+def test_every_fault_is_caught(monkeypatch, fault):
     taken = _fallbacks(monkeypatch)
     results = run_fault(fault)
     assert any(failed["verify-float"] for failed in results.values())
@@ -265,3 +285,25 @@ def test_every_fault_is_caught(monkeypatch, fresh_spaces, fault):
         else:
             assert failed["verify"], spec
     assert taken == FALLBACKS.get(fault.name, set())
+
+
+def _report_names(command: str, spec: AlgebraSpec) -> set[str]:
+    """The names of every check that `command --json` reports on spec."""
+    argv = [*COMMANDS[command], "--kind", spec.kind.value, "--n", str(spec.n),
+            "--p", str(spec.p), "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return {rep["relation"] for rep in json.loads(out.getvalue())}
+
+
+@pytest.mark.parametrize("command", ["verify", "lie"])
+def test_every_check_fails_on_some_catalogue_pair(command):
+    reported = set().union(*(_report_names(command, spec) for spec in SPECS))
+    failed = set()
+    for fault in FAULTS:
+        with pytest.MonkeyPatch.context() as mp:
+            fault.install(mp)
+            for spec in filter(fault.applies, SPECS):
+                failed |= failing_checks(command, spec)
+    assert reported - failed == set()

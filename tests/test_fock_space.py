@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from fockcap import AlgebraSpec, Kind, basis, lie, operators, run_lie_suite, run_suite
-from fockcap.operators import ORTHONORMAL, UNNORMALIZED, fock_space
+from fockcap.operators import ORTHONORMAL, UNNORMALIZED, FockSpace
 from fockcap.relations import EXACT, FLOAT
 
 SPECS = (AlgebraSpec(Kind.BOSE, 3, 3), AlgebraSpec(Kind.FERMI, 3, 2))
@@ -24,7 +24,9 @@ def _count_calls(monkeypatch, owner, name, counts, key):
             monkeypatch.setattr(module, name, counted)
 
 
-def test_suites_build_each_space_and_operator_once(monkeypatch, fresh_spaces):
+def test_suites_build_each_space_and_operator_once(monkeypatch):
+    # each suite call builds its own space: it enumerates the basis once and builds
+    # each operator it reads once, and the three calls together read every operator
     enumerations, ladders, numbers, bilinears = Counter(), Counter(), Counter(), Counter()
     _count_calls(monkeypatch, basis, "enumerate_basis", enumerations, lambda spec: spec)
     _count_calls(monkeypatch, operators, "_ladder_matrix", ladders,
@@ -33,49 +35,48 @@ def test_suites_build_each_space_and_operator_once(monkeypatch, fresh_spaces):
                  lambda space, norm: (space.spec, norm))
     _count_calls(monkeypatch, operators, "_bilinear_matrix", bilinears,
                  lambda space, i, j: (space.spec, i, j))
+    built = {"ladders": set(), "numbers": set(), "bilinears": set()}
     for spec in SPECS:
-        run_suite(spec, EXACT)
-        run_suite(spec, FLOAT)
-        run_lie_suite(spec)
+        for suite, option in ((run_suite, EXACT), (run_suite, FLOAT), (run_lie_suite, "all")):
+            for counts in (enumerations, ladders, numbers, bilinears):
+                counts.clear()
+            suite(spec, option)
+            assert enumerations == Counter([spec])
+            for name, counts in (("ladders", ladders), ("numbers", numbers),
+                                 ("bilinears", bilinears)):
+                assert set(counts.values()) <= {1}, (suite, option, name)
+                built[name] |= set(counts)
 
     norms = (UNNORMALIZED, ORTHONORMAL)
-    assert enumerations == Counter(SPECS)
-    assert ladders == Counter((spec, i, delta, norm) for spec in SPECS
-                              for i in range(1, spec.n + 1) for delta in (+1, -1)
-                              for norm in norms)
-    assert numbers == Counter((spec, norm) for spec in SPECS for norm in norms)
-    assert bilinears == Counter((spec, i, j) for spec in SPECS
-                                for i in range(1, spec.n + 1) for j in range(1, spec.n + 1))
+    assert built["ladders"] == {(spec, i, delta, norm) for spec in SPECS
+                                for i in range(1, spec.n + 1) for delta in (+1, -1)
+                                for norm in norms}
+    assert built["numbers"] == {(spec, norm) for spec in SPECS for norm in norms}
+    assert built["bilinears"] == {(spec, i, j) for spec in SPECS
+                                  for i in range(1, spec.n + 1) for j in range(1, spec.n + 1)}
 
 
-def test_a_space_builds_its_number_operator_from_itself(monkeypatch, fresh_spaces):
+def test_a_space_builds_its_number_operator_from_itself(monkeypatch):
     enumerations = Counter()
     _count_calls(monkeypatch, basis, "enumerate_basis", enumerations, lambda spec: spec)
     spec = SPECS[0]
-    space = operators.FockSpace(spec)
+    space = FockSpace(spec)
     for norm in (UNNORMALIZED, ORTHONORMAL):
         assert [space.number(norm).get(r, r) for r in range(len(space.basis))] == space.grades
     assert enumerations == Counter([spec])
-    assert fock_space.cache_info().currsize == 0
 
 
 def test_lie_suite_builds_the_extended_table_once(monkeypatch):
     tables = Counter()
-    _count_calls(monkeypatch, lie, "extended_rescaled_generators", tables, lambda spec: spec)
+    _count_calls(monkeypatch, lie, "extended_rescaled_generators", tables,
+                 lambda space: space.spec)
     for spec in SPECS:
         run_lie_suite(spec)
     assert tables == Counter(SPECS)
 
 
-def test_builders_share_the_space_of_equal_specs(fresh_spaces):
-    a, b = AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec("bose", 2, 3)
-    assert fock_space(a) is fock_space(b)
-    assert fock_space(a).ladder(1, +1) is fock_space(b).ladder(1, +1)
-    assert fock_space(a).gram is fock_space(b).gram
-
-
 def test_ladder_rejects_unknown_direction_and_normalization():
-    space = fock_space(AlgebraSpec(Kind.BOSE, 2, 3))
+    space = FockSpace(AlgebraSpec(Kind.BOSE, 2, 3))
     for args in ((1, 2), (1, 0), (1, +1, "float"), (3, +1)):
         with pytest.raises(ValueError):
             space.ladder(*args)

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from fockcap import AlgebraSpec, Kind, cli, operators, run_lie_suite, run_suite
-from fockcap.operators import FockSpace, fock_space
+from fockcap.operators import FockSpace
 from fockcap.relations import EXACT, FLOAT
 from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix, orbit_ranks
 
@@ -39,17 +39,14 @@ def _hand_out_sparse_copies(monkeypatch):
 
 def _oracle_suites(monkeypatch, spec):
     """The suites of spec on SparseMatrix copies of every FockSpace operator."""
-    fock_space.cache_clear()
     with monkeypatch.context() as patch:
         _hand_out_sparse_copies(patch)
-        assert isinstance(fock_space(spec).ladder(1, +1), SparseMatrix)
-        reports = _suites(spec)
-    fock_space.cache_clear()
-    return reports
+        assert isinstance(FockSpace(spec).ladder(1, +1), SparseMatrix)
+        return _suites(spec)
 
 
 @pytest.mark.parametrize("spec", small_grid(), ids=_spec_id)
-def test_suites_match_the_dict_of_keys_oracle(monkeypatch, fresh_spaces, spec):
+def test_suites_match_the_dict_of_keys_oracle(monkeypatch, spec):
     assert _suites(spec) == _oracle_suites(monkeypatch, spec)
 
 
@@ -66,7 +63,7 @@ def _skew_first_creation(monkeypatch):
 
 @pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2),
                                   AlgebraSpec(Kind.BOSE, 3, 2)], ids=_spec_id)
-def test_wrong_ladder_fails_with_exact_residuals(monkeypatch, fresh_spaces, spec):
+def test_wrong_ladder_fails_with_exact_residuals(monkeypatch, spec):
     _skew_first_creation(monkeypatch)
     got = _suites(spec)
     for reports in got:
@@ -78,7 +75,7 @@ def test_wrong_ladder_fails_with_exact_residuals(monkeypatch, fresh_spaces, spec
 
 @pytest.mark.parametrize("spec", small_grid(3, 3), ids=_spec_id)
 def test_reachability_is_the_orbit_rank(spec):
-    space = fock_space(spec)
+    space = FockSpace(spec)
     idx = range(1, spec.n + 1)
     ups = [space.ladder(i, +1) for i in idx]
     downs = [space.ladder(i, -1) for i in idx]
@@ -107,7 +104,7 @@ def _count_calls(monkeypatch, targets) -> Counter:
     return calls
 
 
-def test_passing_suites_stay_in_the_kernel(monkeypatch, fresh_spaces):
+def test_passing_suites_stay_in_the_kernel(monkeypatch):
     calls = _count_calls(monkeypatch, ((SparseMatrix, "__matmul__"), (SparseMatrix, "__add__"),
                                        (SparseMatrix, "__sub__"), (RowReducer, "add")))
     for spec in (AlgebraSpec(Kind.BOSE, 3, 3), AlgebraSpec(Kind.FERMI, 3, 2),
@@ -117,7 +114,7 @@ def test_passing_suites_stay_in_the_kernel(monkeypatch, fresh_spaces):
     assert calls == Counter()
 
 
-def test_passing_exact_suites_map_no_entries(monkeypatch, fresh_spaces):
+def test_passing_exact_suites_map_no_entries(monkeypatch):
     # hermiticity is the identity (a_i^+)^T G = G a_i^-, not an entrywise adjoint
     calls = _count_calls(monkeypatch, ((MonomialMatrix, "map_entries"),))
     for spec in (AlgebraSpec(Kind.BOSE, 3, 3), AlgebraSpec(Kind.FERMI, 3, 2),
@@ -141,7 +138,7 @@ HOPPING = "[[1.0, -0.5, 0.0], [-0.5, 2.0, 0.25], [0.0, 0.25, 0.5]]"
     "spectrum --kind bose --n 3 --p 3 --backend float --matrix-file {hopping}",
     "spectrum --kind fermi --n 3 --p 2 --backend float --matrix-file {hopping}",
     "toy --p 10", "toy --p 6 --json"])
-def test_passing_commands_construct_no_sparse_matrix(monkeypatch, fresh_spaces, capsys,
+def test_passing_commands_construct_no_sparse_matrix(monkeypatch, capsys,
                                                      tmp_path, command):
     hopping = tmp_path / "hopping.json"
     hopping.write_text(HOPPING)

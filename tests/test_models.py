@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fockcap import (AlgebraSpec, Kind, cli, diagonal_hamiltonian, diagonal_spectrum,
                      dimension, enumerate_basis, quadratic_hamiltonian_spectrum,
                      models, spectrum_of_diagonal, toy_levels, toy_spectrum)
-from fockcap.operators import ORTHONORMAL, fock_space
+from fockcap.operators import ORTHONORMAL, FockSpace
 from fockcap.sparse import MonomialMatrix, SparseMatrix
 
 from conftest import small_grid
@@ -26,7 +26,7 @@ SPECTRUM_TOL = 1e-10  # float eigenvalues, as in acceptance criterion 8
 def test_diagonal_hamiltonian_entries():
     h = diagonal_hamiltonian(B22, [1, 1])
     assert isinstance(h, MonomialMatrix)
-    r = fock_space(B22).index[(1, 1)]
+    r = FockSpace(B22).index[(1, 1)]
     assert h.get(r, r) == 1          # 2 * (1 - 1/2)
     assert h.get(0, 0) == 0
     spec = AlgebraSpec(Kind.FERMI, 1, 1)
@@ -98,7 +98,7 @@ def test_toy_argument_validation():
 def test_spectrum_of_diagonal_rejects_offdiagonal():
     spec = AlgebraSpec(Kind.BOSE, 2, 1)
     with pytest.raises(ValueError):
-        spectrum_of_diagonal(fock_space(spec).bilinear(1, 2))
+        spectrum_of_diagonal(FockSpace(spec).bilinear(1, 2))
 
 
 def test_diagonal_spectrum_equals_the_product_route():
@@ -173,7 +173,7 @@ TABLES = {
 
 def _dict_of_keys_levels(spec, table):
     """The float spectrum with H summed as a SparseMatrix of the products."""
-    space = fock_space(spec)
+    space = FockSpace(spec)
     dim = dimension(spec)
     h = SparseMatrix(dim, dim)
     for i in range(1, spec.n + 1):
@@ -246,7 +246,7 @@ def test_float_spectrum_tolerance_golden(case, expected, tmp_path, capsys):
     assert_levels_close(got, expected)
 
 
-def test_float_spectrum_allocates_no_dim_squared_array(fresh_spaces):
+def test_float_spectrum_allocates_no_dim_squared_array():
     # dim 12341: one dense float matrix would take 1.2 GB; the largest grade block is 861^2
     spec = AlgebraSpec(Kind.BOSE, 3, 40)
     eps = [Fraction(1, 2), Fraction(5, 4), Fraction(2)]
@@ -263,7 +263,7 @@ def test_float_spectrum_allocates_no_dim_squared_array(fresh_spaces):
     assert_levels_close(report.levels, [(float(v), m) for v, m in exact])
 
 
-def test_hopping_spectrum_allocates_no_dim_squared_array(fresh_spaces):
+def test_hopping_spectrum_allocates_no_dim_squared_array():
     # dim 2925: one dense float matrix would take 68 MB; the largest grade block is 325^2
     spec = AlgebraSpec(Kind.BOSE, 3, 24)
     tracemalloc.start()
@@ -352,7 +352,7 @@ def test_zero_coefficient_builds_no_product(monkeypatch):
     assert len(products) == 2
 
 
-def test_non_adjoint_ladder_fails_the_symmetry_check(monkeypatch, fresh_spaces):
+def test_non_adjoint_ladder_fails_the_symmetry_check(monkeypatch):
     from fockcap import operators
     original = operators._ladder_matrix
 
@@ -366,7 +366,7 @@ def test_non_adjoint_ladder_fails_the_symmetry_check(monkeypatch, fresh_spaces):
         quadratic_hamiltonian_spectrum(B22, [[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_product_entry_outside_its_grade_block_is_a_builder_bug(monkeypatch, fresh_spaces):
+def test_product_entry_outside_its_grade_block_is_a_builder_bug(monkeypatch):
     from fockcap import operators
     original = operators._ladder_matrix
 

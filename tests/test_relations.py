@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fockcap import (AlgebraSpec, Kind, check_backend_agreement, check_cap,
+from fockcap import (AlgebraSpec, FockSpace, Kind, check_backend_agreement, check_cap,
                      check_classical_limit, check_hermiticity, check_mixed,
-                     check_number, check_pp, check_vacuum_cyclic, fock_space,
-                     run_grid, run_suite)
+                     check_number, check_pp, check_vacuum_cyclic, run_grid,
+                     run_suite)
 from fockcap.relations import EXACT, FLOAT, FLOAT_TOL, RelationReport
 
 from conftest import small_grid
@@ -23,7 +23,7 @@ def test_exact_suite_spot_specs():
 
 def test_pp_reports_cover_all_pairs():
     spec = AlgebraSpec(Kind.BOSE, 3, 2)
-    reports = check_pp(spec)
+    reports = check_pp(FockSpace(spec))
     pairs = {(rep.relation, rep.indices) for rep in reports}
     assert len(pairs) == 2 * 6  # i <= j over 3 modes, both ladder families
     assert all(rep.residual == 0 for rep in reports)
@@ -31,20 +31,20 @@ def test_pp_reports_cover_all_pairs():
 
 def test_fermi_creation_squares_to_zero():
     spec = AlgebraSpec(Kind.FERMI, 2, 2)
-    up = fock_space(spec).ladder(1, +1)
+    up = FockSpace(spec).ladder(1, +1)
     assert (up @ up).nnz == 0
 
 
 def test_mixed_relation_off_diagonal_pairs():
     spec = AlgebraSpec(Kind.BOSE, 2, 3)
-    for rep in check_mixed(spec):
+    for rep in check_mixed(FockSpace(spec)):
         assert rep.residual == 0
 
 
 def test_mixed_relation_detects_wrong_cap():
     # same matrices checked against the relation for a different p must fail
     spec = AlgebraSpec(Kind.BOSE, 1, 3)
-    space = fock_space(spec)
+    space = FockSpace(spec)
     up = space.ladder(1, +1)
     down = space.ladder(1, -1)
     wrong_p = 2
@@ -57,31 +57,31 @@ def test_mixed_relation_detects_wrong_cap():
 
 def test_number_relation_and_multiplicities():
     for spec in small_grid(3, 3):
-        for rep in check_number(spec):
+        for rep in check_number(FockSpace(spec)):
             assert rep.passed
 
 
 def test_cap_reports():
     spec = AlgebraSpec(Kind.FERMI, 3, 2)
-    for rep in check_cap(spec):
+    for rep in check_cap(FockSpace(spec)):
         assert rep.residual == 0
     # cap 1 forbids two quanta outright
     spec = AlgebraSpec(Kind.BOSE, 1, 1)
-    up = fock_space(spec).ladder(1, +1)
+    up = FockSpace(spec).ladder(1, +1)
     assert (up @ up).nnz == 0
 
 
 def test_hermiticity_exact_and_float():
     # the float suite holds the exact hermiticity reports, not a float copy of them
     spec = AlgebraSpec(Kind.BOSE, 2, 3)
-    reports = check_hermiticity(spec)
+    reports = check_hermiticity(FockSpace(spec))
     assert all(rep.residual == 0 and rep.backend == EXACT for rep in reports)
     assert set(reports) <= set(run_suite(spec, FLOAT))
 
 
 def test_vacuum_cyclic_rank_is_full():
     for spec in small_grid(3, 3):
-        rep = check_vacuum_cyclic(spec)
+        rep = check_vacuum_cyclic(FockSpace(spec))
         assert rep.passed and rep.residual == 0
 
 
@@ -90,7 +90,7 @@ def test_float_backend_suite():
     # conjugation by the diagonal square roots of G keeps every relation
     for spec in (AlgebraSpec(Kind.FERMI, 3, 2), AlgebraSpec(Kind.BOSE, 2, 4)):
         reports = run_suite(spec, FLOAT)
-        assert reports == sorted(run_suite(spec, EXACT) + check_backend_agreement(spec),
+        assert reports == sorted(run_suite(spec, EXACT) + check_backend_agreement(FockSpace(spec)),
                                  key=RelationReport.sort_key)
         assert len(reports) == 2 * spec.n ** 2 + 9 * spec.n + 4
         for rep in reports:
@@ -100,7 +100,7 @@ def test_float_backend_suite():
             run_suite(spec, "orthonormal")
 
 
-def test_vacuum_cyclic_fails_without_creation_operators(monkeypatch, fresh_spaces):
+def test_vacuum_cyclic_fails_without_creation_operators(monkeypatch):
     from fockcap import dimension, operators
     original = operators._ladder_matrix
 
@@ -110,14 +110,14 @@ def test_vacuum_cyclic_fails_without_creation_operators(monkeypatch, fresh_space
 
     monkeypatch.setattr(operators, "_ladder_matrix", no_creation)
     spec = AlgebraSpec(Kind.BOSE, 2, 3)
-    rep = check_vacuum_cyclic(spec)
+    rep = check_vacuum_cyclic(FockSpace(spec))
     assert not rep.passed and rep.residual == dimension(spec) - 1
 
 
 @pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2)])
-def test_hermiticity_fails_for_a_doubled_annihilation_only(monkeypatch, fresh_spaces, spec):
+def test_hermiticity_fails_for_a_doubled_annihilation_only(monkeypatch, spec):
     from fockcap import operators
-    space = fock_space(spec)
+    space = FockSpace(spec)
     expected = (space.gram @ space.ladder(1, -1)).max_abs()
     original = operators._ladder_matrix
 
@@ -126,8 +126,7 @@ def test_hermiticity_fails_for_a_doubled_annihilation_only(monkeypatch, fresh_sp
         return 2 * op if (i, delta) == (1, -1) else op
 
     monkeypatch.setattr(operators, "_ladder_matrix", doubled)
-    fock_space.cache_clear()
-    reports = check_hermiticity(spec)
+    reports = check_hermiticity(FockSpace(spec))
     failed = [(rep.relation, rep.indices) for rep in reports if not rep.passed]
     assert failed == [("adjoint-is-annihilation", (1,))]
     # (a_1^+)^T G - G (2 a_1^-) = -G a_1^-
@@ -136,7 +135,7 @@ def test_hermiticity_fails_for_a_doubled_annihilation_only(monkeypatch, fresh_sp
 
 def test_backend_agreement():
     for spec in small_grid(3, 3):
-        for rep in check_backend_agreement(spec):
+        for rep in check_backend_agreement(FockSpace(spec)):
             assert rep.passed
 
 
@@ -154,7 +153,7 @@ def test_report_serialization():
     payload = rep.as_dict()
     assert payload["kind"] == "fermi" and payload["pass"] is True
     assert payload["residual"] == "0"
-    rep = check_backend_agreement(AlgebraSpec(Kind.FERMI, 1, 1))[0]
+    rep = check_backend_agreement(FockSpace(AlgebraSpec(Kind.FERMI, 1, 1)))[0]
     payload = rep.as_dict()
     assert payload["backend"] == FLOAT and isinstance(payload["residual"], float)
 
@@ -165,7 +164,7 @@ def test_mixed_relation_property(kind, n, p, i, j):
     spec = AlgebraSpec(Kind(kind), n, p)
     i = 1 + (i - 1) % n
     j = 1 + (j - 1) % n
-    reports = {rep.indices: rep for rep in check_mixed(spec)}
+    reports = {rep.indices: rep for rep in check_mixed(FockSpace(spec))}
     assert reports[(i, j)].residual == 0
 
 
@@ -216,7 +215,7 @@ def test_window_deviation_reads_the_orthonormal_ladders():
     for kind in (Kind.FERMI, Kind.BOSE):
         for n in range(1, 4):
             for p in range(3, 7):
-                space = fock_space(AlgebraSpec(kind, n, p))
+                space = FockSpace(AlgebraSpec(kind, n, p))
                 expected = 0.0
                 for i in range(1, n + 1):
                     for delta in (+1, -1):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcap import AlgebraSpec, Kind, fock_space, relations
+from fockcap import AlgebraSpec, FockSpace, Kind, relations
 from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix, orbit_ranks
 
 
@@ -70,9 +70,9 @@ def test_residual_is_the_max_abs_of_the_difference():
     assert (a - b).max_abs() == 5
     assert (a - a).max_abs() == 0
     # two 6-dim spaces of different specs, and two bases of one space
-    up = fock_space(AlgebraSpec(Kind.BOSE, 2, 2)).ladder(1, +1)
-    for other in (fock_space(AlgebraSpec(Kind.FERMI, 5, 1)).ladder(1, +1),
-                  fock_space(AlgebraSpec(Kind.BOSE, 2, 2)).ladder(1, +1, "orthonormal")):
+    up = FockSpace(AlgebraSpec(Kind.BOSE, 2, 2)).ladder(1, +1)
+    for other in (FockSpace(AlgebraSpec(Kind.FERMI, 5, 1)).ladder(1, +1),
+                  FockSpace(AlgebraSpec(Kind.BOSE, 2, 2)).ladder(1, +1, "orthonormal")):
         with pytest.raises(ValueError, match="basis tag mismatch"):
             up - other
 

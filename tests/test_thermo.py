@@ -223,17 +223,18 @@ def test_recurrence_matches_the_basis_sum():
     assert 0 < refused < len(small_grid(4, 4)) * len(betas) * len(mus)
 
 
-def test_thermo_command_builds_no_basis(monkeypatch, fresh_spaces, capsys):
+def test_thermo_command_builds_no_basis(monkeypatch, capsys, built_spaces):
     def refuse(*args, **kwargs):
         raise AssertionError("thermo built a basis")
 
-    monkeypatch.setattr(basis, "enumerate_basis", refuse)
-    monkeypatch.setattr(operators, "FockSpace", refuse)
+    for module in (basis, operators):
+        monkeypatch.setattr(module, "enumerate_basis", refuse)
     argv = ["thermo", "--kind", "bose", "--n", "3", "--p", "4", "--beta", "0.5,2",
             "--mu=-1,0.5", "--energies", "1,0,-0.5"]
     for extra in ([], ["--json"]):
         assert cli.main(argv + extra) == 0
         assert capsys.readouterr().out
+    assert built_spaces == []
 
 
 def test_thermo_runs_far_past_any_enumerable_basis(capsys):
