@@ -138,8 +138,7 @@ HOPPING = "[[1.0, -0.5, 0.0], [-0.5, 2.0, 0.25], [0.0, 0.25, 0.5]]"
     "spectrum --kind bose --n 3 --p 3 --backend float --matrix-file {hopping}",
     "spectrum --kind fermi --n 3 --p 2 --backend float --matrix-file {hopping}",
     "toy --p 10", "toy --p 6 --json"])
-def test_passing_commands_construct_no_sparse_matrix(monkeypatch, capsys,
-                                                     tmp_path, command):
+def test_passing_commands_construct_no_sparse_matrix(monkeypatch, capsys, tmp_path, command):
     hopping = tmp_path / "hopping.json"
     hopping.write_text(HOPPING)
     calls = _count_calls(monkeypatch, ((SparseMatrix, "__init__"), (RowReducer, "__init__")))
