@@ -50,6 +50,13 @@ class AlgebraSpec:
     def max_entry(self) -> int:
         return 1 if self.kind is Kind.FERMI else self.p
 
+    @property
+    def grade_steps(self) -> range:
+        """The order of k in the in-place mode step c[k] += y c[k-1] over grades
+        0..p: falling for Fermi, so each step reads the old c[k-1] (a mode adds
+        1 + y t), rising for Bose, so it reads the new one (1/(1 - y t))."""
+        return range(self.p, 0, -1) if self.kind is Kind.FERMI else range(1, self.p + 1)
+
 
 def fermi_cap_note(spec: AlgebraSpec) -> str | None:
     """Advisory note when a Fermi cap is not binding (p >= n).

@@ -115,34 +115,27 @@ def diagonal_spectrum(spec: AlgebraSpec,
     basis vectors by grade k = |v| and energy sum S = sum_i w_i v_i.
 
     Over the common denominator D of the energies, eps_i = w_i/D with integer
-    w_i, and the level at v is S (p - k + 1)/(D p).  One pass over the modes
-    keeps, per grade reached so far, a dict from S to its count: a Bose mode
-    adds j = 0..p-k quanta, a Fermi mode j = 0 or 1.  The last mode's counts
-    go straight into the levels.  That is at most n*dim dict updates, and far
-    fewer where energies coincide; no basis, index or operator is formed.
+    w_i, and the level at v is S (p - k + 1)/(D p).  Grade k holds a dict from
+    S to its count, and each mode multiplies the grades in place by thermo's
+    step, grades[k] += grades[k-1] shifted by w_i, in the order of
+    spec.grade_steps; one last pass turns grade k into the levels S (p - k + 1).
+    That is at most one dict update per (grade, sum) pair per mode, so at most
+    n*dim, and far fewer where energies coincide; no basis, index or operator
+    is formed.
     """
     _check_energy_count(spec, energies)
     eps = [Fraction(e) for e in energies]
     p, denom = spec.p, math.lcm(*(e.denominator for e in eps))
-    *weights, last = [e.numerator * (denom // e.denominator) for e in eps]
-    top = spec.max_entry  # quanta one mode may hold
-    grades: list[dict[int, int]] = [{0: 1}]  # grade k -> {S: count}
-    for w in weights:
-        reached: list[dict[int, int]] = [{} for _ in range(min(len(grades) - 1 + top, p) + 1)]
-        for k, counts in enumerate(grades):
-            for j in range(min(top, p - k) + 1):
-                target, shift = reached[k + j], j * w
-                for s, m in counts.items():
-                    key = s + shift
-                    target[key] = target.get(key, 0) + m
-        grades = reached
+    grades: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(p)]  # grade k -> {S: count}
+    for w in [e.numerator * (denom // e.denominator) for e in eps]:
+        for k in spec.grade_steps:
+            target = grades[k]
+            for s, m in grades[k - 1].items():
+                target[s + w] = target.get(s + w, 0) + m
     levels: dict[int, int] = {}  # S (p - k + 1) -> count
-    for k, counts in enumerate(grades):
-        for j in range(min(top, p - k) + 1):
-            factor, shift = p - k - j + 1, j * last
-            for s, m in counts.items():
-                key = (s + shift) * factor
-                levels[key] = levels.get(key, 0) + m
+    for factor in range(1, p + 2):  # grade k = p + 1 - factor, each dropped as it is read
+        for s, m in grades.pop().items():
+            levels[s * factor] = levels.get(s * factor, 0) + m
     return _report(levels, denom * p)
 
 

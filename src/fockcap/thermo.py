@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .basis import AlgebraSpec, Kind, graded_dimensions
+from .basis import AlgebraSpec, graded_dimensions
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,11 @@ def _finite(beta: float, mu: float, *values: float) -> None:
         raise _out_of_range(beta, mu)
 
 
-def _times_mode(c: list[float], y: float, fermi: bool) -> list[float]:
-    """c times one mode's polynomial, truncated at the cap, in place.
-
-    A Fermi mode contributes 1 + y t (k falling reads the old c[k-1]); a Bose
-    mode 1 + y t + (y t)^2 + ..., i.e. 1/(1 - y t) (k rising reads the new one)."""
-    for k in (range(len(c) - 1, 0, -1) if fermi else range(1, len(c))):
+def _times_mode(c: list[float], y: float, steps: range) -> list[float]:
+    """c times one mode's polynomial, truncated at the cap, in place: the one
+    step c[k] += y c[k-1] in the order of AlgebraSpec.grade_steps, which makes
+    it 1 + y t for a Fermi mode and 1/(1 - y t) for a Bose one."""
+    for k in steps:
         c[k] += y * c[k - 1]
     return c
 
@@ -89,12 +88,12 @@ def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float]
         ys = [math.exp(-beta * (e - mu)) for e in energies]
     except OverflowError:
         raise _out_of_range(beta, mu) from None
-    p, fermi = spec.p, spec.kind is Kind.FERMI
+    p, steps = spec.p, spec.grade_steps
     after = [[1.0] + [0.0] * p]  # after[i]: the polynomial of the modes after mode i
     for y in reversed(ys[1:]):
-        after.append(_times_mode(after[-1][:], y, fermi))
+        after.append(_times_mode(after[-1][:], y, steps))
     after.reverse()
-    grades = _times_mode(after[0][:], ys[0], fermi)
+    grades = _times_mode(after[0][:], ys[0], steps)
     xi = sum(grades)
     _finite(beta, mu, xi)
     means = []
@@ -108,7 +107,7 @@ def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float]
             power *= y
             numerator += j * power * sum(before[a] * below[p - j - a] for a in range(p - j + 1))
         means.append(numerator / xi)
-        _times_mode(before, y, fermi)
+        _times_mode(before, y, steps)
     mean_total = sum(k * c for k, c in enumerate(grades)) / xi
     _finite(beta, mu, *means, mean_total)
     return xi, means, mean_total

@@ -194,3 +194,15 @@ def test_criterion_8_backend_agreement():
             ok = ok and fm == em and abs(fv - float(ev)) <= 1e-10
     _announce(8, "float backend agrees with exact (1e-12 entries, 1e-10 spectra)",
               ok, f"max entry deviation {worst:.2e}, {len(cases)} spectra compared")
+
+
+def test_criterion_9_exact_spectrum_at_a_large_cap():
+    # bose n=3, p=400: dim C(403, 3), far past any operator route
+    t0 = time.perf_counter()
+    report = diagonal_spectrum(AlgebraSpec(Kind.BOSE, 3, 400), (1, 2, 3))
+    elapsed = time.perf_counter() - t0
+    ok = (len(report.levels) == 56433 and report.total_multiplicity == comb(403, 3)
+          and elapsed < 1.0)
+    _announce(9, "exact diagonal spectrum, bose n=3 p=400", ok,
+              f"{len(report.levels)} levels, total multiplicity {report.total_multiplicity}, "
+              f"{elapsed:.2f}s")

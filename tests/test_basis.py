@@ -99,6 +99,7 @@ def test_fermi_loose_cap_is_accepted_with_note():
     spec = AlgebraSpec(Kind.FERMI, 3, 5)
     assert dimension(spec) == 8
     assert fermi_cap_note(spec) is not None
+    assert fermi_cap_note(AlgebraSpec(Kind.FERMI, 3, 3)) is not None  # p = n does not bind either
     assert fermi_cap_note(AlgebraSpec(Kind.FERMI, 5, 3)) is None
     assert fermi_cap_note(AlgebraSpec(Kind.BOSE, 1, 5)) is None
 

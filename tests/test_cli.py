@@ -587,6 +587,17 @@ def test_float_spectrum_beyond_float_range_is_a_usage_error(capsys):
         assert err.startswith("error:") and "float range" in err
 
 
+def test_float_spectrum_with_off_diagonal_entries_beyond_float_range(capsys, tmp_path):
+    # a finite diagonal does not excuse an infinite off-diagonal entry of the same block
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([[0, 1e308], [1e308, 0]]))
+    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "10",
+                             "--backend", "float", "--matrix-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "assembled Hamiltonian has entries beyond float range" in err
+
+
 def test_spectrum_refuses_energies_with_a_matrix_file(capsys, tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))

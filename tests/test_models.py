@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from fockcap import (AlgebraSpec, Kind, cli, diagonal_hamiltonian, diagonal_spectrum,
                      dimension, enumerate_basis, quadratic_hamiltonian_spectrum,
                      models, spectrum_of_diagonal, toy_levels, toy_spectrum)
+from fockcap.basis import iter_basis
 from fockcap.operators import ORTHONORMAL, FockSpace
 from fockcap.sparse import MonomialMatrix, SparseMatrix
 
@@ -128,6 +130,20 @@ def test_multiplicities_sum_to_dimension():
     for spec in small_grid(3, 3):
         eps = list(range(1, spec.n + 1))
         assert diagonal_spectrum(spec, eps).total_multiplicity == dimension(spec)
+
+
+@pytest.mark.parametrize("kind, n, p, energies", [
+    (Kind.BOSE, 3, 60, [Fraction(-1, 2), 3, Fraction(7, 3)]),
+    (Kind.BOSE, 4, 12, [1, 1, 2, 2]),
+    (Kind.FERMI, 14, 6, list(range(1, 15))),
+], ids=["bose-3-60", "bose-4-12-repeated", "fermi-14-6"])
+def test_diagonal_spectrum_equals_a_count_over_the_basis(kind, n, p, energies):
+    # past the sizes the product route reaches: each basis vector's level, counted one by one
+    spec = AlgebraSpec(kind, n, p)
+    eps = [Fraction(e) for e in energies]
+    counts = collections.Counter(sum(e * x for e, x in zip(eps, v)) * (p - sum(v) + 1) / p
+                                 for v in iter_basis(spec))
+    assert diagonal_spectrum(spec, energies).levels == tuple(sorted(counts.items()))
 
 
 def test_quadratic_diagonal_matches_exact():
@@ -296,8 +312,9 @@ def test_cluster_mean_is_numpys_mean_bit_for_bit():
     for length in range(1, 301):
         base = rng.uniform(-1e3, 1e3)
         x = [base + rng.uniform(-1e-10, 1e-10) for _ in range(length)]
-        # repr tells -0.0 from 0.0, which equality does not
-        for cluster in (x, x[:1] * length, [-0.0] * length):
+        # repr tells -0.0 from 0.0, which equality does not; one large value among
+        # tiny ones rounds differently wherever a running sum starts (8 is the first edge)
+        for cluster in (x, x[:1] * length, [-0.0] * length, [1.0] + [1e-16] * (length - 1)):
             assert repr(models._mean(cluster)) == repr(float(np.mean(cluster))), length
 
 
