@@ -52,10 +52,11 @@ class AlgebraSpec:
 
     @property
     def grade_steps(self) -> range:
-        """The order of k in the in-place mode step c[k] += y c[k-1] over grades
-        0..p: falling for Fermi, so each step reads the old c[k-1] (a mode adds
-        1 + y t), rising for Bose, so it reads the new one (1/(1 - y t))."""
-        return range(self.p, 0, -1) if self.kind is Kind.FERMI else range(1, self.p + 1)
+        """The order of k in the in-place mode step c[k] += y c[k-1]: min(p, n)..1
+        for Fermi, so each step reads the old c[k-1] (a mode adds 1 + y t), and
+        1..p for Bose, so it reads the new one (1/(1 - y t))."""
+        fermi = self.kind is Kind.FERMI
+        return range(min(self.p, self.n), 0, -1) if fermi else range(1, self.p + 1)
 
 
 def fermi_cap_note(spec: AlgebraSpec) -> str | None:

@@ -117,23 +117,23 @@ def diagonal_spectrum(spec: AlgebraSpec,
     Over the common denominator D of the energies, eps_i = w_i/D with integer
     w_i, and the level at v is S (p - k + 1)/(D p).  Grade k holds a dict from
     S to its count, and each mode multiplies the grades in place by thermo's
-    step, grades[k] += grades[k-1] shifted by w_i, in the order of
-    spec.grade_steps; one last pass turns grade k into the levels S (p - k + 1).
-    That is at most one dict update per (grade, sum) pair per mode, so at most
-    n*dim, and far fewer where energies coincide; no basis, index or operator
-    is formed.
+    step, grades[k] += grades[k-1] shifted by w_i, over the grades of
+    spec.grade_steps (to min(p, n) for Fermi); one last pass turns grade k into
+    the levels S (p - k + 1).  That is at most one dict update per (grade, sum)
+    pair per mode, so at most n*dim, and far fewer where energies coincide; no
+    basis, index or operator is formed.
     """
     _check_energy_count(spec, energies)
     eps = [Fraction(e) for e in energies]
     p, denom = spec.p, math.lcm(*(e.denominator for e in eps))
-    grades: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(p)]  # grade k -> {S: count}
+    grades: list[dict[int, int]] = [{0: 1}] + [{} for _ in spec.grade_steps]  # k -> {S: count}
     for w in [e.numerator * (denom // e.denominator) for e in eps]:
         for k in spec.grade_steps:
             target = grades[k]
             for s, m in grades[k - 1].items():
                 target[s + w] = target.get(s + w, 0) + m
     levels: dict[int, int] = {}  # S (p - k + 1) -> count
-    for factor in range(1, p + 2):  # grade k = p + 1 - factor, each dropped as it is read
+    for factor in range(p + 2 - len(grades), p + 2):  # grade p + 1 - factor, popped as read
         for s, m in grades.pop().items():
             levels[s * factor] = levels.get(s * factor, 0) + m
     return _report(levels, denom * p)

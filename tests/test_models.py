@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -144,6 +145,17 @@ def test_diagonal_spectrum_equals_a_count_over_the_basis(kind, n, p, energies):
     counts = collections.Counter(sum(e * x for e, x in zip(eps, v)) * (p - sum(v) + 1) / p
                                  for v in iter_basis(spec))
     assert diagonal_spectrum(spec, energies).levels == tuple(sorted(counts.items()))
+
+
+def test_fermi_diagonal_spectrum_costs_nothing_in_a_loose_cap():
+    # a Fermi cap past n binds nothing: the work is over the 2^n vectors, not over p
+    p, energies = 10**7, [Fraction(-1, 2), 3, Fraction(7, 3)]
+    counts = collections.Counter(sum(e * x for e, x in zip(energies, v)) * (p - sum(v) + 1) / p
+                                 for v in itertools.product((0, 1), repeat=3))
+    t0 = time.perf_counter()
+    report = diagonal_spectrum(AlgebraSpec(Kind.FERMI, 3, p), energies)
+    assert time.perf_counter() - t0 < 1.0
+    assert report.levels == tuple(sorted(counts.items()))
 
 
 def test_quadratic_diagonal_matches_exact():
