@@ -24,9 +24,9 @@ class Kind(str, enum.Enum):
     BOSE = "bose"
 
     @property
-    def anticommuting(self) -> bool:
-        """Fermi ladder operators anticommute, Bose ones commute."""
-        return self is Kind.FERMI
+    def sign(self) -> int:
+        """The exchange sign s: -1 for Fermi (anticommuting), +1 for Bose (commuting)."""
+        return -1 if self is Kind.FERMI else 1
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,16 @@ class AlgebraSpec:
         return 1 if self.kind is Kind.FERMI else self.p
 
     @property
+    def top(self) -> int:
+        """The highest grade that holds a vector: min(p, n) for Fermi, p for Bose."""
+        return min(self.p, self.n) if self.kind is Kind.FERMI else self.p
+
+    @property
     def grade_steps(self) -> range:
-        """The order of k in the in-place mode step c[k] += y c[k-1]: min(p, n)..1
-        for Fermi, so each step reads the old c[k-1] (a mode adds 1 + y t), and
-        1..p for Bose, so it reads the new one (1/(1 - y t))."""
-        fermi = self.kind is Kind.FERMI
-        return range(min(self.p, self.n), 0, -1) if fermi else range(1, self.p + 1)
+        """The order of k in the in-place mode step c[k] += y c[k-1]: top..1 for
+        Fermi, so each step reads the old c[k-1] (a mode adds 1 + y t), and
+        1..top for Bose, so it reads the new one (1/(1 - y t))."""
+        return range(self.top, 0, -1) if self.kind is Kind.FERMI else range(1, self.top + 1)
 
 
 def fermi_cap_note(spec: AlgebraSpec) -> str | None:
@@ -79,7 +83,7 @@ def _grade_vectors(kind: Kind, n: int, k: int) -> Iterator[OccupationVector]:
     if kind is Kind.BOSE:
         for totals in combinations_with_replacement(range(k + 1), n - 1):
             yield tuple(map(sub, totals + (k,), (0,) + totals))
-    elif k <= n:
+    else:
         for zeros in combinations(range(n), n - k):
             v = [1] * n
             for z in zeros:
@@ -89,7 +93,7 @@ def _grade_vectors(kind: Kind, n: int, k: int) -> Iterator[OccupationVector]:
 
 def iter_basis(spec: AlgebraSpec) -> Iterator[OccupationVector]:
     """The basis vectors in canonical (graded, then lex) order, one at a time."""
-    for k in range(spec.p + 1):
+    for k in range(spec.top + 1):
         yield from _grade_vectors(spec.kind, spec.n, k)
 
 
@@ -101,21 +105,21 @@ def enumerate_basis(spec: AlgebraSpec) -> list[OccupationVector]:
 def graded_dimensions(spec: AlgebraSpec) -> list[int]:
     """Grade-block sizes d_0..d_p: C(n,k) for Fermi, C(n+k-1,k) for Bose.
 
-    One running binomial, d_k = d_{k-1} (n-k+1)/k for Fermi (0 past k = n)
-    and d_{k-1} (n+k-1)/k for Bose; each division is exact.
+    One running binomial, d_k = d_{k-1} (n + s(k-1))/k with the exchange sign
+    s (0 past k = n for Fermi); each division is exact.
     """
-    n, fermi = spec.n, spec.kind is Kind.FERMI
+    n, s = spec.n, spec.kind.sign
     out = [1]
     for k in range(1, spec.p + 1):
-        out.append(out[-1] * (n - k + 1 if fermi else n + k - 1) // k)
+        out.append(out[-1] * (n + s * (k - 1)) // k)
     return out
 
 
 def dimension(spec: AlgebraSpec) -> int:
-    """Total dimension: C(n+p, p) for Bose, the sum of C(n,k) up to k = min(n, p) for Fermi."""
+    """Total dimension: C(n+p, p) for Bose, the sum of C(n,k) up to k = top for Fermi."""
     if spec.kind is Kind.BOSE:
         return comb(spec.n + spec.p, spec.p)
-    return sum(graded_dimensions(replace(spec, p=min(spec.n, spec.p))))
+    return sum(graded_dimensions(replace(spec, p=spec.top)))
 
 
 def log10_dimension_bound(spec: AlgebraSpec) -> float:
@@ -129,8 +133,8 @@ def log10_dimension_bound(spec: AlgebraSpec) -> float:
     at 10**6, where the bound is already far past any printable size.
     """
     n, p = spec.n, spec.p
-    a, b = (n + p, min(n, p)) if spec.kind is Kind.BOSE else (n, min(p, n // 2))
-    b = min(b, 10 ** 6)
+    a, b = (n + p, n) if spec.kind is Kind.BOSE else (n, n // 2)
+    b = min(b, spec.top, 10 ** 6)
     if b == 0:
         return 0.0
     r = b / a

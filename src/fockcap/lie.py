@@ -9,14 +9,17 @@ extend to a basis of gl(1|n) (Fermi) resp. gl(1+n) (Bose) once a zeroth index
 is adjoined:
 
     E_00 = p*Id - N,   E_i0 ~ sqrt(p) a_i^+,   E_0i ~ sqrt(p) a_i^-,
-    E_ii = e_ii - E_00 (Fermi) / e_ii + E_00 (Bose),   E_ij = e_ij (i != j).
+    E_ii = e_ii + s E_00,   E_ij = e_ij (i != j),
+    with the exchange sign s = -1 for Fermi, +1 for Bose (Kind.sign).
 
 sqrt(p) is irrational for general p, so the exact backend verifies the
 bracket table with the odd/crossing generators rescaled by a further sqrt(p)
 (i.e. p * a_i^pm), which multiplies the right side of any bracket of two
 crossing generators by p and leaves every other bracket untouched.  The
 float backend verifies the literal sqrt(p)-scaled table on the orthonormal
-basis.  The vacuum is a highest-weight vector of weight (p; 0, ..., 0).
+basis, to FLOAT_TOL times max(1, |X| |Y|) for the largest entries |X|, |Y|
+of the two generators, which grow like p.  The vacuum is a highest-weight
+vector of weight (p; 0, ..., 0).
 """
 
 from __future__ import annotations
@@ -34,11 +37,9 @@ LIE_CHECKS = ("brackets", "identify", "branching")
 
 
 def diagonal_action_value(spec: AlgebraSpec, v: Sequence[int], i: int) -> int:
-    """Eigenvalue of e_ii on a basis vector: p-|v|+v_i (Fermi), v_i+|v|-p (Bose)."""
-    k = sum(v)
-    if spec.kind is Kind.FERMI:
-        return spec.p - k + v[i - 1]
-    return v[i - 1] + k - spec.p
+    """Eigenvalue of e_ii on a basis vector: v_i + s(|v|-p) with the exchange
+    sign s, so p-|v|+v_i (Fermi) and v_i+|v|-p (Bose)."""
+    return v[i - 1] + spec.kind.sign * (sum(v) - spec.p)
 
 
 def weight_vector(spec: AlgebraSpec, v: Sequence[int]) -> tuple[int, ...]:
@@ -62,16 +63,14 @@ def check_gl_commutators(space: FockSpace) -> list[RelationReport]:
 def check_adjoint_action(space: FockSpace) -> list[RelationReport]:
     """Commutators of e_ij with the ladder operators.
 
-    Fermi: [e_ij, a_k^+] = d_jk a_i^+ - d_ij a_k^+,
-           [e_ij, a_k^-] = -d_ik a_j^- + d_ij a_k^-.
-    Bose:  [e_ij, a_k^+] = d_jk a_i^+ + d_ij a_k^+,
-           [e_ij, a_k^-] = -d_ik a_j^- - d_ij a_k^-.
+    [e_ij, a_k^+] = d_jk a_i^+ + s d_ij a_k^+,
+    [e_ij, a_k^-] = -d_ik a_j^- - s d_ij a_k^-,
+    with the exchange sign s = -1 for Fermi, +1 for Bose.
     """
     spec = space.spec
     e = space.bilinear
     ups = {i: space.ladder(i, +1) for i in range(1, spec.n + 1)}
     downs = {i: space.ladder(i, -1) for i in range(1, spec.n + 1)}
-    diag_sign = -1 if spec.kind.anticommuting else 1
     out = []
     idx = range(1, spec.n + 1)
     for i in idx:
@@ -81,14 +80,14 @@ def check_adjoint_action(space: FockSpace) -> list[RelationReport]:
                 if j == k:
                     expr = expr - ups[i]
                 if i == j:
-                    expr = expr - diag_sign * ups[k]
+                    expr = expr - spec.kind.sign * ups[k]
                 out.append(_report("ladder-adjoint-plus", spec, (i, j, k),
                                    expr.max_abs(), EXACT))
                 expr = bracket(e(i, j), downs[k])
                 if i == k:
                     expr = expr + downs[j]
                 if i == j:
-                    expr = expr + diag_sign * downs[k]
+                    expr = expr + spec.kind.sign * downs[k]
                 out.append(_report("ladder-adjoint-minus", spec, (i, j, k),
                                    expr.max_abs(), EXACT))
     return out
@@ -103,14 +102,12 @@ def extended_rescaled_generators(space: FockSpace) -> dict[tuple[int, int], Mono
     """
     spec = space.spec
     e00 = grade_diagonal(space, lambda k: spec.p - k)
+    signed_e00 = spec.kind.sign * e00
     table: dict[tuple[int, int], MonomialMatrix] = {(0, 0): e00}
     for i in range(1, spec.n + 1):
         table[(i, 0)] = spec.p * space.ladder(i, +1)
         table[(0, i)] = spec.p * space.ladder(i, -1)
-        if spec.kind is Kind.FERMI:
-            table[(i, i)] = space.bilinear(i, i) - e00
-        else:
-            table[(i, i)] = space.bilinear(i, i) + e00
+        table[(i, i)] = space.bilinear(i, i) + signed_e00
         for j in range(1, spec.n + 1):
             if i != j:
                 table[(i, j)] = space.bilinear(i, j)
@@ -124,26 +121,21 @@ def _crossing(a: int, b: int) -> bool:
 def _bracket_residual(kind: Kind, p_scale, table, ab, cd):
     """LHS - RHS of the graded bracket
 
-        [[E_ab, E_cd]] = d_bc E_ad - (-1)^(deg*deg) d_ad E_cb
+        [[E_ab, E_cd]] = E_ab E_cd - q E_cd E_ab = d_bc E_ad - q d_ad E_cb
 
-    where the bracket is the anticommutator iff both generators are odd
-    (Fermi crossing generators), and p_scale multiplies the RHS when both
-    generators are crossing (compensating their extra sqrt(p) rescale)."""
+    with q = (-1)^(deg*deg), the exchange sign of kind when both generators are
+    crossing and 1 otherwise; p_scale multiplies the RHS when both are crossing
+    (compensating their extra sqrt(p) rescale)."""
     a, b = ab
     c, d = cd
-    X, Y = table[ab], table[cd]
     both_crossing = _crossing(a, b) and _crossing(c, d)
-    anticommute = kind.anticommuting and both_crossing
-    expr = bracket(X, Y, anticommute)
+    q = kind.sign if both_crossing else 1
+    expr = bracket(table[ab], table[cd], q)
     scale = p_scale if both_crossing else 1
     if b == c:
         expr = expr - scale * table[(a, d)]
     if a == d:
-        # sign of the E_cb term: + when the bracket is an anticommutator
-        if anticommute:
-            expr = expr - scale * table[(c, b)]
-        else:
-            expr = expr + scale * table[(c, b)]
+        expr = expr + q * scale * table[(c, b)]
     return expr
 
 
@@ -173,11 +165,12 @@ def check_identification(space: FockSpace) -> list[RelationReport]:
     for i in range(1, spec.n + 1):
         floats[(i, 0)] = root_p * space.ladder(i, +1, ORTHONORMAL)
         floats[(0, i)] = root_p * space.ladder(i, -1, ORTHONORMAL)
+    sizes = {ab: mat.max_abs() for ab, mat in floats.items()}
     for ab in labels:
         for cd in labels:
             expr = _bracket_residual(spec.kind, 1.0, floats, ab, cd)
-            out.append(_report("extended-bracket-float", spec, ab + cd,
-                               expr.max_abs(), FLOAT))
+            out.append(_report("extended-bracket-float", spec, ab + cd, expr.max_abs(), FLOAT,
+                               max(1.0, sizes[ab] * sizes[cd])))
 
     weight_sum = sum((exact[(i, i)] for i in range(2, spec.n + 1)), exact[(1, 1)])
     p_identity = grade_diagonal(space, lambda k: spec.p)

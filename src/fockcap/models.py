@@ -118,7 +118,7 @@ def diagonal_spectrum(spec: AlgebraSpec,
     w_i, and the level at v is S (p - k + 1)/(D p).  Grade k holds a dict from
     S to its count, and each mode multiplies the grades in place by thermo's
     step, grades[k] += grades[k-1] shifted by w_i, over the grades of
-    spec.grade_steps (to min(p, n) for Fermi); one last pass turns grade k into
+    spec.grade_steps (to AlgebraSpec.top); one last pass turns grade k into
     the levels S (p - k + 1).  That is at most one dict update per (grade, sum)
     pair per mode, so at most n*dim, and far fewer where energies coincide; no
     basis, index or operator is formed.

@@ -112,10 +112,10 @@ class FockSpace:
             Fermi:  G(v, v) = <v|v> = p! / (p^k (p-k)!)
             Bose:   G(v, v) = <v|v> = p! * prod_i v_i! / (p^k (p-k)!)
 
-        The grade factor is one value per grade; the Bose product is an
-        integer diagonal."""
+        The grade factor p!/(p-k)! / p^k = perm(p, k) / p^k is one value per
+        grade; the Bose product is an integer diagonal."""
         p = self.spec.p
-        G = grade_diagonal(self, lambda k: Fraction(factorial(p), p ** k * factorial(p - k)))
+        G = grade_diagonal(self, lambda k: Fraction(math.perm(p, k), p ** k))
         if self.spec.kind is Kind.BOSE:
             dim = len(self.basis)
             G = G @ MonomialMatrix(dim, range(dim), [math.prod(map(factorial, v))
@@ -194,7 +194,7 @@ def _number_matrix(space: FockSpace, normalization: str) -> MonomialMatrix:
 
 def _bilinear_matrix(space: FockSpace, i: int, j: int) -> MonomialMatrix:
     spec = space.spec
-    return spec.p * bracket(space.ladder(i, +1), space.ladder(j, -1), spec.kind.anticommuting)
+    return spec.p * bracket(space.ladder(i, +1), space.ladder(j, -1), spec.kind.sign)
 
 
 def normalize(op: MonomialMatrix, gram: MonomialMatrix) -> MonomialMatrix:
@@ -215,11 +215,11 @@ def normalize(op: MonomialMatrix, gram: MonomialMatrix) -> MonomialMatrix:
 def grade_diagonal(space: FockSpace, func) -> MonomialMatrix:
     """Diagonal operator on space whose entry at v is func(|v|): the number
     operator, polynomials in it and the grade factor of the Gram form.  func
-    is called once per grade k = 0..p, and each basis vector takes the value
-    of its grade.  A diagonal operator is the same matrix in both bases, so
-    the values name its tag: floats the orthonormal one, rationals the
-    unnormalized one."""
-    values = [func(k) for k in range(space.spec.p + 1)]
+    is called once per grade k = 0..top that holds a vector, and each basis
+    vector takes the value of its grade.  A diagonal operator is the same
+    matrix in both bases, so the values name its tag: floats the orthonormal
+    one, rationals the unnormalized one."""
+    values = [func(k) for k in range(space.spec.top + 1)]
     dim = len(space.grades)
     op = MonomialMatrix.from_columns(dim, range(dim), [values[k] for k in space.grades])
     op.tag = BasisTag(space.spec, UNNORMALIZED if op.exact else ORTHONORMAL)

@@ -356,9 +356,9 @@ def _same_kind(a: MonomialMatrix, b: MonomialMatrix) -> tuple[MonomialMatrix, Mo
     return a._as_float(), b._as_float()
 
 
-def bracket(x, y, anti: bool = False):
-    """The anticommutator x@y + y@x if anti, else the commutator x@y - y@x."""
-    return x @ y + y @ x if anti else x @ y - y @ x
+def bracket(x, y, sign: int = 1):
+    """x@y - sign*y@x: the commutator for sign +1, the anticommutator for -1."""
+    return x @ y + y @ x if sign < 0 else x @ y - y @ x
 
 
 class RowReducer:

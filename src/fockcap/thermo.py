@@ -80,16 +80,17 @@ def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float]
     the mean total is sum_k k*c_k / Xi; with all energies zero Xi is the
     character evaluated at z = exp(beta*mu).  Mode i holds j quanta with weight
     y_i^j times a grade <= p - j state of the other modes, whose polynomial is
-    the product of the prefix and suffix polynomials around i.  No basis is
-    enumerated: a point costs O(n*p^2).  A mode factor, Xi, a mean or the mean
-    total beyond the float range is a ValueError naming beta and mu."""
+    the product of the prefix and suffix polynomials around i, cut at grade top
+    (AlgebraSpec.top).  No basis is enumerated: a point costs O(n*top^2).  A
+    mode factor, Xi, a mean or the mean total past the float range is a
+    ValueError naming beta and mu."""
     energies = _check_thermo_args(spec, beta, energies, mu)
     try:
         ys = [math.exp(-beta * (e - mu)) for e in energies]
     except OverflowError:
         raise _out_of_range(beta, mu) from None
-    p, steps = spec.p, spec.grade_steps
-    after = [[1.0] + [0.0] * p]  # after[i]: the polynomial of the modes after mode i
+    p, top, steps = spec.p, spec.top, spec.grade_steps
+    after = [[1.0] + [0.0] * top]  # after[i]: the polynomial of the modes after mode i
     for y in reversed(ys[1:]):
         after.append(_times_mode(after[-1][:], y, steps))
     after.reverse()
@@ -97,15 +98,16 @@ def occupation_summary(spec: AlgebraSpec, beta: float, energies: Sequence[float]
     xi = sum(grades)
     _finite(beta, mu, xi)
     means = []
-    before = [1.0] + [0.0] * p  # the polynomial of the modes before mode i
+    before = [1.0] + [0.0] * top  # the polynomial of the modes before mode i
     for y, suffix in zip(ys, after):
         below = suffix[:]  # below[d]: weight of the modes after i at grades <= d
-        for d in range(1, p + 1):
+        for d in range(1, top + 1):
             below[d] += below[d - 1]
         numerator, power = 0.0, 1.0
         for j in range(1, spec.max_entry + 1):
             power *= y
-            numerator += j * power * sum(before[a] * below[p - j - a] for a in range(p - j + 1))
+            numerator += j * power * sum(before[a] * below[min(p - j - a, top)]
+                                         for a in range(min(p - j, top) + 1))
         means.append(numerator / xi)
         _times_mode(before, y, steps)
     mean_total = sum(k * c for k, c in enumerate(grades)) / xi

@@ -15,6 +15,16 @@ def test_enumeration_matches_brute_force_oracle():
         assert enumerate_basis(spec) == brute_basis(spec)
 
 
+def test_sign_and_top_of_a_spec():
+    assert (Kind.FERMI.sign, Kind.BOSE.sign) == (-1, 1)
+    # top is the highest grade that holds a vector, loose Fermi caps included
+    for spec in small_grid(4, 4):
+        assert spec.top == max(map(sum, brute_basis(spec)))
+    assert AlgebraSpec(Kind.FERMI, 3, 10**9).top == 3
+    assert list(AlgebraSpec(Kind.FERMI, 3, 10**9).grade_steps) == [3, 2, 1]
+    assert list(AlgebraSpec(Kind.BOSE, 3, 4).grade_steps) == [1, 2, 3, 4]
+
+
 def test_frozen_orderings():
     assert enumerate_basis(AlgebraSpec(Kind.FERMI, 2, 1)) == [(0, 0), (0, 1), (1, 0)]
     assert enumerate_basis(AlgebraSpec(Kind.FERMI, 1, 1)) == [(0,), (1,)]

@@ -85,6 +85,34 @@ def test_dim_json_and_loose_cap_warning(capsys):
     assert "warning" in err
 
 
+def test_a_loose_fermi_cap_lists_and_sums_what_the_binding_cap_does(capsys):
+    # a Fermi mode holds one quantum: past p = n the cap adds no vector and no work in p
+    thermo = ("thermo", "--beta", "1", "--mu=0", "--energies", "1,2")
+    for command, *extra in (("basis",), thermo):
+        outs = []
+        for p in (2, 10**6):
+            t0 = time.perf_counter()
+            code, out, _ = run_cli(capsys, command, "--kind", "fermi", "--n", "2", "--p", str(p),
+                                   *extra)
+            assert code == 0 and time.perf_counter() - t0 < 1.0
+            outs.append(out)
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == (5 if command == "basis" else 2)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("verify",), "fermi n=2 p=100000: 25/25 pass [ok]\nsummary: 25/25 checks pass\n"),
+    (("ops", "--op", "create", "--i", "1", "--normalization", "orthonormal"), None)])
+def test_a_loose_fermi_cap_is_verified_and_exported_at_once(capsys, argv, lines):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, argv[0], "--kind", "fermi", "--n", "2", "--p", str(10**5),
+                           *argv[1:])
+    assert code == 0 and time.perf_counter() - t0 < 2.0
+    if lines is None:  # a_1^+ on the 4 vectors: (0,0) -> (1,0) and (0,1) -> (1,1)
+        assert [entry[:2] for entry in json.loads(out)["entries"]] == [[2, 0], [3, 1]]
+    else:
+        assert out == lines
+
+
 def test_basis_csv_and_json(capsys):
     code, out, _ = run_cli(capsys, "basis", "--kind", "bose", "--n", "2", "--p", "2")
     assert code == 0

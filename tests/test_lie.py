@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from fockcap import (AlgebraSpec, FockSpace, Kind, check_adjoint_action, check_branching,
-                     check_gl_commutators, check_identification,
+                     check_gl_commutators, check_identification, cli,
                      diagonal_action_value, dimension, enumerate_basis,
-                     extended_rescaled_generators, run_lie_suite)
+                     extended_rescaled_generators, operators, run_lie_suite)
+from fockcap.operators import ORTHONORMAL
+from fockcap.sparse import MonomialMatrix
 
 F21 = AlgebraSpec(Kind.FERMI, 2, 1)
 F22 = AlgebraSpec(Kind.FERMI, 2, 2)
@@ -171,3 +173,32 @@ def test_gl_generator_index_validation():
         FockSpace(F21).bilinear(0, 1)
     with pytest.raises(ValueError):
         FockSpace(F21).bilinear(1, 5)
+
+
+@pytest.mark.parametrize("kind, n, p", [("bose", 1, 100), ("bose", 2, 90), ("fermi", 2, 600)])
+def test_float_brackets_pass_where_their_entries_grow_like_p(capsys, kind, n, p):
+    # E_00 reaches p and sqrt(p) a^pm about p/2, so a product entry carries a
+    # rounding error of about eps p^2, past the absolute 1e-12 at these caps
+    assert cli.main(["lie", "--kind", kind, "--n", str(n), "--p", str(p)]) == 0
+    assert "[ok]" in capsys.readouterr().out
+
+
+def test_float_brackets_catch_a_relative_1e9_error_in_one_ladder_entry(monkeypatch):
+    original = operators._ladder_matrix
+
+    def faulty(space, i, delta, normalization):
+        op = original(space, i, delta, normalization)
+        if normalization != ORTHONORMAL or delta < 0:
+            return op
+        coefs = op.coef[:-1]
+        largest = max(range(len(coefs)), key=lambda c: abs(coefs[c]))
+        coefs[largest] *= 1 + 1e-9
+        return MonomialMatrix(op.rows, op.target[:-1], coefs, op.denom, op.tag)
+
+    monkeypatch.setattr(operators, "_ladder_matrix", faulty)
+    reports = [rep for rep in check_identification(FockSpace(AlgebraSpec(Kind.BOSE, 1, 1000)))
+               if rep.relation == "extended-bracket-float"]
+    failed = [rep for rep in reports if not rep.passed]
+    assert len(reports) == 16
+    assert [rep.indices for rep in failed] == [(0, 1, 1, 0), (1, 0, 0, 1)]
+    assert all(rep.residual > 1e-4 for rep in failed)

@@ -324,18 +324,19 @@ def test_grade_diagonal_takes_its_tag_from_its_values():
 
 
 def test_grade_diagonal_calls_its_function_once_per_grade():
-    spec = AlgebraSpec(Kind.BOSE, 3, 4)
-    space = FockSpace(spec)
-    assert dimension(spec) > spec.p + 1
-    calls = []
+    # once per grade that holds a vector: a loose Fermi cap adds no call
+    for spec in (AlgebraSpec(Kind.BOSE, 3, 4), AlgebraSpec(Kind.FERMI, 2, 50)):
+        space = FockSpace(spec)
+        assert dimension(spec) > spec.top + 1
+        calls = []
 
-    def counting(k):
-        calls.append(k)
-        return Fraction(k, 3)
+        def counting(k):
+            calls.append(k)
+            return Fraction(k, 3)
 
-    op = grade_diagonal(space, counting)
-    assert calls == list(range(spec.p + 1))
-    assert [op.get(r, r) for r in range(op.rows)] == [Fraction(k, 3) for k in space.grades]
+        op = grade_diagonal(space, counting)
+        assert calls == list(range(spec.top + 1))
+        assert [op.get(r, r) for r in range(op.rows)] == [Fraction(k, 3) for k in space.grades]
 
 
 def test_removed_second_routes_are_gone():
@@ -346,3 +347,4 @@ def test_removed_second_routes_are_gone():
         assert not hasattr(fockcap.basis, name)
     for name in ("identity", "diagonal"):
         assert not hasattr(MonomialMatrix, name)
+    assert not hasattr(Kind.FERMI, "anticommuting")  # Kind.sign < 0
