@@ -220,7 +220,8 @@ def cmd_ops(args) -> int:
         op = space.bilinear(args.i, args.j)
     if args.normalization == ORTHONORMAL:
         op = normalize(op, space.gram)
-    # the export reads only op: free the basis and rank index before encoding
+    # the export reads only op: free what the space built (the basis, for N or the
+    # orthonormal conjugation) before encoding
     del space
     payload = operator_json_payload(op)
     sample = [_HOLE] * (3 if args.normalization == ORTHONORMAL else 4)

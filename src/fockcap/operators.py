@@ -35,15 +35,16 @@ Mode indices are 1-based in every public signature.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, groupby
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .basis import (AlgebraSpec, Kind, OccupationVector, enumerate_basis,
-                    grade_offsets)
-from .sparse import MonomialMatrix, bracket
+from .basis import AlgebraSpec, Kind, OccupationVector, grade_offsets, iter_basis
+from .sparse import MonomialMatrix, _filled, bracket
 
 UNNORMALIZED = "unnormalized"
 ORTHONORMAL = "orthonormal"
@@ -68,31 +69,33 @@ def prefix_sign(v: Sequence[int], i: int) -> int:
     return -1 if sum(v[: i - 1]) % 2 else 1
 
 
-def _bumped(v: OccupationVector, i: int, delta: int) -> OccupationVector:
-    return v[: i - 1] + (v[i - 1] + delta,) + v[i:]
-
-
 class FockSpace:
     """Everything the checks, models and CLI read of one capped Fock space.
 
-    Holds the basis, its rank index, the grade of each basis vector, the
-    grade offsets, the Gram form, and the ladder operators (per mode and
-    normalization), the number operator (per normalization) and the exact
-    bilinears e_ij.  Each is built on first use and at most once.  The
+    Holds the basis, the grade of each basis vector, the grade offsets, the
+    Gram form, and the ladder operators (per mode and normalization), the
+    number operator (per normalization) and the exact bilinears e_ij, and
+    the rank index that the tests read as their oracle.  Each is built on first use and at most once.  The
     matrices it hands out are shared by every caller of the space and must
-    not be mutated.
+    not be mutated.  The ladders walk the enumeration themselves, so a space
+    asked only for ladders and their products builds no basis list.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
         self._operators: dict[tuple, MonomialMatrix] = {}
+        # the rank ints of the enumeration, grown by the ladder walks and shared by
+        # them, so the ladders of a space hold one int object per rank between them
+        self._ranks: list[int] = []
 
     @cached_property
     def basis(self) -> list[OccupationVector]:
-        return enumerate_basis(self.spec)
+        return list(iter_basis(self.spec))
 
     @cached_property
     def index(self) -> dict[OccupationVector, int]:
+        """Rank of each basis vector: the tests' oracle rank map; no
+        production path reads it."""
         return {v: r for r, v in enumerate(self.basis)}
 
     @cached_property
@@ -155,31 +158,67 @@ class FockSpace:
 
 
 def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> MonomialMatrix:
-    # One walk v -> w = v + delta*e_i for all four ladder operators; w is
-    # admissible exactly when it is in the index.  With u the one of v, w that
-    # holds more quanta, the orthonormal entry is sign*sqrt(u_i (p-|u|+1)/p)
-    # either way: the oracle route of FockSpace.ladder, compared with
-    # normalize() by check_backend_agreement (acceptance criterion 8).  The
-    # unnormalized basis puts the whole square on a_i^-, as the integer
-    # sign*v_i*(p-|v|+1) over the denominator p, and 1 on a_i^+.
-    spec, index, p = space.spec, space.index, space.spec.p
-    targets, coefs = [], []
-    for v in space.basis:
-        w = _bumped(v, i, delta)
-        row = index.get(w, -1)
-        sign = prefix_sign(v, i) if spec.kind is Kind.FERMI else 1
-        if row < 0:
-            coef = 0
-        elif normalization == ORTHONORMAL:
-            coef = sign * _orthonormal_magnitude(w if delta > 0 else v, i, p)
-        elif delta > 0:
-            coef = sign
-        else:
-            coef = sign * v[i - 1] * (p - sum(v) + 1)
-        targets.append(row)
-        coefs.append(coef)
-    denom = p if normalization == UNNORMALIZED and delta < 0 else 1
-    return MonomialMatrix(len(space.basis), targets, coefs, denom, BasisTag(spec, normalization))
+    """a_i^+ (delta = +1) or a_i^- (delta = -1), by one walk over the enumeration.
+
+    Let A_k be the vectors v of grade k with v_i below the entry bound and
+    k < p, and B_{k+1} the vectors w of grade k + 1 with w_i >= 1.  Then
+    v -> v + e_i is a bijection of A_k onto B_{k+1}, and it keeps the
+    lexicographic order: v + e_i and v' + e_i first differ where v and v'
+    do, and by as much.  Grade k comes wholly before grade k + 1 in the
+    enumeration, so the j-th vector of A_k and the j-th vector of B_{k+1}
+    are the pair (v, v + e_i): each vector of A_k waits in its grade's queue
+    until the walk meets the vector of B_{k+1} it pairs with.  a_i^+ sends
+    the A vector to the B vector, a_i^- the B vector to the A vector; every
+    other column is empty.  No v +- e_i is formed and no rank is looked up.
+    Over a faulty enumeration (a vector dropped, repeated or out of its
+    grade) the pairs are whatever the queues give, and a vector left
+    unpaired holds no entry.
+
+    The coefficients are those of the column vector v, at grade k = |v|.
+    The Fermi sign prefix_sign reads modes 1..i-1, the same for v and v +- e_i.
+    With u the one of the pair that holds more quanta (the B vector), the
+    orthonormal entry is sign*sqrt(u_i (p-|u|+1)/p) either way: the oracle
+    route of FockSpace.ladder, compared with normalize() by
+    check_backend_agreement (acceptance criterion 8).  The unnormalized basis
+    puts the whole square on a_i^-, as the integer sign*v_i*(p-|v|+1) over
+    the denominator p, and 1 on a_i^+.
+    """
+    spec, p, m = space.spec, space.spec.p, i - 1
+    fermi, bound = spec.kind is Kind.FERMI, spec.max_entry
+    orthonormal = normalization == ORTHONORMAL
+    empty = 0.0 if orthonormal else 0  # the coefficient of an empty column
+    ranks, targets, coefs = space._ranks, [], []
+    waiting: dict[int, deque] = {}  # grade k -> (rank, vector) of the A_k not yet paired
+    for k, run in groupby(iter_basis(spec), sum):
+        run = list(run)
+        r0 = len(targets)
+        ranks.extend(range(len(ranks), r0 + len(run)))
+        grade = ranks[r0:r0 + len(run)]
+        targets += [-1] * len(run)
+        coefs += [empty] * len(run)
+        occupations = [v[m] for v in run]
+        queue = waiting.get(k - 1)
+        for b, w in zip(compress(grade, occupations), compress(run, occupations)):
+            if not queue:
+                break
+            a, u = queue.popleft()
+            col, row, v = (a, b, u) if delta > 0 else (b, a, w)
+            sign = prefix_sign(v, i) if fermi else 1
+            if orthonormal:
+                coefs[col] = sign * _orthonormal_magnitude(w, i, p)
+            else:
+                coefs[col] = sign if delta > 0 else sign * w[m] * (p - k + 1)
+            targets[col] = row
+        if k < p:
+            below = [x < bound for x in occupations]
+            waiting.setdefault(k, deque()).extend(zip(compress(grade, below),
+                                                      compress(run, below)))
+    denom = 1 if orthonormal or delta > 0 else p
+    # the lists end in the kernel's empty slot and are handed over, not copied
+    targets.append(-1)
+    coefs.append(0)
+    return _filled(len(targets) - 1, targets, coefs, denom, not orthonormal,
+                   BasisTag(spec, normalization))
 
 
 def _orthonormal_magnitude(u: Sequence[int], i: int, p: int) -> float:
@@ -227,8 +266,10 @@ def grade_diagonal(space: FockSpace, func) -> MonomialMatrix:
 
 
 def operator_json_payload(op: MonomialMatrix) -> dict:
-    """JSON-ready export of an operator, entries row-major ascending; the
-    spec and the normalization are read from the operator's basis tag."""
+    """JSON-ready export of an operator; the spec and the normalization are
+    read from the operator's basis tag.  Every check that refuses the
+    operator runs here; "entries" is then an iterator of its entries as
+    tuples, row-major ascending, made as they are read."""
     if not isinstance(op.tag, BasisTag):
         raise ValueError(f"cannot export an operator without a basis tag: {op!r}")
     spec, normalization = op.tag.spec, op.tag.normalization
@@ -238,15 +279,15 @@ def operator_json_payload(op: MonomialMatrix) -> dict:
             raise ValueError(f"float entries in an operator tagged {UNNORMALIZED!r}: "
                              f"exact export needs rational entries: {op!r}")
         # x/denom in lowest terms, as Fraction(x, denom) would hold it (denom > 0)
-        entries = [[r, c, x // g, denom // g]
-                   for r, c, x in sorted(op._live()) for g in (math.gcd(x, denom),)]
+        entries: Iterator[tuple] = ((r, c, x // g, denom // g) for r, c, x in op._row_major()
+                                    for g in (math.gcd(x, denom),))
     else:
         # the encoder would write a non-finite float as Infinity or NaN, which is no JSON.
         # Every coefficient is read: max() skips a NaN that is not first.
         if not op.exact and not all(map(math.isfinite, op.coef)):
             raise ValueError(f"non-finite entries in an operator tagged {normalization!r}: "
                              f"{op!r}")
-        entries = [[r, c, x / denom] for r, c, x in sorted(op._live())]
+        entries = ((r, c, x / denom) for r, c, x in op._row_major())
     return {
         "spec": {"kind": spec.kind.value, "n": spec.n, "p": spec.p},
         "basis": "graded-lex",

@@ -13,7 +13,8 @@ Two storage types share one method surface (``@``, ``+``, ``-``, scalar
   fallback that keeps a wrong operator's results exact.  Of the faults in
   ``tests/test_fault_catalogue.py``, a target moved to a same-grade
   neighbour reaches it by a ``_plus`` clash and, off the orthonormal route,
-  a non-monomial orbit; a repeated basis vector by a ``_plus`` clash and a
+  a non-monomial orbit, and so does a dropped or a repeated basis vector; a
+  diagonal entry of N moved off the diagonal by a ``_plus`` clash and a
   transpose with two entries in one row.  ``perfbench/tracing.py`` finds
   both here by name.
 
@@ -28,7 +29,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import compress, pairwise, starmap
+from operator import le
+from typing import Iterator, Mapping, Sequence
 
 Scalar = Fraction | float | int
 Entry = tuple[int, int, Scalar]
@@ -205,6 +208,14 @@ class MonomialMatrix:
         """(row, col, coefficient) of every entry, by column."""
         return [(r, c, x) for c, (r, x) in enumerate(zip(self.target, self.coef)) if x]
 
+    def _row_major(self) -> Iterator[tuple[int, int, int | float]]:
+        """(row, col, coefficient) of every entry, row-major ascending: the live
+        columns by target.  When no target descends, as for a ladder, that is
+        column order, and the entries are made as they are read."""
+        if all(starmap(le, pairwise(compress(self.target, self.coef)))):
+            return ((r, c, x) for c, (r, x) in enumerate(zip(self.target, self.coef)) if x)
+        return iter(sorted(self._live()))
+
     def get(self, r: int, c: int) -> Scalar:
         if 0 <= c < self.cols and self.target[c] == r and self.coef[c]:
             return self._value(self.coef[c])
@@ -212,7 +223,7 @@ class MonomialMatrix:
 
     def entries(self) -> list[Entry]:
         """All nonzero entries as (row, col, value), row-major ascending."""
-        return [(r, c, self._value(x)) for r, c, x in sorted(self._live())]
+        return [(r, c, self._value(x)) for r, c, x in self._row_major()]
 
     @property
     def data(self) -> dict[tuple[int, int], Scalar]:

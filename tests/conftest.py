@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from fockcap import AlgebraSpec, FockSpace, Kind
+from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix
 
 
 def small_grid(n_max=4, p_max=4):
@@ -21,6 +21,24 @@ def brute_basis(spec):
     vectors = [v for v in itertools.product(range(top + 1), repeat=spec.n)
                if sum(v) <= spec.p]
     return sorted(vectors, key=lambda v: (sum(v), v))
+
+
+def bumped(v, i, delta):
+    """v + delta*e_i for the 1-based mode i."""
+    return v[: i - 1] + (v[i - 1] + delta,) + v[i:]
+
+
+def stepped(space, op, step):
+    """op with the entry of each column v moved to the row of step(v) in the
+    oracle rank map space.index, its coefficient kept, and dropped where
+    step(v) is no basis vector: a ladder that steps to the wrong vector."""
+    index = space.index
+    targets, coefs = op.target[:-1], op.coef[:-1]
+    for c, v in enumerate(space.basis):
+        if coefs[c]:
+            targets[c] = index.get(step(v), -1)
+            coefs[c] = coefs[c] if targets[c] >= 0 else 0
+    return MonomialMatrix(op.rows, targets, coefs, op.denom, op.tag)
 
 
 @pytest.fixture

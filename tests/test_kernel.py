@@ -16,7 +16,7 @@ from fockcap.operators import FockSpace
 from fockcap.relations import EXACT, FLOAT
 from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix, orbit_ranks
 
-from conftest import small_grid
+from conftest import bumped, small_grid, stepped
 
 
 def _suites(spec):
@@ -53,12 +53,15 @@ def test_suites_match_the_dict_of_keys_oracle(monkeypatch, spec):
 def _skew_first_creation(monkeypatch):
     """a_1^+ maps v to v + e_2 in place of v + e_1 (its coefficients still
     those of mode 1), so its weight is wrong and sums that hold it clash."""
-    original = operators._bumped
+    original = operators._ladder_matrix
 
-    def bumped(v, i, delta):
-        return original(v, 2 if (i, delta) == (1, +1) else i, delta)
+    def skewed(space, i, delta, normalization):
+        op = original(space, i, delta, normalization)
+        if (i, delta) == (1, +1):
+            return stepped(space, op, lambda v: bumped(v, 2, +1))
+        return op
 
-    monkeypatch.setattr(operators, "_bumped", bumped)
+    monkeypatch.setattr(operators, "_ladder_matrix", skewed)
 
 
 @pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2),

@@ -252,10 +252,10 @@ def test_json_payload_schema():
     assert payload["basis"] == "graded-lex"
     assert payload["normalization"] == "unnormalized"
     assert payload["dims"] == [3, 3]
-    assert payload["entries"] == [[2, 0, 1, 1]]
+    assert list(payload["entries"]) == [(2, 0, 1, 1)]
     norm = operator_json_payload(normalize(space.ladder(1, +1), space.gram))
     assert norm["normalization"] == "orthonormal"
-    assert norm["entries"] == [[2, 0, 1.0]]
+    assert list(norm["entries"]) == [(2, 0, 1.0)]
 
 
 def test_json_payload_reads_spec_and_normalization_from_the_tag():
@@ -293,11 +293,11 @@ def test_json_payload_entries_are_those_of_the_fraction_route():
     for spec in small_grid(3, 3):
         space = FockSpace(spec)
         for op in _exported_ops(space):
-            exact = operator_json_payload(op)["entries"]
-            assert exact == [[r, c, v.numerator, v.denominator] for r, c, v in op.entries()]
+            exact = list(operator_json_payload(op)["entries"])
+            assert exact == [(r, c, v.numerator, v.denominator) for r, c, v in op.entries()]
             norm = normalize(op, space.gram)
-            floats = operator_json_payload(norm)["entries"]
-            assert floats == [[r, c, float(v)] for r, c, v in norm.entries()]
+            floats = list(operator_json_payload(norm)["entries"])
+            assert floats == [(r, c, float(v)) for r, c, v in norm.entries()]
             assert all(type(v) is float for *_, v in floats)
 
 

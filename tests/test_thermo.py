@@ -227,8 +227,8 @@ def test_thermo_command_builds_no_basis(monkeypatch, capsys, built_spaces):
     def refuse(*args, **kwargs):
         raise AssertionError("thermo built a basis")
 
-    for module in (basis, operators):
-        monkeypatch.setattr(module, "enumerate_basis", refuse)
+    for module in (basis, operators):  # basis.enumerate_basis reads basis.iter_basis
+        monkeypatch.setattr(module, "iter_basis", refuse)
     argv = ["thermo", "--kind", "bose", "--n", "3", "--p", "4", "--beta", "0.5,2",
             "--mu=-1,0.5", "--energies", "1,0,-0.5"]
     for extra in ([], ["--json"]):
