@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from itertools import combinations, combinations_with_replacement
 from math import comb, log, log1p
-from operator import sub
 from typing import Iterator
 
 OccupationVector = tuple[int, ...]
@@ -75,26 +73,59 @@ def fermi_cap_note(spec: AlgebraSpec) -> str | None:
     return None
 
 
-def _grade_vectors(kind: Kind, n: int, k: int) -> Iterator[OccupationVector]:
-    """The vectors of grade k, lexicographic ascending (n >= 1), in the order
-    itertools lists them by: Bose from the running totals v_1, v_1+v_2, ..., a
-    nondecreasing (n-1)-tuple in 0..k (stars and bars); Fermi from the positions
-    of the n-k zeros."""
-    if kind is Kind.BOSE:
-        for totals in combinations_with_replacement(range(k + 1), n - 1):
-            yield tuple(map(sub, totals + (k,), (0,) + totals))
-    else:
-        for zeros in combinations(range(n), n - k):
-            v = [1] * n
-            for z in zeros:
-                v[z] = 0
-            yield tuple(v)
+def _suffix_table(spec: AlgebraSpec) -> list[list[OccupationVector]]:
+    """table[j]: the (n-1)-mode vectors of grade j with entries at most
+    max_entry, lexicographic ascending, for j = 0 up to the highest grade
+    that holds one (so no row is empty).  The vectors of the space are
+    (a,) + w over its rows (see _runs); for Bose it holds n/(n + top) of
+    the basis.
+
+    Built grade by grade, by the prefix recursion over compositions (Knuth,
+    TAOCP 4A, 7.2.1.3) split at the first nonzero entry: an m-mode vector of
+    grade j >= 1 is z zeros, a head h >= 1 and an (m-z-1)-mode tail of grade
+    j - h, in lex order by z descending, then h ascending, then the tail.
+    A row reads only rows of lower grades, so the top grade is formed for
+    the n-1 modes alone; a mode-by-mode build would form it for every m on
+    the way, about n/(top + 1) times the table's own work when n is large
+    and top small.
+    """
+    n1, bound = spec.n - 1, spec.max_entry
+    top = min(spec.top, n1 * bound)
+    rows = [[[(0,) * m]] for m in range(n1 + 1)]  # rows[m][j]: m modes, grade j
+    for j in range(1, top + 1):
+        for m in range(1 if j < top else n1, n1 + 1):
+            rows[m].append([lead + w for lead, tails in _leads(rows, m, j, bound)
+                            for w in tails])
+    return rows[n1]
+
+
+def _leads(rows: list[list[list]], m: int, j: int, bound: int) -> Iterator[tuple]:
+    """(z zeros and the head h, the tails) of the m-mode vectors of grade j,
+    in lex order, over the (z, h) whose tails are nonempty: tails of t modes
+    hold grades up to t * bound."""
+    for z in range(m - 1, -1, -1):
+        t = m - z - 1
+        for h in range(max(1, j - t * bound), min(j, bound) + 1):
+            yield (0,) * z + (h,), rows[t][j - h]
+
+
+def _runs(spec: AlgebraSpec, table: list[list]) -> Iterator[tuple[int, int, list]]:
+    """(k, a, row) for the runs of the canonical order: grade k ascending,
+    then head a ascending, each run the vectors (a,) + w for w in row, the
+    row of grade k - a of the suffix table (or of any table with one entry
+    per suffix).  a runs over exactly the heads whose row is in the table,
+    so n = 1 costs one step per grade, not one per grade below k."""
+    for k in range(spec.top + 1):
+        for a in range(max(0, k - len(table) + 1), min(k, spec.max_entry) + 1):
+            yield k, a, table[k - a]
 
 
 def iter_basis(spec: AlgebraSpec) -> Iterator[OccupationVector]:
     """The basis vectors in canonical (graded, then lex) order, one at a time."""
-    for k in range(spec.top + 1):
-        yield from _grade_vectors(spec.kind, spec.n, k)
+    for _, a, row in _runs(spec, _suffix_table(spec)):
+        head = (a,)
+        for w in row:
+            yield head + w
 
 
 def enumerate_basis(spec: AlgebraSpec) -> list[OccupationVector]:
@@ -152,7 +183,13 @@ def grade_offsets(spec: AlgebraSpec) -> list[int]:
 
 def basis_csv(spec: AlgebraSpec) -> Iterator[str]:
     """Basis listing as CSV lines with columns rank, total, occ_1..occ_n,
-    made as they are read: no list of the basis is built."""
+    made as they are read: no list of the basis is built.  Each suffix
+    occ_2..occ_n is formatted once, as ",occ_2,...,occ_n", and each line
+    joins it to its rank, grade and head."""
     yield ",".join(["rank", "total"] + [f"occ_{i}" for i in range(1, spec.n + 1)]) + "\n"
-    for r, v in enumerate(iter_basis(spec)):
-        yield f"{r},{sum(v)},{','.join(map(str, v))}\n"
+    table = [[",".join(["", *map(str, w)]) for w in row] for row in _suffix_table(spec)]
+    r = 0
+    for k, a, row in _runs(spec, table):
+        for suffix in row:
+            yield f"{r},{k},{a}{suffix}\n"
+            r += 1

@@ -78,7 +78,10 @@ class FockSpace:
     the rank index that the tests read as their oracle.  Each is built on first use and at most once.  The
     matrices it hands out are shared by every caller of the space and must
     not be mutated.  The ladders walk the enumeration themselves, so a space
-    asked only for ladders and their products builds no basis list.
+    asked only for ladders and their products builds no basis list; a walk
+    holds the enumeration's (n-1)-mode suffix table (about n/(n + top) of the
+    basis for Bose), the grade it is at and the vectors still waiting from the
+    grade below.
     """
 
     def __init__(self, spec: AlgebraSpec):

@@ -117,18 +117,22 @@ def check_mixed(space: FockSpace) -> list[RelationReport]:
     (1-(N-1)/p) a_i^- a_j^+ - s (1-N/p) a_j^+ a_i^- = delta_ij (1-N/p)(1-(N-1)/p)
     with the exchange sign s = Kind.sign; the scalar polynomials in N are
     evaluated as diagonal matrices standing to the left of the products.
+    Exact products associate, so c_upper a_i^- and c_lower a_j^+ are formed
+    once per mode, not once per pair.
     """
     spec = space.spec
-    p = spec.p
+    n, p = spec.n, spec.p
     sign = -spec.kind.sign
     c_upper = grade_diagonal(space, lambda k: Fraction(1) - Fraction(k - 1, p))
     c_lower = grade_diagonal(space, lambda k: Fraction(1) - Fraction(k, p))
     rhs_full = c_lower @ c_upper
+    scaled_up = [c_lower @ space.ladder(j, +1) for j in range(1, n + 1)]
     out = []
-    for i in range(1, spec.n + 1):
-        for j in range(1, spec.n + 1):
-            down, up = space.ladder(i, -1), space.ladder(j, +1)
-            lhs = c_upper @ (down @ up) + sign * (c_lower @ (up @ down))
+    for i in range(1, n + 1):
+        down = space.ladder(i, -1)
+        scaled_down = c_upper @ down
+        for j in range(1, n + 1):
+            lhs = scaled_down @ space.ladder(j, +1) + sign * (scaled_up[j - 1] @ down)
             expr = lhs - rhs_full if i == j else lhs
             out.append(_report("mixed-ladder", spec, (i, j), expr.max_abs()))
     return out

@@ -444,7 +444,9 @@ def _reachable_counts(targets: Sequence[Sequence[int]], seeds: Sequence[int]) ->
     """For each seed, how many indices the index maps reach from it (itself
     included).  Breadth-first per seed, with the reached set as a bit mask; a
     seed already walked contributes its whole set at once, so seeds that
-    reach each other, such as a grade block under the e_ij, cost one walk."""
+    reach each other, such as a grade block under the e_ij, cost one walk.
+    A walk that ends with no more than a walked set keeps that set's own int,
+    not an equal copy, so the masks of one block take the memory of one."""
     walked: dict[int, int] = {}
     counts = []
     for seed in seeds:
@@ -455,11 +457,13 @@ def _reachable_counts(targets: Sequence[Sequence[int]], seeds: Sequence[int]) ->
                 for target in targets:
                     w = target[v]
                     if w >= 0 and not reached >> w & 1:
-                        if w in walked:
-                            reached |= walked[w]
-                        else:
+                        mask = walked.get(w)
+                        if mask is None:
                             reached |= 1 << w
                             found.append(w)
+                        else:
+                            union = reached | mask
+                            reached = mask if union == mask else union
             frontier = found
         walked[seed] = reached
         counts.append(reached.bit_count())

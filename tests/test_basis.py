@@ -1,11 +1,12 @@
 import itertools
+import time
 from math import comb, log10
 
 import pytest
 
 from fockcap import (AlgebraSpec, Kind, basis_csv, dimension, enumerate_basis,
                      fermi_cap_note, graded_dimensions, grade_offsets)
-from fockcap.basis import log10_dimension_bound
+from fockcap.basis import iter_basis, log10_dimension_bound
 
 from conftest import brute_basis, small_grid
 
@@ -121,3 +122,30 @@ def test_basis_csv_layout():
     assert lines[1] == "0,0,0,0"
     assert lines[2] == "1,1,0,1"
     assert lines[3] == "2,1,1,0"
+
+
+# n = 1, Fermi with p < n (the cap binds) and with p >= n (it does not), up to n = 6, p = 7
+KERNEL_SPECS = [AlgebraSpec(kind, n, p) for kind in Kind for n in range(1, 7) for p in range(1, 8)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"{s.kind.value}-{s.n}-{s.p}")
+def test_iter_basis_and_basis_csv_match_the_per_vector_oracles(spec):
+    expected = brute_basis(spec)
+    assert list(iter_basis(spec)) == expected
+    rows = "".join(f"{r},{sum(v)},{','.join(map(str, v))}\n" for r, v in enumerate(expected))
+    header = ",".join(["rank", "total"] + [f"occ_{i}" for i in range(1, spec.n + 1)]) + "\n"
+    assert "".join(basis_csv(spec)) == header + rows
+
+
+def test_one_bose_mode_lists_in_time_linear_in_the_cap():
+    # grade k is the one vector (k,); a loop over the heads 0..k of each grade,
+    # or a stars-and-bars tuple of range(k + 1), makes this quadratic in p
+    p = 10 ** 5
+    start = time.perf_counter()
+    text = "".join(basis_csv(AlgebraSpec(Kind.BOSE, 1, p)))
+    assert time.perf_counter() - start < 5.0
+    assert text.startswith("rank,total,occ_1\n0,0,0\n1,1,1\n2,2,2\n")
+    assert text.endswith("\n99999,99999,99999\n100000,100000,100000\n")
+    assert text.count("\n") == p + 2
+    assert text == "rank,total,occ_1\n" + "".join(f"{k},{k},{k}\n" for k in range(p + 1))
+    assert list(iter_basis(AlgebraSpec(Kind.BOSE, 1, 7))) == [(k,) for k in range(8)]

@@ -101,6 +101,24 @@ def test_walk_over_a_faulty_enumeration_pairs_what_it_can(monkeypatch, spec, edi
                     assert sum(listed[r]) == sum(listed[c]) + delta
 
 
+def test_the_walk_reads_the_enumeration_through_operators_iter_basis(monkeypatch):
+    # the fault catalogue and the tests above inject enumerations by this name
+    calls = []
+    original = operators.iter_basis
+
+    def recorded(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(operators, "iter_basis", recorded)
+    spec = AlgebraSpec(Kind.BOSE, 3, 4)
+    space = FockSpace(spec)
+    assert space.ladder(2, +1).nnz and calls == [spec]
+    assert space.ladder(2, -1, ORTHONORMAL).nnz and calls == [spec, spec]
+    monkeypatch.setattr(operators, "iter_basis", lambda s: iter(list(original(s))[::-1]))
+    assert FockSpace(spec).ladder(2, +1).nnz == 0  # reversed: no grade k + 1 follows grade k
+
+
 def test_the_walk_reads_no_basis_list_and_no_rank_map(monkeypatch):
     def refuse(space):
         raise AssertionError("read a basis list or the rank map")

@@ -8,7 +8,9 @@ from fockcap import (AlgebraSpec, FockSpace, Kind, check_backend_agreement, chec
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic, run_grid,
                      run_suite)
+from fockcap.operators import UNNORMALIZED, grade_diagonal
 from fockcap.relations import EXACT, FLOAT, FLOAT_TOL, RelationReport
+from fockcap.sparse import SparseMatrix
 
 from conftest import small_grid
 
@@ -39,6 +41,35 @@ def test_mixed_relation_off_diagonal_pairs():
     spec = AlgebraSpec(Kind.BOSE, 2, 3)
     for rep in check_mixed(FockSpace(spec)):
         assert rep.residual == 0
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2)],
+                         ids=lambda spec: f"{spec.kind.value}-{spec.n}-{spec.p}")
+def test_mixed_relation_residuals_are_those_of_the_per_pair_products(monkeypatch, spec):
+    # check_mixed forms c_upper a_i^- and c_lower a_j^+ once per mode; exact
+    # products associate, so wrong ladders, a dict-of-keys one among them, give
+    # the residuals of the products formed pair by pair
+    ladder = FockSpace.ladder
+
+    def wrong(self, i, delta, normalization=UNNORMALIZED):
+        op = ladder(self, i, delta, normalization)
+        if (i, delta) == (1, -1):
+            return 2 * op
+        if (i, delta) == (2, +1):
+            return op.to_sparse() + SparseMatrix(op.rows, op.cols, {(0, 0): Fraction(1)}, op.tag)
+        return op
+
+    monkeypatch.setattr(FockSpace, "ladder", wrong)
+    space, p, sign = FockSpace(spec), spec.p, -spec.kind.sign
+    c_upper = grade_diagonal(space, lambda k: Fraction(1) - Fraction(k - 1, p))
+    c_lower = grade_diagonal(space, lambda k: Fraction(1) - Fraction(k, p))
+    reports = check_mixed(space)
+    for rep in reports:
+        i, j = rep.indices
+        down, up = space.ladder(i, -1), space.ladder(j, +1)
+        lhs = c_upper @ (down @ up) + sign * (c_lower @ (up @ down))
+        assert rep.residual == (lhs - c_lower @ c_upper if i == j else lhs).max_abs()
+    assert sum(rep.residual != 0 for rep in reports) >= 2
 
 
 def test_mixed_relation_detects_wrong_cap():

@@ -1,11 +1,14 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockcap import AlgebraSpec, FockSpace, Kind, relations
-from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix, orbit_ranks
+from fockcap.sparse import (MonomialMatrix, RowReducer, SparseMatrix, _reachable_counts,
+                            orbit_ranks)
 
 
 def _mat(rows, cols, entries, tag=None):
@@ -141,6 +144,44 @@ def test_orbit_ranks_is_an_exact_rank_not_reachability():
         seeds = [3, 0, 2, 1, 0]
         assert orbit_ranks(generators, seeds) == [
             _enumerated_orbit_rank(generators, seed, 4) for seed in seeds]
+
+
+def _reached_by_bfs(targets, seed):
+    """How many indices the index maps reach from seed, by one plain
+    breadth-first walk with a set: the oracle of _reachable_counts."""
+    reached, frontier = {seed}, [seed]
+    while frontier:
+        frontier = [w for v in frontier for target in targets
+                    if (w := target[v]) >= 0 and w not in reached and not reached.add(w)]
+    return len(reached)
+
+
+def test_reachable_counts_match_a_per_seed_walk_on_random_index_maps():
+    # asymmetric maps, self-maps and -1 entries; seeds in any order, some repeated
+    rng = random.Random(7)
+    for trial in range(300):
+        dim = rng.randint(1, 12)
+        targets = [[rng.choice([-1, v, *range(dim)]) for v in range(dim)]
+                   for _ in range(rng.randint(1, 3))]
+        seeds = [rng.randrange(dim) for _ in range(rng.randint(1, 2 * dim))]
+        assert _reachable_counts(targets, seeds) == [
+            _reached_by_bfs(targets, seed) for seed in seeds], (targets, seeds)
+
+
+def test_reachable_counts_of_one_block_share_one_mask():
+    # every seed of a cycle reaches all of it; seed s meets the walked s - 1 at
+    # its first step, so an equal copy of the full mask per seed would hold
+    # dim**2 / 8 bytes (8 MB here)
+    dim = 8000
+    targets = [[v - 1 if v else dim - 1 for v in range(dim)]]
+    tracemalloc.start()
+    try:
+        counts = _reachable_counts(targets, range(dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [dim] * dim
+    assert peak < 1e6
 
 
 @st.composite
