@@ -10,9 +10,8 @@ number operator is block diagonal with contiguous grade blocks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from math import comb, log, log1p
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 OccupationVector = tuple[int, ...]
 
@@ -27,22 +26,34 @@ class Kind(str, enum.Enum):
         return -1 if self is Kind.FERMI else 1
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """The triple (kind, number of modes n, total-occupation cap p)."""
-
+class _SpecFields(NamedTuple):
     kind: Kind
     n: int
     p: int
 
-    def __post_init__(self):
-        if not isinstance(self.kind, Kind):
-            object.__setattr__(self, "kind", Kind(self.kind))
+
+class AlgebraSpec(_SpecFields):
+    """The triple (kind, number of modes n, total-occupation cap p).
+
+    A NamedTuple, not a dataclass: importing dataclasses loads inspect and
+    more, and every command would pay for it at start-up.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, n, p):
+        kind = Kind(kind)
         # bool is an int subclass: n=True would equal, and hash like, n=1
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"number of modes must be a positive integer, got {self.n!r}")
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
-            raise ValueError(f"occupation cap must be a positive integer, got {self.p!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"number of modes must be a positive integer, got {n!r}")
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise ValueError(f"occupation cap must be a positive integer, got {p!r}")
+        return super().__new__(cls, kind, n, p)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, so _replace checks its fields too."""
+        return cls(*iterable)
 
     @property
     def max_entry(self) -> int:
@@ -150,7 +161,7 @@ def dimension(spec: AlgebraSpec) -> int:
     """Total dimension: C(n+p, p) for Bose, the sum of C(n,k) up to k = top for Fermi."""
     if spec.kind is Kind.BOSE:
         return comb(spec.n + spec.p, spec.p)
-    return sum(graded_dimensions(replace(spec, p=spec.top)))
+    return sum(graded_dimensions(AlgebraSpec(spec.kind, spec.n, spec.top)))
 
 
 def log10_dimension_bound(spec: AlgebraSpec) -> float:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 from .basis import (AlgebraSpec, Kind, basis_csv, dimension, fermi_cap_note,
                     graded_dimensions, iter_basis, log10_dimension_bound)
 from .lie import LIE_CHECKS, run_lie_suite
-from .models import (diagonal_spectrum, diagonal_table, quadratic_hamiltonian_spectrum,
+from .models import (diagonal_level_counts, diagonal_table, quadratic_hamiltonian_spectrum,
                      toy_levels, toy_spectrum)
 from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, FockSpace, normalize,
                         operator_json_payload)
@@ -298,11 +298,18 @@ def cmd_spectrum(args) -> int:
     if args.backend == EXACT:
         if args.matrix_file is not None:
             raise ValueError("--backend exact supports only --energies (diagonal models)")
-        report = diagonal_spectrum(spec, _fraction_list(args.energies))
+        counts, denom = diagonal_level_counts(spec, _fraction_list(args.energies))
         bound = 10 ** MAX_DIGITS
-        if any(abs(v.numerator) >= bound or v.denominator >= bound for v, _ in report.levels):
-            raise ValueError(f"--energies {args.energies!r} give a level beyond the "
-                             f"{MAX_DIGITS}-digit limit of exact output")
+        rows = []
+        # value/denom in lowest terms, as str(Fraction) writes it (denom > 0); the
+        # diagonal_spectrum levels, with no Fraction formed per level
+        for value, mult in sorted(counts.items()):
+            g = math.gcd(value, denom)
+            num, den = value // g, denom // g
+            if not -bound < num < bound or den >= bound:
+                raise ValueError(f"--energies {args.energies!r} give a level beyond the "
+                                 f"{MAX_DIGITS}-digit limit of exact output")
+            rows.append((f'"{num}"' if den == 1 else f'"{num}/{den}"', mult))
     else:
         if args.matrix_file is not None:
             with open(args.matrix_file, "r", encoding="utf-8") as fh:
@@ -312,9 +319,7 @@ def cmd_spectrum(args) -> int:
                     raise ValueError(f"--matrix-file {args.matrix_file!r}: {exc}") from None
         else:
             table = diagonal_table(spec, _float_list(args.energies))
-        report = quadratic_hamiltonian_spectrum(spec, table)
-    rows = ((json.dumps(str(value)) if isinstance(value, Fraction) else value, mult)
-            for value, mult in report.levels)
+        rows = quadratic_hamiltonian_spectrum(spec, table).levels
     _emit(_dump_json_rows(None, (), rows, {"value": _HOLE, "mult": _HOLE}), args.output)
     return 0
 

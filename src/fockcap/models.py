@@ -25,9 +25,8 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .basis import AlgebraSpec
 from .operators import EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, FockSpace, grade_diagonal
@@ -37,8 +36,7 @@ SYMMETRY_TOL = 1e-10
 CLUSTER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Eigenvalues with multiplicities, sorted ascending."""
 
     levels: tuple[tuple[Fraction | float, int], ...]
@@ -109,19 +107,22 @@ def spectrum_of_diagonal(h: MonomialMatrix) -> SpectrumReport:
     return _merged(((x, 1) for x in h.coef[:-1]), h.denom)
 
 
-def diagonal_spectrum(spec: AlgebraSpec,
-                      energies: Sequence[Fraction | int]) -> SpectrumReport:
-    """Exact spectrum of H = sum_i eps_i a_i^+ a_i^-, from a count of the
-    basis vectors by grade k = |v| and energy sum S = sum_i w_i v_i.
+def diagonal_level_counts(spec: AlgebraSpec,
+                          energies: Sequence[Fraction | int]) -> tuple[dict[int, int], int]:
+    """(counts, denom): the levels of H = sum_i eps_i a_i^+ a_i^- are the
+    value/denom over the keys of counts, each of multiplicity counts[value],
+    counted over the basis vectors by grade k = |v| and energy sum
+    S = sum_i w_i v_i.  The keys are ints, distinct but not sorted, and
+    value/denom need not be in lowest terms (denom > 0).
 
     Over the common denominator D of the energies, eps_i = w_i/D with integer
-    w_i, and the level at v is S (p - k + 1)/(D p).  Grade k holds a dict from
-    S to its count, and each mode multiplies the grades in place by thermo's
-    step, grades[k] += grades[k-1] shifted by w_i, over the grades of
-    spec.grade_steps (to AlgebraSpec.top); one last pass turns grade k into
-    the levels S (p - k + 1).  That is at most one dict update per (grade, sum)
-    pair per mode, so at most n*dim, and far fewer where energies coincide; no
-    basis, index or operator is formed.
+    w_i, and the level at v is S (p - k + 1)/(D p), so denom = D p.  Grade k
+    holds a dict from S to its count, and each mode multiplies the grades in
+    place by thermo's step, grades[k] += grades[k-1] shifted by w_i, over the
+    grades of spec.grade_steps (to AlgebraSpec.top); one last pass turns grade
+    k into the values S (p - k + 1).  That is at most one dict update per
+    (grade, sum) pair per mode, so at most n*dim, and far fewer where energies
+    coincide; no basis, index or operator is formed.
     """
     _check_energy_count(spec, energies)
     eps = [Fraction(e) for e in energies]
@@ -136,7 +137,14 @@ def diagonal_spectrum(spec: AlgebraSpec,
     for factor in range(p + 2 - len(grades), p + 2):  # grade p + 1 - factor, popped as read
         for s, m in grades.pop().items():
             levels[s * factor] = levels.get(s * factor, 0) + m
-    return _report(levels, denom * p)
+    return levels, denom * p
+
+
+def diagonal_spectrum(spec: AlgebraSpec,
+                      energies: Sequence[Fraction | int]) -> SpectrumReport:
+    """Exact spectrum of H = sum_i eps_i a_i^+ a_i^-: the levels of
+    diagonal_level_counts as Fractions, ascending."""
+    return _report(*diagonal_level_counts(spec, energies))
 
 
 def toy_levels(p: int) -> list[tuple[int, Fraction, int, Fraction | None]]:

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, groupby
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .basis import AlgebraSpec, Kind, OccupationVector, grade_offsets, iter_basis
 from .sparse import MonomialMatrix, _filled, bracket
@@ -53,8 +52,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-@dataclass(frozen=True)
-class BasisTag:
+class BasisTag(NamedTuple):
     spec: AlgebraSpec
     normalization: str
 

@@ -31,9 +31,8 @@ verifies the deviation shrinks as the cap grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .basis import AlgebraSpec, Kind, dimension, enumerate_basis
 from .operators import (EXACT, FLOAT, ORTHONORMAL, FockSpace, _orthonormal_magnitude,
@@ -43,8 +42,7 @@ from .sparse import bracket, orbit_ranks
 FLOAT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     relation: str
     spec: AlgebraSpec
     indices: tuple[int, ...]
@@ -226,8 +224,7 @@ def run_grid(n_max: int, p_max: int, backend: str = EXACT) -> list[RelationRepor
     return sorted(reports, key=RelationReport.sort_key)
 
 
-@dataclass(frozen=True)
-class ClassicalLimitReport:
+class ClassicalLimitReport(NamedTuple):
     kind: Kind
     n: int
     window_cap: int

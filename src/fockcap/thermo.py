@@ -11,14 +11,12 @@ polynomials, so no basis is enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .basis import AlgebraSpec, graded_dimensions
 
 
-@dataclass(frozen=True)
-class CharacterPolynomial:
+class CharacterPolynomial(NamedTuple):
     """Coefficients c_0..c_p of the grade-generating polynomial."""
 
     coefficients: tuple[int, ...]

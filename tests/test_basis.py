@@ -106,6 +106,30 @@ def test_invalid_specs_rejected():
         AlgebraSpec(Kind.BOSE, 2, True)
 
 
+def test_algebra_spec_contract():
+    # a NamedTuple that checks its fields in __new__, as the frozen dataclass did
+    spec = AlgebraSpec("bose", 2, 3)
+    assert spec.kind is Kind.BOSE
+    assert spec == AlgebraSpec(Kind.BOSE, 2, 3) == (Kind.BOSE, 2, 3)
+    assert hash(spec) == hash(AlgebraSpec(Kind.BOSE, 2, 3))
+    assert spec != AlgebraSpec(Kind.FERMI, 2, 3) and spec != AlgebraSpec(Kind.BOSE, 2, 4)
+    assert len({spec, AlgebraSpec("bose", 2, 3), AlgebraSpec(Kind.BOSE, 3, 2)}) == 2
+    assert repr(spec) == "AlgebraSpec(kind=<Kind.BOSE: 'bose'>, n=2, p=3)"
+    with pytest.raises(AttributeError):
+        spec.p = 4
+    with pytest.raises(AttributeError):
+        spec.extra = 1  # no instance dict
+    with pytest.raises(ValueError, match="number of modes must be a positive integer, got True"):
+        AlgebraSpec(Kind.BOSE, True, 2)
+    with pytest.raises(ValueError, match="occupation cap must be a positive integer, got 0"):
+        AlgebraSpec(Kind.BOSE, 2, 0)
+    # _replace goes through the same checks
+    assert spec._replace(p=5) == AlgebraSpec(Kind.BOSE, 2, 5)
+    with pytest.raises(ValueError):
+        spec._replace(p=0)
+    assert spec._replace(kind="fermi").kind is Kind.FERMI
+
+
 def test_fermi_loose_cap_is_accepted_with_note():
     spec = AlgebraSpec(Kind.FERMI, 3, 5)
     assert dimension(spec) == 8

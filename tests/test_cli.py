@@ -9,13 +9,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from math import comb
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcap import AlgebraSpec, Kind, cli, run_suite
+from fockcap import AlgebraSpec, Kind, cli, diagonal_spectrum, run_suite
 
 from conftest import alive
 
@@ -32,6 +33,22 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     subprocess.run([sys.executable, "-c",
                     "import fockcap.cli, sys; assert 'numpy' not in sys.modules"],
                    env={**os.environ, "PYTHONPATH": src}, check=True)
+
+
+def test_importing_the_cli_loads_every_module_and_no_dataclasses():
+    # dataclasses would pull in inspect, ast, dis and tokenize at every start-up; the
+    # benchmark's tracer reads every fockcap module from sys.modules right after the import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    modules = sorted(["fockcap"] + [f"fockcap.{name[:-3]}" for name in os.listdir(package)
+                                    if name.endswith(".py") and name != "__init__.py"])
+    out = subprocess.run([sys.executable, "-c",
+                          "import fockcap.cli, json, sys; print(json.dumps("
+                          "[sorted(m for m in sys.modules if m.split('.')[0] == 'fockcap'), "
+                          "'dataclasses' in sys.modules, 'inspect' in sys.modules]))"],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [modules, False, False]
 
 
 def test_a_diagonal_float_spectrum_leaves_numpy_unloaded():
@@ -288,6 +305,41 @@ def test_spectrum_exact(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == [{"value": "0", "mult": 1}, {"value": "1", "mult": 5}]
+
+
+ENERGY_LITERALS = st.one_of(
+    st.integers(-6, 6).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 12)),
+    st.sampled_from(["0", "-0", "0.5", "-0.5", "1e-3", "-2.25"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Kind)), st.integers(1, 3), st.integers(1, 8), st.data())
+def test_exact_spectrum_output_is_that_of_the_report(kind, n, p, data):
+    # the command writes the counted levels in lowest terms without forming a Fraction each;
+    # the bytes must be those of diagonal_spectrum's levels through json.dumps
+    literals = data.draw(st.lists(ENERGY_LITERALS, min_size=n, max_size=n))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["spectrum", "--kind", kind.value, "--n", str(n), "--p", str(p),
+                         "--energies=" + ",".join(literals)])
+    report = diagonal_spectrum(AlgebraSpec(kind, n, p), [Fraction(x) for x in literals])
+    assert code == 0
+    assert out.getvalue() == json.dumps([{"value": str(v), "mult": m} for v, m in report.levels],
+                                        indent=2) + "\n"
+
+
+def test_exact_level_is_measured_in_lowest_terms(capsys):
+    # bose n=1 p=2: the level at one quantum is 2w/2 over the common denominator 2, of 4301
+    # digits before reduction; in lowest terms it is w, which prints
+    code, out, _ = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "1", "--p", "2",
+                           "--energies=9e4299")
+    assert code == 0
+    assert json.loads(out) == [{"value": "0", "mult": 1}, {"value": str(9 * 10 ** 4299), "mult": 2}]
+    # the denominator is bounded too: bose n=1 p=101 holds 3/(101 * 10**4299) at three quanta
+    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "1", "--p", "101",
+                             "--energies=1e-4299")
+    assert (code, out) == (2, "") and "4300-digit" in err
 
 
 def test_spectrum_float_matrix_file(capsys, tmp_path):
