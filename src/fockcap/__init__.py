@@ -7,9 +7,8 @@ from .basis import (AlgebraSpec, Kind, OccupationVector, basis_csv, dimension,
 from .lie import (check_adjoint_action, check_branching, check_gl_commutators,
                   check_identification, diagonal_action_value,
                   extended_rescaled_generators, run_lie_suite, weight_vector)
-from .models import (SpectrumReport, diagonal_hamiltonian, diagonal_level_counts,
-                     diagonal_spectrum, quadratic_hamiltonian_spectrum,
-                     spectrum_of_diagonal, toy_levels, toy_spectrum)
+from .models import (SpectrumReport, diagonal_level_counts, diagonal_spectrum,
+                     quadratic_hamiltonian_spectrum, toy_levels, toy_spectrum)
 from .operators import FockSpace, normalize, operator_json_payload
 from .relations import (ClassicalLimitReport, RelationReport,
                         check_backend_agreement, check_cap,

@@ -8,18 +8,27 @@ basis with entry
 at the basis vector v (the Fermi sign squares to 1), so each level depends
 only on the grade |v| and the energy sum sum_i eps_i v_i.  diagonal_spectrum
 counts the basis vectors by those two numbers, one mode at a time, and builds
-no space and no operator; diagonal_hamiltonian assembles H by exact matrix
-products and is its oracle.  For two capped boson modes with unit coefficients
-the closed-form levels are E_k = k - k(k-1)/p with multiplicity k+1
-(k = 0..p); the gap between consecutive levels is 1 - 2k/p, so accidental
-degeneracies appear and are merged exactly.  General quadratic Hamiltonians
-sum_ij t_ij a_i^+ a_j^- are handled on the float (orthonormal) backend.  Both
-sum monomial products a_i^+ @ a_j^- (diagonal ones never clash).  Each product
-keeps the total occupation, so the float sum falls into one block per grade,
-never into a dim x dim matrix.  A block with no off-diagonal entry needs no
-eigensolver: its diagonal is its spectrum, in plain Python floats.  Only the
-other blocks go to a symmetric eigensolver, and numpy is imported for them
-alone.
+no space and no operator; its oracle, which assembles H by exact matrix
+products, lives with the tests.  For two capped boson modes with unit
+coefficients the closed-form levels are E_k = k - k(k-1)/p with multiplicity
+k+1 (k = 0..p); the gap between consecutive levels is 1 - 2k/p, so accidental
+degeneracies appear and are merged exactly.
+
+A general quadratic Hamiltonian H = sum_ij t_ij a_i^+ a_j^- reduces to the
+diagonal model (the one-body reduction).  By the actions in operators.py, on
+grade k
+
+    a_i^+ a_j^- = ((p - k + 1)/p) b_i^+ b_j,
+
+with b the ordinary uncapped ladders, Fermi sign included: the cap deforms
+only the mixed relation, by one factor per grade.  So H on grade k is
+(p-k+1)/p times the ordinary one-body operator sum_ij t_ij b_i^+ b_j, whose
+k-quantum levels are the sums of k eigenvalues eps of t, of k distinct ones
+for Fermi (Negele and Orland, Quantum Many-Particle Systems, 1988, ch. 1).
+Those are the levels of the diagonal model at the energies eps, so
+quadratic_hamiltonian_spectrum counts them with diagonal_level_counts and
+builds no space and no operator either; its oracle is a dense eigensolve of
+the assembled H, in the tests.
 """
 
 from __future__ import annotations
@@ -29,10 +38,8 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .basis import AlgebraSpec
-from .operators import EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, FockSpace, grade_diagonal
-from .sparse import MonomialMatrix
+from .operators import EXACT, FLOAT
 
-SYMMETRY_TOL = 1e-10
 CLUSTER_TOL = 1e-9
 
 
@@ -52,16 +59,6 @@ class SpectrumReport(NamedTuple):
             rendered = str(value) if isinstance(value, Fraction) else float(value)
             out.append({"value": rendered, "mult": mult})
         return out
-
-
-def _products(space: FockSpace, table: Sequence[Sequence], normalization: str):
-    """(t_ij, a_i^+ @ a_j^-) for every nonzero t_ij, in row-major (i, j) order."""
-    n = space.spec.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            t = table[i - 1][j - 1]
-            if t != 0:
-                yield t, space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization)
 
 
 def _report(counts: Mapping[Fraction | int, int], denom: int = 1) -> SpectrumReport:
@@ -87,24 +84,6 @@ def diagonal_table(spec: AlgebraSpec, energies: Sequence) -> list[list]:
     diagonal, 0 elsewhere; one energy per mode."""
     _check_energy_count(spec, energies)
     return [[energies[i] if i == j else 0 for j in range(spec.n)] for i in range(spec.n)]
-
-
-def diagonal_hamiltonian(spec: AlgebraSpec,
-                         energies: Sequence[Fraction | int]) -> MonomialMatrix:
-    """Exact H = sum_i eps_i a_i^+ a_i^-, formed by matrix products: the
-    product-route oracle of diagonal_spectrum."""
-    table = diagonal_table(spec, [Fraction(e) for e in energies])
-    space = FockSpace(spec)
-    zero = grade_diagonal(space, lambda k: 0)
-    return sum((t * product for t, product in _products(space, table, UNNORMALIZED)), zero)
-
-
-def spectrum_of_diagonal(h: MonomialMatrix) -> SpectrumReport:
-    """Exact spectrum of a diagonal operator; coincident values merge.  With
-    diagonal_hamiltonian, the product-route oracle of diagonal_spectrum."""
-    if h.max_abs(lambda r, c: r != c) != 0:
-        raise ValueError("operator is not diagonal in the occupation basis")
-    return _merged(((x, 1) for x in h.coef[:-1]), h.denom)
 
 
 def diagonal_level_counts(spec: AlgebraSpec,
@@ -166,56 +145,6 @@ def toy_spectrum(p: int) -> SpectrumReport:
     return _merged((value, mult) for _, value, mult, _ in toy_levels(p))
 
 
-def _pairwise_sum(x: Sequence[float], lo: int, hi: int) -> float:
-    """The sum of x[lo:hi] as numpy adds a float64 array (pairwise_sum in its
-    loops_utils): below 8 values one running sum from 0.0; up to 128, eight
-    strided running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the tail; above that, the two halves split at n//2 rounded down to a
-    multiple of 8."""
-    n = hi - lo
-    if n < 8:
-        total = 0.0
-        for i in range(lo, hi):
-            total += x[i]
-        return total
-    if n <= 128:
-        end = hi - n % 8
-        r = []
-        for j in range(lo, lo + 8):  # sum() would not do: it compensates from Python 3.12
-            acc = x[j]
-            for y in x[j + 8:end:8]:
-                acc += y
-            r.append(acc)
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, hi):
-            total += x[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(x, lo, lo + half) + _pairwise_sum(x, lo + half, hi)
-
-
-def _mean(x: Sequence[float]) -> float:
-    """float(np.mean(x)), bit for bit: numpy reduces from the identity 0.0.
-    The mean of k equal floats is not always that float."""
-    return (0.0 + _pairwise_sum(x, 0, len(x))) / len(x)
-
-
-def _cluster(values: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:
-    """Sorted values grouped wherever consecutive ones differ by more than tol;
-    each level is its group's mean and size."""
-    levels: list[tuple[float, int]] = []
-    cluster: list[float] = []
-    for x in sorted(map(float, values)):
-        if cluster and x - cluster[-1] > tol:
-            levels.append((_mean(cluster), len(cluster)))
-            cluster = []
-        cluster.append(x)
-    if cluster:
-        levels.append((_mean(cluster), len(cluster)))
-    return tuple(levels)
-
-
 def _float_table(n: int, t) -> list[list[float]]:
     """t as n rows of n floats.  ValueError unless every t[i][j] is an int or
     a float (not a bool) that is finite as a float, and t is symmetric to 1e-12."""
@@ -241,65 +170,50 @@ def _float_table(n: int, t) -> list[list[float]]:
     return table
 
 
+def _cluster(counts: Mapping[int, int], denom: int) -> tuple[tuple[float, int], ...]:
+    """The levels value/denom of counts, ascending, grouped wherever
+    consecutive ones differ by more than CLUSTER_TOL; each level is its
+    group's exact weighted mean, rounded once to a float, with the group's
+    total multiplicity.  ValueError if a mean is beyond float range."""
+    gap = math.floor(Fraction(CLUSTER_TOL) * denom)  # int d exceeds CLUSTER_TOL*denom iff d > gap
+    groups: list[list[int]] = []  # [sum of value*mult, sum of mult] per group
+    previous = None
+    for value, mult in sorted(counts.items()):
+        if not groups or value - previous > gap:
+            groups.append([0, 0])
+        groups[-1][0] += value * mult
+        groups[-1][1] += mult
+        previous = value
+    try:  # int true division rounds once, correctly
+        return tuple((total / (size * denom), size) for total, size in groups)
+    except OverflowError:
+        raise ValueError("levels of the Hamiltonian are beyond float range") from None
+
+
 def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
                                    t: Sequence[Sequence[float]]) -> SpectrumReport:
-    """Spectrum of H = sum_ij t_ij a_i^+ a_j^- on the orthonormal backend.
+    """Spectrum of H = sum_ij t_ij a_i^+ a_j^- on the orthonormal backend, by
+    the one-body reduction of the module docstring.
 
-    Requires a symmetric table of finite numbers.  Every a_i^+ a_j^- keeps the
-    total occupation, so H is block diagonal over the grades k = 0..p, and in
-    the graded-lex basis block k is the rank range offsets[k]..offsets[k+1].
-    The products are summed one at a time into one accumulator per stored
-    entry, in product order: the additions h[r, c] += t_ij * coef of a zero
-    array, so each entry is the same float.  Each block is then checked to
-    keep every entry inside it (a builder bug otherwise), to hold finite
-    numbers, and to be symmetric on the stored positions (a builder bug
-    otherwise).  A block with no stored off-diagonal entry has its diagonal as
-    its eigenvalues; only any other block is scattered into a small array and
-    handed to the symmetric eigensolver, and only then is numpy imported.  No
-    dim x dim matrix is formed.  The eigenvalues of all blocks are clustered
-    together at CLUSTER_TOL, so a level may span grades.
+    Requires a symmetric table of finite numbers.  The energies eps are the
+    eigenvalues of t: its diagonal if t is diagonal, else those of numpy's
+    symmetric eigensolver on the n x n table, the one numpy call, so numpy is
+    imported only then.  A float is a dyadic rational, so diagonal_level_counts
+    counts the levels of the diagonal model at eps exactly.  They are
+    clustered at CLUSTER_TOL, so a level may span grades, and each level is
+    its cluster's exact mean, rounded once: a diagonal table whose levels do
+    not merge gets every level correctly rounded.  ValueError if an
+    eigenvalue or a level is beyond float range.
     """
     table = _float_table(spec.n, t)
-    space = FockSpace(spec)
-    grades, offsets = space.grades, space.offsets
-    dim = len(grades)
-    diag = [0.0] * dim  # an unstored diagonal entry is the 0.0 it starts from
-    off: list[dict[int, float]] = [{} for _ in offsets[1:]]  # per grade block, (r, c) at r*dim + c
-    outside = len(offsets)  # the first grade block with an entry outside it, if any
-    for t_ij, product in _products(space, table, ORTHONORMAL):
-        for c, (r, x) in enumerate(zip(product.target, product.coef)):
-            if not x:
-                continue
-            if r == c:
-                diag[c] += t_ij * x
-                continue
-            k = grades[c]
-            if grades[r] != k:
-                outside = min(outside, k)
-            else:
-                block, key = off[k], r * dim + c
-                block[key] = block.get(key, 0.0) + t_ij * x
-    values: list[float] = []
-    for k, (block, lo, hi) in enumerate(zip(off, offsets, offsets[1:])):
-        if k == outside:
-            raise RuntimeError(f"assembled Hamiltonian has an entry outside grade block {k}")
-        if not (all(map(math.isfinite, diag[lo:hi])) and all(map(math.isfinite, block.values()))):
-            raise ValueError("assembled Hamiltonian has entries beyond float range")
-        # a finite diagonal entry is its own mirror image; that of r*dim + c is c*dim + r
-        asym = max((abs(h_rc - block.get(key % dim * dim + key // dim, 0.0))
-                    for key, h_rc in block.items()), default=0.0)
-        if asym > SYMMETRY_TOL:
-            raise RuntimeError(f"assembled Hamiltonian not symmetric (residual {asym:g})")
-        if not block:
-            values += diag[lo:hi]
-            continue
-        import numpy as np  # here, so that only a block with an off-diagonal entry pays for it
+    n = spec.n
+    if any(table[i][j] for i in range(n) for j in range(n) if i != j):
+        import numpy as np  # here, so that only a table with an off-diagonal entry pays for it
 
-        h = np.diag(diag[lo:hi])
-        rows, cols = np.divmod(np.fromiter(block, np.int64, len(block)), dim)
-        h[rows - lo, cols - lo] = list(block.values())
-        values += np.linalg.eigvalsh(h).tolist()
-    levels = _cluster(values, CLUSTER_TOL)
-    if not all(math.isfinite(value) for value, _ in levels):
-        raise ValueError("eigenvalues of the assembled Hamiltonian are beyond float range")
-    return SpectrumReport(levels, FLOAT)
+        eps = np.linalg.eigvalsh(table).tolist()
+    else:
+        eps = [table[i][i] for i in range(n)]
+    if not all(map(math.isfinite, eps)):
+        raise ValueError("eigenvalues of the coefficient table are beyond float range")
+    counts, denom = diagonal_level_counts(spec, [Fraction(e) for e in eps])
+    return SpectrumReport(_cluster(counts, denom), FLOAT)

@@ -26,8 +26,8 @@ directly as an independent construction route).
 
 FockSpace(spec) builds the basis, the Gram form and each operator of a spec
 at most once; it is the one way to obtain an operator.  Each entry point
-(a suite, a command, a spectrum) builds one space and hands it to the code it
-calls, so the space lives exactly as long as that call.
+(a suite or a command) builds one space and hands it to the code it calls, so
+the space lives exactly as long as that call; no spectrum builds one.
 
 Mode indices are 1-based in every public signature.
 """
@@ -68,7 +68,7 @@ def prefix_sign(v: Sequence[int], i: int) -> int:
 
 
 class FockSpace:
-    """Everything the checks, models and CLI read of one capped Fock space.
+    """Everything the checks and the CLI read of one capped Fock space.
 
     Holds the basis, the grade of each basis vector, the grade offsets, the
     Gram form, and the ladder operators (per mode and normalization), the

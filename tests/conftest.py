@@ -1,10 +1,12 @@
 import gc
 import itertools
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix
+from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix, models
+from fockcap.operators import UNNORMALIZED, grade_diagonal
 
 
 def small_grid(n_max=4, p_max=4):
@@ -39,6 +41,33 @@ def stepped(space, op, step):
             targets[c] = index.get(step(v), -1)
             coefs[c] = coefs[c] if targets[c] >= 0 else 0
     return MonomialMatrix(op.rows, targets, coefs, op.denom, op.tag)
+
+
+def products(space, table, normalization=UNNORMALIZED):
+    """(t_ij, a_i^+ @ a_j^-) for every nonzero t_ij, in row-major (i, j) order."""
+    n = space.spec.n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            t = table[i - 1][j - 1]
+            if t != 0:
+                yield t, space.ladder(i, +1, normalization) @ space.ladder(j, -1, normalization)
+
+
+def diagonal_hamiltonian(spec, energies):
+    """Exact H = sum_i eps_i a_i^+ a_i^-, formed by matrix products: the
+    product-route oracle of models.diagonal_spectrum."""
+    table = models.diagonal_table(spec, [Fraction(e) for e in energies])
+    space = FockSpace(spec)
+    zero = grade_diagonal(space, lambda k: 0)
+    return sum((t * product for t, product in products(space, table)), zero)
+
+
+def spectrum_of_diagonal(h):
+    """Exact spectrum of a diagonal operator; coincident values merge.  With
+    diagonal_hamiltonian, the product-route oracle of models.diagonal_spectrum."""
+    if h.max_abs(lambda r, c: r != c) != 0:
+        raise ValueError("operator is not diagonal in the occupation basis")
+    return models._merged(((x, 1) for x in h.coef[:-1]), h.denom)
 
 
 @pytest.fixture

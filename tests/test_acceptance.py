@@ -12,11 +12,12 @@ from math import comb, factorial
 from fockcap import (AlgebraSpec, FockSpace, Kind, check_backend_agreement, check_cap,
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic,
-                     diagonal_hamiltonian, diagonal_spectrum, dimension,
-                     enumerate_basis, graded_dimensions,
-                     quadratic_hamiltonian_spectrum, run_lie_suite,
-                     spectrum_of_diagonal, toy_levels, toy_spectrum)
+                     diagonal_spectrum, dimension, enumerate_basis,
+                     graded_dimensions, quadratic_hamiltonian_spectrum,
+                     run_lie_suite, toy_levels, toy_spectrum)
 from fockcap.relations import EXACT
+
+from conftest import diagonal_hamiltonian, spectrum_of_diagonal
 
 GRID = [AlgebraSpec(kind, n, p)
         for kind in (Kind.FERMI, Kind.BOSE)

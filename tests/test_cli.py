@@ -52,7 +52,7 @@ def test_importing_the_cli_loads_every_module_and_no_dataclasses():
 
 
 def test_a_diagonal_float_spectrum_leaves_numpy_unloaded():
-    # no grade block of a diagonal table holds an off-diagonal entry, so none needs eigvalsh
+    # the eigenvalues of a diagonal table are its diagonal, so it needs no eigvalsh
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     argv = ["spectrum", "--kind", "bose", "--n", "3", "--p", "4", "--backend", "float",
             "--energies", "0.5,1.75,3"]
@@ -62,10 +62,18 @@ def test_a_diagonal_float_spectrum_leaves_numpy_unloaded():
                    env={**os.environ, "PYTHONPATH": src}, check=True, stdout=subprocess.DEVNULL)
 
 
-def test_an_exact_spectrum_builds_no_space(capsys, built_spaces):
-    # the levels are counted by grade and energy sum: no basis, index or operator
+@pytest.mark.parametrize("extra", [
+    ["--energies", "1/2,-1,2"],
+    ["--backend", "float", "--energies", "0.5,-1,2"],
+    ["--backend", "float", "--matrix-file", "TABLE"],
+], ids=["exact", "float-energies", "float-matrix-file"])
+def test_a_spectrum_builds_no_space(capsys, built_spaces, tmp_path, extra):
+    # the levels are counted by grade and energy sum at the eigenvalues of the
+    # table: no basis, index or operator
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([[1.0, -0.5, 0.0], [-0.5, 2.0, 0.25], [0.0, 0.25, 0.5]]))
     code, out, _ = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "3", "--p", "4",
-                           "--energies", "1/2,-1,2")
+                           *[str(path) if arg == "TABLE" else arg for arg in extra])
     assert code == 0 and sum(level["mult"] for level in json.loads(out)) == 35
     assert built_spaces == []
 
@@ -77,7 +85,6 @@ def test_an_exact_spectrum_builds_no_space(capsys, built_spaces):
     "lie --kind fermi --n 2 --p 2",
     "ops --kind bose --n 2 --p 3 --op eij --i 1 --j 2",
     "ops --kind bose --n 2 --p 3 --op create --i 1 --normalization orthonormal",
-    "spectrum --kind bose --n 2 --p 3 --backend float --energies 1,2",
 ])
 def test_no_space_outlives_its_command(capsys, built_spaces, argv):
     # each entry point builds its spaces itself; nothing keeps one once it returns
@@ -660,22 +667,31 @@ def test_thermo_weights_beyond_float_range_are_a_usage_error(capsys, args):
 
 
 def test_float_spectrum_beyond_float_range_is_a_usage_error(capsys):
-    for energies in ("1e308,1e308", "1.7e308,1.7e308"):
-        code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "3",
-                                 "--energies", energies, "--backend", "float")
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "float range" in err
+    # 1e308: every level is finite, 0 (x1), 1e308 (x6) and 4/3 1e308 (x3), though
+    # six of them sum past the float range; at 1.7e308 the level 4/3 1.7e308 is not
+    argv = ["spectrum", "--kind", "bose", "--n", "2", "--p", "3", "--backend", "float"]
+    code, out, _ = run_cli(capsys, *argv, "--energies", "1e308,1e308")
+    assert code == 0
+    assert json.loads(out) == [{"value": 0.0, "mult": 1}, {"value": 1e308, "mult": 6},
+                               {"value": 4 / 3 * 1e308, "mult": 3}]
+    code, out, err = run_cli(capsys, *argv, "--energies", "1.7e308,1.7e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "float range" in err
 
 
 def test_float_spectrum_with_off_diagonal_entries_beyond_float_range(capsys, tmp_path):
-    # a finite diagonal does not excuse an infinite off-diagonal entry of the same block
+    # finite entries whose levels (up to 3e308 at p = 10) or eigenvalues (2e308) are not
     path = tmp_path / "t.json"
-    path.write_text(json.dumps([[0, 1e308], [1e308, 0]]))
-    code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "10",
-                             "--backend", "float", "--matrix-file", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
-    assert "assembled Hamiltonian has entries beyond float range" in err
+    for table, message in [
+            ([[0, 1e308], [1e308, 0]], "levels of the Hamiltonian are beyond float range"),
+            ([[1e308, 1e308], [1e308, 1e308]],
+             "eigenvalues of the coefficient table are beyond float range")]:
+        path.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "bose", "--n", "2", "--p", "10",
+                                 "--backend", "float", "--matrix-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert message in err
 
 
 def test_spectrum_refuses_energies_with_a_matrix_file(capsys, tmp_path):
@@ -790,7 +806,8 @@ def test_exact_energy_exponent_at_the_bound_is_read(capsys):
 # output byte fails here.  Float output is pinned only where it comes from
 # Python float arithmetic and math.sqrt (no libm exp, no LAPACK), so the
 # hashes do not depend on the platform.  A float spectrum of a diagonal table
-# is such output: it calls no eigensolver.
+# is such output: it calls no eigensolver, and each level is an exact rational
+# (the mean of its cluster) rounded once by int true division.
 GOLDEN = [
     ("dim --kind fermi --n 4 --p 2", 0, "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e"),
     ("basis --kind bose --n 2 --p 3", 0, "4ab3df114d49ce80d98478509a55707bbb01253de8afd358630ccc63e730e9d8"),
@@ -829,8 +846,8 @@ GOLDEN = [
     ("ops --kind bose --n 3 --p 4 --op number", 0, "0622306114357a509e410fbe77a8ea34d5f8785f357b4b1ba9324a648fc91ebe"),
     ("ops --kind fermi --n 4 --p 3 --op create --i 2", 0, "f63e1a571460f9c4416d2c5412e7c5533393e8dae222d8e9226b5da1e09b40ac"),
     ("ops --kind bose --n 3 --p 4 --op eij --i 1 --j 3 --normalization orthonormal", 0, "9c8d07288722d69e67a6702c517ac17a8d1a3d048250655d4aae182b75588e29"),
-    ("spectrum --kind bose --n 3 --p 4 --backend float --energies 0.5,1.75,3", 0, "518c49b0d61dd0014e10fac95eea24b1af068a8f056d0335391e9bab1c7f8815"),
-    ("spectrum --kind fermi --n 4 --p 3 --backend float --energies=-1,0.25,2,0", 0, "00f29fd9b26bdfe9b2d19ca4323e0ec37e1482a1a1d4d28abbb5238e1e8cd786"),
+    ("spectrum --kind bose --n 3 --p 4 --backend float --energies 0.5,1.75,3", 0, "1b695691592a44468c432a9f7ed9c0a8ec79216449821e2daa1765509581a0b8"),
+    ("spectrum --kind fermi --n 4 --p 3 --backend float --energies=-1,0.25,2,0", 0, "d8aa3684a7a60811d59a1657c8219992a4ca53b30c7087cb8535f800d4777d5d"),
 ]
 
 

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -13,14 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcap import (AlgebraSpec, Kind, cli, diagonal_hamiltonian, diagonal_spectrum,
-                     dimension, enumerate_basis, quadratic_hamiltonian_spectrum,
-                     models, spectrum_of_diagonal, toy_levels, toy_spectrum)
+from fockcap import (AlgebraSpec, Kind, cli, diagonal_spectrum, dimension, enumerate_basis,
+                     quadratic_hamiltonian_spectrum, models, toy_levels, toy_spectrum)
 from fockcap.basis import iter_basis
 from fockcap.operators import ORTHONORMAL, FockSpace
 from fockcap.sparse import MonomialMatrix, SparseMatrix
 
-from conftest import small_grid
+from conftest import (brute_basis, bumped, diagonal_hamiltonian, products, small_grid,
+                      spectrum_of_diagonal)
 
 B22 = AlgebraSpec(Kind.BOSE, 2, 2)
 SPECTRUM_TOL = 1e-10  # float eigenvalues, as in acceptance criterion 8
@@ -158,6 +159,30 @@ def test_fermi_diagonal_spectrum_costs_nothing_in_a_loose_cap():
     assert report.levels == tuple(sorted(counts.items()))
 
 
+def _ordinary_hopping(spec, i, j, v):
+    """b_i^+ b_j |v> for the ordinary uncapped ladders in the unnormalized
+    occupation basis, Fermi sign (-1)^(v_1+...+v_{m-1}) included, as {w: coefficient}."""
+    fermi = spec.kind is Kind.FERMI
+    coef = v[j - 1] * (-1) ** (fermi * sum(v[:j - 1]))
+    w = bumped(v, j, -1)
+    if not coef or (fermi and w[i - 1]):
+        return {}
+    return {bumped(w, i, +1): coef * (-1) ** (fermi * sum(w[:i - 1]))}
+
+
+def test_ladder_products_are_the_ordinary_ones_scaled_per_grade():
+    # the identity the quadratic spectrum rests on: on grade k, a_i^+ a_j^- = ((p-k+1)/p) b_i^+ b_j
+    for spec in small_grid(3, 3):
+        space = FockSpace(spec)
+        for i, j in itertools.product(range(1, spec.n + 1), repeat=2):
+            product = space.ladder(i, +1) @ space.ladder(j, -1)
+            got = {(space.basis[r], space.basis[c]): x for (r, c), x in product.data.items()}
+            want = {(w, v): Fraction(spec.p - sum(v) + 1, spec.p) * x
+                    for v in brute_basis(spec)
+                    for w, x in _ordinary_hopping(spec, i, j, v).items()}
+            assert got == want, (spec, i, j)
+
+
 def test_quadratic_diagonal_matches_exact():
     for spec in (B22, AlgebraSpec(Kind.FERMI, 3, 2), AlgebraSpec(Kind.BOSE, 1, 4)):
         eps = [1.0 + 0.5 * i for i in range(spec.n)]
@@ -199,36 +224,62 @@ TABLES = {
 }
 
 
+def _clustered(values):
+    """Sorted floats grouped wherever consecutive ones differ by more than
+    CLUSTER_TOL; each level is its group's fsum mean and size."""
+    groups = []
+    for x in sorted(values):
+        if not groups or x - groups[-1][-1] > models.CLUSTER_TOL:
+            groups.append([])
+        groups[-1].append(x)
+    return [(math.fsum(group) / len(group), len(group)) for group in groups]
+
+
 def _dict_of_keys_levels(spec, table):
-    """The float spectrum with H summed as a SparseMatrix of the products."""
+    """The float spectrum with H summed as a SparseMatrix of the products and
+    diagonalised densely: the oracle of the one-body reduction."""
     space = FockSpace(spec)
     dim = dimension(spec)
     h = SparseMatrix(dim, dim)
-    for i in range(1, spec.n + 1):
-        for j in range(1, spec.n + 1):
-            t = table[i - 1][j - 1]
-            if t != 0:
-                product = space.ladder(i, +1, ORTHONORMAL) @ space.ladder(j, -1, ORTHONORMAL)
-                h = h + t * product.to_sparse()
+    for t, product in products(space, table, ORTHONORMAL):
+        h = h + t * product.to_sparse()
     dense = np.zeros((dim, dim))
     for (r, c), v in h.data.items():
         dense[r, c] = v
-    return models._cluster(np.linalg.eigvalsh(dense), models.CLUSTER_TOL)
+    return _clustered(np.linalg.eigvalsh(dense).tolist())
 
 
 def assert_levels_close(got, want):
-    """Equal multiplicities, and values within SPECTRUM_TOL (LAPACK on the
-    grade blocks and on the whole matrix rounds differently)."""
+    """Equal multiplicities, and values within SPECTRUM_TOL (the count at the
+    eigenvalues of t and LAPACK on the whole matrix round differently)."""
     assert [m for _, m in got] == [m for _, m in want]
     assert max((abs(g - w) for (g, _), (w, _) in zip(got, want)), default=0.0) <= SPECTRUM_TOL
 
 
-@pytest.mark.parametrize("name", sorted(TABLES))
+def _random_tables(rng, n, count):
+    """count symmetric n x n tables drawn from rng; each entry zero, a small
+    integer or uniform in [-2, 2], so diagonal, sparse and dense tables all occur."""
+    tables = []
+    for _ in range(count):
+        table = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                table[i][j] = table[j][i] = rng.choice(
+                    [0.0, float(rng.randint(-2, 2)), rng.uniform(-2, 2)])
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(TABLES) + ["random"])
 def test_quadratic_spectrum_matches_the_dict_of_keys_oracle(name):
+    # "random": 4 seeded tables a spec, 72 over the grid
+    rng = random.Random(26)
     for spec in small_grid(3, 3):
-        table = TABLES[name](spec.n)
-        assert_levels_close(quadratic_hamiltonian_spectrum(spec, table).levels,
-                            _dict_of_keys_levels(spec, table))
+        tables = (_random_tables(rng, spec.n, 4) if name == "random"
+                  else [TABLES[name](spec.n)])
+        for table in tables:
+            assert_levels_close(quadratic_hamiltonian_spectrum(spec, table).levels,
+                                _dict_of_keys_levels(spec, table))
 
 
 # Levels of `spectrum --backend float --matrix-file` from one dense eigvalsh of
@@ -305,7 +356,7 @@ def test_hopping_spectrum_allocates_no_dim_squared_array():
 
 
 def test_hopping_spectrum_still_imports_numpy_and_matches_the_dense_oracle():
-    # a block with an off-diagonal entry is the one thing that needs eigvalsh
+    # a table with an off-diagonal entry is the one thing that needs eigvalsh
     spec, table = AlgebraSpec(Kind.BOSE, 3, 3), TABLES["hopping"](3)
     src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
     script = ("import json, sys; from fockcap import AlgebraSpec, Kind, "
@@ -318,28 +369,20 @@ def test_hopping_spectrum_still_imports_numpy_and_matches_the_dense_oracle():
                         _dict_of_keys_levels(spec, table))
 
 
-def test_cluster_mean_is_numpys_mean_bit_for_bit():
-    # numpy sums pairwise: 8 running sums from 8 values on, halves above 128
-    rng = random.Random(16)
-    for length in range(1, 301):
-        base = rng.uniform(-1e3, 1e3)
-        x = [base + rng.uniform(-1e-10, 1e-10) for _ in range(length)]
-        # repr tells -0.0 from 0.0, which equality does not; one large value among
-        # tiny ones rounds differently wherever a running sum starts (8 is the first edge)
-        for cluster in (x, x[:1] * length, [-0.0] * length, [1.0] + [1e-16] * (length - 1)):
-            assert repr(models._mean(cluster)) == repr(float(np.mean(cluster))), length
-
-
-def test_diagonal_levels_equal_those_of_the_dense_route():
-    # no eigensolver on a diagonal table: its levels are the dense eigvalsh ones, exactly
+def test_diagonal_levels_are_the_exact_levels_rounded_once():
+    # no eigensolver on a diagonal table: where no two levels merge, each float
+    # level is the exact diagonal_spectrum level, correctly rounded
     rng = random.Random(7)
     for kind, n, p in [(kind, n, p) for kind in Kind for n in (1, 2, 3, 4) for p in (1, 3, 5)]:
         spec = AlgebraSpec(kind, n, p)
         energies = [rng.choice([0.0, rng.uniform(-1e3, 1e3), float(rng.randint(-3, 3))])
                     for _ in range(n)]
+        exact = diagonal_spectrum(spec, [Fraction(e) for e in energies]).levels
+        assert all(b - a > models.CLUSTER_TOL for (a, _), (b, _) in zip(exact, exact[1:]))
         table = [[energies[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
-        assert quadratic_hamiltonian_spectrum(spec, table).levels == \
-            _dict_of_keys_levels(spec, table), (spec, energies)
+        got = quadratic_hamiltonian_spectrum(spec, table).levels
+        assert [(repr(v), m) for v, m in got] == [(repr(float(v)), m) for v, m in exact], \
+            (spec, energies)
 
 
 def test_quadratic_rejects_asymmetric_table():
@@ -376,37 +419,6 @@ def test_zero_coefficient_builds_no_product(monkeypatch):
     spec = AlgebraSpec(Kind.BOSE, 3, 2)
     diagonal_hamiltonian(spec, [2, 0, Fraction(1, 3)])
     assert len(products) == 2
-    products.clear()
-    quadratic_hamiltonian_spectrum(spec, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert len(products) == 2
-
-
-def test_non_adjoint_ladder_fails_the_symmetry_check(monkeypatch):
-    from fockcap import operators
-    original = operators._ladder_matrix
-
-    def skewed(space, i, delta, normalization):
-        # a_1^+ no longer the transpose of a_1^-: the hopping term loses its symmetry
-        op = original(space, i, delta, normalization)
-        return 2.0 * op if (i, delta, normalization) == (1, +1, operators.ORTHONORMAL) else op
-
-    monkeypatch.setattr(operators, "_ladder_matrix", skewed)
-    with pytest.raises(RuntimeError, match="not symmetric"):
-        quadratic_hamiltonian_spectrum(B22, [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_product_entry_outside_its_grade_block_is_a_builder_bug(monkeypatch):
-    from fockcap import operators
-    original = operators._ladder_matrix
-
-    def doubled(space, i, delta, normalization):
-        # a_1^+ raises by two quanta: a_1^+ a_1^- no longer keeps the grade
-        op = original(space, i, delta, normalization)
-        return op @ op if (i, delta, normalization) == (1, +1, operators.ORTHONORMAL) else op
-
-    monkeypatch.setattr(operators, "_ladder_matrix", doubled)
-    with pytest.raises(RuntimeError, match="outside grade block"):
-        quadratic_hamiltonian_spectrum(AlgebraSpec(Kind.BOSE, 2, 3), [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_energy_count_validation():
