@@ -219,7 +219,7 @@ def cmd_ops(args) -> int:
     else:
         op = space.bilinear(args.i, args.j)
     if args.normalization == ORTHONORMAL:
-        op = normalize(op, space.gram)
+        op = normalize(op, space)
     # the export reads only op: free what the space built (the basis, for N or the
     # orthonormal conjugation) before encoding
     del space

@@ -160,7 +160,7 @@ def check_identification(space: FockSpace) -> list[RelationReport]:
 
     # The float table is the exact one normalized, except that the crossing
     # entries are the literal sqrt(p)-scaled orthonormal ladder operators.
-    floats = {ab: normalize(mat, space.gram) for ab, mat in exact.items() if not _crossing(*ab)}
+    floats = {ab: normalize(mat, space) for ab, mat in exact.items() if not _crossing(*ab)}
     root_p = math.sqrt(spec.p)
     for i in range(1, spec.n + 1):
         floats[(i, 0)] = root_p * space.ladder(i, +1, ORTHONORMAL)

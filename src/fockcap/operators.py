@@ -12,7 +12,7 @@ rational:
     sign_i(v) = (-1)^(v_1 + ... + v_{i-1})
 
 The squared norms of the unnormalized basis form the Gram form G, a diagonal
-operator (FockSpace.gram)
+operator, read only as the ratio G(r)/G(c) of FockSpace.gram_ratio
 
     Fermi:  <v|v> = p! / (p^k (p-k)!)
     Bose:   <v|v> = p! * prod_i v_i! / (p^k (p-k)!)
@@ -24,7 +24,7 @@ backend, whose entries are floats; there the actions carry the familiar
 square-root coefficients (see FockSpace.ladder, which also builds them
 directly as an independent construction route).
 
-FockSpace(spec) builds the basis, the Gram form and each operator of a spec
+FockSpace(spec) builds the basis and each operator of a spec
 at most once; it is the one way to obtain an operator.  Each entry point
 (a suite or a command) builds one space and hands it to the code it calls, so
 the space lives exactly as long as that call; no spectrum builds one.
@@ -39,7 +39,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, groupby
-from math import factorial
+from operator import truediv
 from typing import Iterator, NamedTuple, Sequence
 
 from .basis import AlgebraSpec, Kind, OccupationVector, grade_offsets, iter_basis
@@ -70,10 +70,10 @@ def prefix_sign(v: Sequence[int], i: int) -> int:
 class FockSpace:
     """Everything the checks and the CLI read of one capped Fock space.
 
-    Holds the basis, the grade of each basis vector, the grade offsets, the
-    Gram form, and the ladder operators (per mode and normalization), the
-    number operator (per normalization) and the exact bilinears e_ij, and
-    the rank index that the tests read as their oracle.  Each is built on first use and at most once.  The
+    Holds the basis, the grade of each basis vector, the grade offsets, and
+    the ladder operators (per mode and normalization), the number operator
+    (per normalization) and the exact bilinears e_ij; it gives the Gram form
+    as the ratio gram_ratio.  Each is built on first use and at most once.  The
     matrices it hands out are shared by every caller of the space and must
     not be mutated.  The ladders walk the enumeration themselves, so a space
     asked only for ladders and their products builds no basis list; a walk
@@ -94,12 +94,6 @@ class FockSpace:
         return list(iter_basis(self.spec))
 
     @cached_property
-    def index(self) -> dict[OccupationVector, int]:
-        """Rank of each basis vector: the tests' oracle rank map; no
-        production path reads it."""
-        return {v: r for r, v in enumerate(self.basis)}
-
-    @cached_property
     def grades(self) -> list[int]:
         """Total occupation of each basis vector, by rank (from the enumeration)."""
         return [sum(v) for v in self.basis]
@@ -108,23 +102,24 @@ class FockSpace:
     def offsets(self) -> list[int]:
         return grade_offsets(self.spec)
 
-    @cached_property
-    def gram(self) -> MonomialMatrix:
-        """The Gram form G as a diagonal operator, integer coefficients over
-        one common denominator: at v of grade k = |v|,
-
-            Fermi:  G(v, v) = <v|v> = p! / (p^k (p-k)!)
-            Bose:   G(v, v) = <v|v> = p! * prod_i v_i! / (p^k (p-k)!)
-
-        The grade factor p!/(p-k)! / p^k = perm(p, k) / p^k is one value per
-        grade; the Bose product is an integer diagonal."""
-        p = self.spec.p
-        G = grade_diagonal(self, lambda k: Fraction(math.perm(p, k), p ** k))
+    def gram_ratio(self, r: int, c: int) -> tuple[int, int]:
+        """G(r)/G(c) as two ints (num, den) for the basis vectors u, v of ranks
+        r, c: the one place that knows how the Gram form (module docstring) is
+        written down.  Its grade factors perm(p, k)/p^k leave
+        perm(p-k_c, k_r-k_c)/p^(k_r-k_c) if k_r >= k_c, the inverse otherwise,
+        and the Bose products a falling factorial per mode where u and v differ."""
+        p, kr, kc = self.spec.p, self.grades[r], self.grades[c]
+        if kr >= kc:
+            num, den = math.perm(p - kc, kr - kc), p ** (kr - kc)
+        else:
+            num, den = p ** (kc - kr), math.perm(p - kr, kc - kr)
         if self.spec.kind is Kind.BOSE:
-            dim = len(self.basis)
-            G = G @ MonomialMatrix(dim, range(dim), [math.prod(map(factorial, v))
-                                                     for v in self.basis], 1, G.tag)
-        return G
+            for x, y in zip(self.basis[r], self.basis[c]):
+                if x > y:
+                    num *= math.perm(x, x - y)
+                elif x < y:
+                    den *= math.perm(y, y - x)
+        return num, den
 
     def ladder(self, i: int, delta: int, normalization: str = UNNORMALIZED) -> MonomialMatrix:
         """a_i^+ (delta = +1) or a_i^- (delta = -1) in the given normalization.
@@ -237,25 +232,24 @@ def _bilinear_matrix(space: FockSpace, i: int, j: int) -> MonomialMatrix:
     return spec.p * bracket(space.ladder(i, +1), space.ladder(j, -1), spec.kind.sign)
 
 
-def normalize(op: MonomialMatrix, gram: MonomialMatrix) -> MonomialMatrix:
-    """Conjugate an exact operator into the orthonormal basis (float entries).
+def normalize(op: MonomialMatrix, space: FockSpace) -> MonomialMatrix:
+    """Conjugate an exact operator of space into the orthonormal basis (float entries).
 
-    entry'(r, c) = entry(r, c) * sqrt(g_r / g_c), the transformation induced
-    by |v>> = |v> / sqrt(g_v).  The g share one denominator, so g_r / g_c is
-    the ratio of two integer coefficients, which true division rounds
-    correctly.
+    entry'(r, c) = entry(r, c) * sqrt(G(r) / G(c)), the transformation induced
+    by |v>> = |v> / sqrt(G(v)).  space.gram_ratio gives G(r) / G(c) as two
+    ints, whose quotient true division rounds correctly.
     """
-    if op.tag != gram.tag:
-        raise ValueError(f"basis tag mismatch: {op.tag!r} vs {gram.tag!r}")
-    g = gram.coef
-    return op.map_entries(lambda r, c, val: float(val) * math.sqrt(g[r] / g[c]),
-                          BasisTag(gram.tag.spec, ORTHONORMAL))
+    tag = BasisTag(space.spec, UNNORMALIZED)
+    if op.tag != tag:
+        raise ValueError(f"basis tag mismatch: {op.tag!r} vs {tag!r}")
+    return op.map_entries(lambda r, c, v: float(v) * math.sqrt(truediv(*space.gram_ratio(r, c))),
+                          BasisTag(space.spec, ORTHONORMAL))
 
 
 def grade_diagonal(space: FockSpace, func) -> MonomialMatrix:
     """Diagonal operator on space whose entry at v is func(|v|): the number
-    operator, polynomials in it and the grade factor of the Gram form.  func
-    is called once per grade k = 0..top that holds a vector, and each basis
+    operator and polynomials in it, such as E_00 and p*Id.  func is called
+    once per grade k = 0..top that holds a vector, and each basis
     vector takes the value of its grade.  A diagonal operator is the same
     matrix in both bases, so the values name its tag: floats the orthonormal
     one, rationals the unnormalized one."""

@@ -17,9 +17,8 @@ Relations covered, for a = f (Fermi, bracket {,}) or a = b (Bose, [,]):
                          = delta_ij (1-N/p)(1-(N-1)/p)
     cap              a_i^+ annihilates the top grade; ladder operators move
                      between adjacent grades only
-    hermiticity      (a_i^+)^T G = G a_i^- and N^T G = G N for the diagonal
-                     Gram form G: the adjoint G^-1 X^T G of a_i^+ is a_i^-,
-                     and N is self-adjoint
+    hermiticity      the adjoint G^-1 X^T G of a_i^+ for the diagonal Gram
+                     form G is a_i^-, and N is self-adjoint
     vacuum cyclic    the algebra generated by the ladder operators spans the
                      whole space from the vacuum (exact rank computation)
 
@@ -37,7 +36,7 @@ from typing import NamedTuple, Sequence
 from .basis import AlgebraSpec, Kind, dimension, enumerate_basis
 from .operators import (EXACT, FLOAT, ORTHONORMAL, FockSpace, _orthonormal_magnitude,
                         grade_diagonal, normalize)
-from .sparse import bracket, orbit_ranks
+from .sparse import MonomialMatrix, bracket, orbit_ranks
 
 FLOAT_TOL = 1e-12
 
@@ -154,20 +153,24 @@ def check_cap(space: FockSpace) -> list[RelationReport]:
 def check_hermiticity(space: FockSpace) -> list[RelationReport]:
     """Adjoint of creation is annihilation; N is self-adjoint.
 
-    For the diagonal, invertible Gram form G, Y is the adjoint G^-1 X^T G of
-    X exactly when X^T G - G Y = 0, with no division.  The residual is the
-    largest entry of X^T G - G Y = G (adjoint of X - Y), so a failing one
-    scales each entry by the Gram value of its row.
+    The adjoint G^-1 X^T G of X for the diagonal Gram form G holds the entry
+    x of X at (r, c) as x G(r)/G(c) at (c, r).  For a monomial X that is
+    (X D)^T, D the diagonal of the space.gram_ratio of each column's entry
+    over their least common denominator: p for a raising ladder, 1 for N.
+    The residual is the largest entry of the adjoint's defect (X D)^T - Y.
     """
-    spec = space.spec
-    G = space.gram
+    spec, N = space.spec, space.number()
+    pairs = [("adjoint-is-annihilation", (i,), space.ladder(i, +1), space.ladder(i, -1))
+             for i in range(1, spec.n + 1)] + [("number-self-adjoint", (), N, N)]
     out = []
-    for i in range(1, spec.n + 1):
-        up, down = space.ladder(i, +1), space.ladder(i, -1)
-        out.append(_report("adjoint-is-annihilation", spec, (i,),
-                           (up.transpose() @ G - G @ down).max_abs()))
-    N = space.number()
-    out.append(_report("number-self-adjoint", spec, (), (N.transpose() @ G - G @ N).max_abs()))
+    for name, indices, X, Y in pairs:
+        ratios = [(0, 1)] * X.cols
+        for r, c, _ in X._live():
+            ratios[c] = space.gram_ratio(r, c)
+        lcm = math.lcm(*(den for _, den in ratios))
+        D = MonomialMatrix(X.cols, range(X.cols), [num * (lcm // den) for num, den in ratios],
+                           lcm, X.tag)
+        out.append(_report(name, spec, indices, ((X @ D).transpose() - Y).max_abs()))
     return out
 
 
@@ -188,10 +191,10 @@ def check_backend_agreement(space: FockSpace) -> list[RelationReport]:
     for i in range(1, spec.n + 1):
         for suffix, delta in (("plus", +1), ("minus", -1)):
             out.append(_report(f"orthonormal-agreement-{suffix}", spec, (i,),
-                               (normalize(space.ladder(i, delta), space.gram)
+                               (normalize(space.ladder(i, delta), space)
                                 - space.ladder(i, delta, ORTHONORMAL)).max_abs(), FLOAT))
     out.append(_report("orthonormal-agreement-number", spec, (),
-                       (normalize(space.number(), space.gram)
+                       (normalize(space.number(), space)
                         - space.number(ORTHONORMAL)).max_abs(), FLOAT))
     return out
 

@@ -1,12 +1,13 @@
 import gc
 import itertools
+import math
 import weakref
 from fractions import Fraction
 
 import pytest
 
 from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix, models
-from fockcap.operators import UNNORMALIZED, grade_diagonal
+from fockcap.operators import ORTHONORMAL, UNNORMALIZED, BasisTag, grade_diagonal
 
 
 def small_grid(n_max=4, p_max=4):
@@ -30,11 +31,46 @@ def bumped(v, i, delta):
     return v[: i - 1] + (v[i - 1] + delta,) + v[i:]
 
 
+def rank_map(space):
+    """The rank of each basis vector of space: the oracle rank map, which no
+    route in fockcap reads."""
+    return {v: r for r, v in enumerate(space.basis)}
+
+
+def gram_matrix(space):
+    """The Gram form G of space as a diagonal operator, integer coefficients
+    over one common denominator: at v of grade k = |v|,
+
+        Fermi:  G(v, v) = <v|v> = p! / (p^k (p-k)!)
+        Bose:   G(v, v) = <v|v> = p! * prod_i v_i! / (p^k (p-k)!)
+
+    the grade factor perm(p, k) / p^k times, for Bose, an integer diagonal.
+    The oracle of FockSpace.gram_ratio, as normalize_by_gram is of normalize."""
+    p = space.spec.p
+    G = grade_diagonal(space, lambda k: Fraction(math.perm(p, k), p ** k))
+    if space.spec.kind is Kind.BOSE:
+        dim = len(space.basis)
+        G = G @ MonomialMatrix(dim, range(dim), [math.prod(map(math.factorial, v))
+                                                 for v in space.basis], 1, G.tag)
+    return G
+
+
+def normalize_by_gram(op, gram):
+    """op conjugated into the orthonormal basis by the oracle Gram matrix:
+    entry(r, c) * sqrt(g_r / g_c), the g its integer coefficients over their
+    one denominator, so that true division rounds g_r / g_c correctly."""
+    if op.tag != gram.tag:
+        raise ValueError(f"basis tag mismatch: {op.tag!r} vs {gram.tag!r}")
+    g = gram.coef
+    return op.map_entries(lambda r, c, val: float(val) * math.sqrt(g[r] / g[c]),
+                          BasisTag(gram.tag.spec, ORTHONORMAL))
+
+
 def stepped(space, op, step):
     """op with the entry of each column v moved to the row of step(v) in the
-    oracle rank map space.index, its coefficient kept, and dropped where
-    step(v) is no basis vector: a ladder that steps to the wrong vector."""
-    index = space.index
+    oracle rank map, its coefficient kept, and dropped where step(v) is no
+    basis vector: a ladder that steps to the wrong vector."""
+    index = rank_map(space)
     targets, coefs = op.target[:-1], op.coef[:-1]
     for c, v in enumerate(space.basis):
         if coefs[c]:

@@ -13,11 +13,11 @@ from fockcap import (AlgebraSpec, FockSpace, Kind, check_backend_agreement, chec
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic,
                      diagonal_spectrum, dimension, enumerate_basis,
-                     graded_dimensions, quadratic_hamiltonian_spectrum,
-                     run_lie_suite, toy_levels, toy_spectrum)
-from fockcap.relations import EXACT
+                     graded_dimensions, normalize, quadratic_hamiltonian_spectrum,
+                     run_lie_suite, run_suite, toy_levels, toy_spectrum)
+from fockcap.relations import EXACT, FLOAT
 
-from conftest import diagonal_hamiltonian, spectrum_of_diagonal
+from conftest import diagonal_hamiltonian, gram_matrix, normalize_by_gram, spectrum_of_diagonal
 
 GRID = [AlgebraSpec(kind, n, p)
         for kind in (Kind.FERMI, Kind.BOSE)
@@ -57,7 +57,7 @@ def test_criterion_2_gram_formulas_and_oracle():
     checked = 0
     for spec in GRID:
         space = FockSpace(spec)
-        gram = space.gram
+        gram = gram_matrix(space)
         basis = enumerate_basis(spec)
         values = [gram.get(r, r) for r in range(len(basis))]
         # closed forms
@@ -207,3 +207,19 @@ def test_criterion_9_exact_spectrum_at_a_large_cap():
     _announce(9, "exact diagonal spectrum, bose n=3 p=400", ok,
               f"{len(report.levels)} levels, total multiplicity {report.total_multiplicity}, "
               f"{elapsed:.2f}s")
+
+
+def test_criterion_10_float_suite_at_a_large_cap():
+    # bose n=1, p=2000: the Gram form read as ratios, with no Gram matrix
+    spec = AlgebraSpec(Kind.BOSE, 1, 2000)
+    t0 = time.perf_counter()
+    reports = run_suite(spec, FLOAT)
+    space = FockSpace(spec)
+    down = normalize(space.ladder(1, -1), space)
+    elapsed = time.perf_counter() - t0
+    oracle = normalize_by_gram(space.ladder(1, -1), gram_matrix(space))
+    same = down.target == oracle.target and down.coef == oracle.coef
+    ok = all(rep.passed for rep in reports) and same and elapsed < 1.0
+    _announce(10, "float relation suite and normalization, bose n=1 p=2000", ok,
+              f"{len(reports)} checks pass: {all(rep.passed for rep in reports)}, "
+              f"normalized a_1^- equal to the Gram-matrix oracle: {same}, {elapsed:.2f}s")

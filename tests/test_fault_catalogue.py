@@ -148,14 +148,16 @@ def _prefix_sign_fault(stop):
 
 
 def _gram_fault(mp):
-    """The Gram value of every vector of grade GRADE doubled."""
-    original = operators.FockSpace.gram.func
+    """The Gram value of every vector of grade GRADE doubled, in the ratio
+    G(r)/G(c) that every reader of the Gram form takes."""
+    original = operators.FockSpace.gram_ratio
 
-    def gram(space):
-        G = original(space)
-        return _edited(G, [c for c in range(G.cols) if space.grades[c] == GRADE], 2)
+    def gram_ratio(space, r, c):
+        num, den = original(space, r, c)
+        return (2 * num if space.grades[r] == GRADE else num,
+                2 * den if space.grades[c] == GRADE else den)
 
-    mp.setattr(operators.FockSpace, "gram", property(gram))
+    mp.setattr(operators.FockSpace, "gram_ratio", gram_ratio)
 
 
 def _cap_fault(mp):

@@ -118,7 +118,7 @@ def test_passing_suites_stay_in_the_kernel(monkeypatch):
 
 
 def test_passing_exact_suites_map_no_entries(monkeypatch):
-    # hermiticity is the identity (a_i^+)^T G = G a_i^-, not an entrywise adjoint
+    # hermiticity forms the adjoint (a_i^+ D)^T over integer Gram ratios, with no Fraction map
     calls = _count_calls(monkeypatch, ((MonomialMatrix, "map_entries"),))
     for spec in (AlgebraSpec(Kind.BOSE, 3, 3), AlgebraSpec(Kind.FERMI, 3, 2),
                  AlgebraSpec(Kind.BOSE, 2, 4), AlgebraSpec(Kind.FERMI, 4, 4)):

@@ -3,7 +3,7 @@
 FockSpace builds a_i^+- by one walk over the enumeration that pairs the j-th
 vector of A_k (grade k, v_i below the entry bound, k < p) with the j-th
 vector of B_{k+1} (grade k + 1, w_i >= 1).  The route it replaced looks
-v +- e_i up in the rank map FockSpace.index; it is kept here as the oracle,
+v +- e_i up in a rank map (conftest.rank_map); it is kept here as the oracle,
 with the same coefficient formulas, so the two must agree bit for bit.
 """
 
@@ -17,7 +17,7 @@ from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix, cli, operators
 from fockcap.operators import (ORTHONORMAL, UNNORMALIZED, BasisTag, _orthonormal_magnitude,
                                operator_json_payload, prefix_sign)
 
-from conftest import bumped, small_grid
+from conftest import bumped, rank_map, small_grid
 
 NORMALIZATIONS = (UNNORMALIZED, ORTHONORMAL)
 
@@ -25,7 +25,7 @@ NORMALIZATIONS = (UNNORMALIZED, ORTHONORMAL)
 def rank_map_ladder(space, i, delta, normalization):
     """a_i^+ (delta = +1) or a_i^- (delta = -1) by looking up v + delta*e_i in
     the rank map: the route the walk replaced, with its coefficients."""
-    spec, index, p = space.spec, space.index, space.spec.p
+    spec, index, p = space.spec, rank_map(space), space.spec.p
     targets, coefs = [], []
     for v in space.basis:
         w = bumped(v, i, delta)
@@ -123,8 +123,8 @@ def test_the_walk_reads_no_basis_list_and_no_rank_map(monkeypatch):
     def refuse(space):
         raise AssertionError("read a basis list or the rank map")
 
-    for name in ("basis", "index"):
-        monkeypatch.setattr(FockSpace, name, property(refuse))
+    # FockSpace holds no rank map to read (test_removed_second_routes_are_gone)
+    monkeypatch.setattr(FockSpace, "basis", property(refuse))
     space = FockSpace(AlgebraSpec(Kind.BOSE, 3, 4))
     for normalization in NORMALIZATIONS:
         assert space.ladder(2, +1, normalization).nnz == space.ladder(2, -1, normalization).nnz

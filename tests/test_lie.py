@@ -9,6 +9,8 @@ from fockcap import (AlgebraSpec, FockSpace, Kind, check_adjoint_action, check_b
 from fockcap.operators import ORTHONORMAL
 from fockcap.sparse import MonomialMatrix
 
+from conftest import rank_map
+
 F21 = AlgebraSpec(Kind.FERMI, 2, 1)
 F22 = AlgebraSpec(Kind.FERMI, 2, 2)
 B22 = AlgebraSpec(Kind.BOSE, 2, 2)
@@ -16,10 +18,10 @@ B22 = AlgebraSpec(Kind.BOSE, 2, 2)
 
 def test_diagonal_generator_eigenvalues():
     space = FockSpace(F22)
-    r = space.index[(1, 0)]
+    r = rank_map(space)[(1, 0)]
     assert space.bilinear(1, 1).get(r, r) == 2  # p - |v| + v_1 = 2 - 1 + 1
     space = FockSpace(B22)
-    r = space.index[(1, 1)]
+    r = rank_map(space)[(1, 1)]
     assert space.bilinear(1, 1).get(r, r) == 1  # v_1 + |v| - p = 1 + 2 - 2
 
 

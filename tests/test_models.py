@@ -20,8 +20,8 @@ from fockcap.basis import iter_basis
 from fockcap.operators import ORTHONORMAL, FockSpace
 from fockcap.sparse import MonomialMatrix, SparseMatrix
 
-from conftest import (brute_basis, bumped, diagonal_hamiltonian, products, small_grid,
-                      spectrum_of_diagonal)
+from conftest import (brute_basis, bumped, diagonal_hamiltonian, products, rank_map,
+                      small_grid, spectrum_of_diagonal)
 
 B22 = AlgebraSpec(Kind.BOSE, 2, 2)
 SPECTRUM_TOL = 1e-10  # float eigenvalues, as in acceptance criterion 8
@@ -30,7 +30,7 @@ SPECTRUM_TOL = 1e-10  # float eigenvalues, as in acceptance criterion 8
 def test_diagonal_hamiltonian_entries():
     h = diagonal_hamiltonian(B22, [1, 1])
     assert isinstance(h, MonomialMatrix)
-    r = FockSpace(B22).index[(1, 1)]
+    r = rank_map(FockSpace(B22))[(1, 1)]
     assert h.get(r, r) == 1          # 2 * (1 - 1/2)
     assert h.get(0, 0) == 0
     spec = AlgebraSpec(Kind.FERMI, 1, 1)

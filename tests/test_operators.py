@@ -9,7 +9,7 @@ from fockcap import (AlgebraSpec, FockSpace, Kind, MonomialMatrix, dimension,
                      operator_json_payload)
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 
-from conftest import small_grid
+from conftest import gram_matrix, normalize_by_gram, rank_map, small_grid
 
 F21 = AlgebraSpec(Kind.FERMI, 2, 1)
 F22 = AlgebraSpec(Kind.FERMI, 2, 2)
@@ -18,7 +18,7 @@ B22 = AlgebraSpec(Kind.BOSE, 2, 2)
 
 def column_image(spec, op, v):
     """Decode op|v> into a dict occupation-vector -> coefficient."""
-    col = FockSpace(spec).index[v]
+    col = rank_map(FockSpace(spec))[v]
     basis = enumerate_basis(spec)
     return {basis[r]: val for (r, c), val in op.data.items() if c == col}
 
@@ -61,7 +61,7 @@ def test_number_operator():
     assert N.get(0, 0) == 0
     trace = sum(N.get(r, r) for r in range(dimension(spec)))
     assert trace == 9
-    r = FockSpace(B22).index[(1, 1)]
+    r = rank_map(FockSpace(B22))[(1, 1)]
     assert FockSpace(B22).number().get(r, r) == 2
 
 
@@ -75,10 +75,10 @@ def test_mode_index_validation():
 
 
 def gram_entry(spec, v):
-    """<v|v>, read from the Gram form of FockSpace(spec)."""
+    """<v|v>, read from the oracle Gram matrix of FockSpace(spec)."""
     space = FockSpace(spec)
-    r = space.index[v]
-    return space.gram.get(r, r)
+    r = rank_map(space)[v]
+    return gram_matrix(space).get(r, r)
 
 
 def test_gram_closed_forms():
@@ -135,7 +135,7 @@ def gram_from_matrix_elements(spec):
 
 def test_gram_matches_matrix_element_oracle():
     for spec in small_grid(3, 3):
-        gram = FockSpace(spec).gram
+        gram = gram_matrix(FockSpace(spec))
         assert [gram.get(r, r) for r in range(dimension(spec))] == gram_from_matrix_elements(spec)
 
 
@@ -143,7 +143,7 @@ def test_adjoint_swaps_ladder_operators():
     # G diagonal and invertible: Y is the adjoint G^-1 X^T G of X iff X^T G = G Y
     for spec in small_grid(4, 4):
         space = FockSpace(spec)
-        G = space.gram
+        G = gram_matrix(space)
         for i in range(1, spec.n + 1):
             up, down = space.ladder(i, +1), space.ladder(i, -1)
             assert up.transpose() @ G == G @ down
@@ -153,15 +153,17 @@ def test_adjoint_swaps_ladder_operators():
 
 
 def test_adjoint_requires_matching_tag():
-    gram = FockSpace(F21).gram
+    space = FockSpace(F21)
     with pytest.raises(ValueError, match="basis tag mismatch"):
-        normalize(FockSpace(F22).ladder(1, +1), gram)
+        normalize(FockSpace(F22).ladder(1, +1), space)
     other = FockSpace(AlgebraSpec(Kind.BOSE, 2, 1)).ladder(1, +1)
-    assert other.shape == gram.shape
+    assert other.shape == space.ladder(1, +1).shape
     with pytest.raises(ValueError, match="basis tag mismatch"):
-        normalize(other, gram)
+        normalize(other, space)
     with pytest.raises(ValueError, match="basis tag mismatch"):
-        gram @ other
+        normalize(space.ladder(1, +1, ORTHONORMAL), space)
+    with pytest.raises(ValueError, match="basis tag mismatch"):
+        gram_matrix(space) @ other
 
 
 def test_number_commutators_exact():
@@ -178,20 +180,20 @@ def test_number_commutators_exact():
 def test_normalized_vacuum_coefficients():
     spec = AlgebraSpec(Kind.FERMI, 1, 2)
     space = FockSpace(spec)
-    op = normalize(space.ladder(1, +1), space.gram)
-    assert op.get(space.index[(1,)], space.index[(0,)]) == pytest.approx(1.0)
+    op = normalize(space.ladder(1, +1), space)
+    assert op.get(rank_map(space)[(1,)], rank_map(space)[(0,)]) == pytest.approx(1.0)
     spec = AlgebraSpec(Kind.BOSE, 1, 2)
     space = FockSpace(spec)
-    op = normalize(space.ladder(1, +1), space.gram)
+    op = normalize(space.ladder(1, +1), space)
     # sqrt(2*(2-1)/2) = 1 from the singly occupied state
-    assert op.get(space.index[(2,)], space.index[(1,)]) == pytest.approx(1.0)
+    assert op.get(rank_map(space)[(2,)], rank_map(space)[(1,)]) == pytest.approx(1.0)
 
 
 def test_normalize_keeps_diagonals():
     for spec in (F22, B22):
         space = FockSpace(spec)
         N = space.number()
-        N_norm = normalize(N, space.gram)
+        N_norm = normalize(N, space)
         for r in range(dimension(spec)):
             assert N_norm.get(r, r) == float(N.get(r, r))
 
@@ -203,7 +205,7 @@ def test_normalized_creation_column_norms():
         space = FockSpace(spec)
         basis = enumerate_basis(spec)
         for i in range(1, spec.n + 1):
-            op = normalize(space.ladder(i, +1), space.gram)
+            op = normalize(space.ladder(i, +1), space)
             by_col = {}
             for (r, c), val in op.data.items():
                 by_col.setdefault(c, 0.0)
@@ -221,12 +223,12 @@ def test_direct_orthonormal_build_matches_normalization():
     for spec in small_grid(3, 3):
         space = FockSpace(spec)
         for i in range(1, spec.n + 1):
-            via_gram = normalize(space.ladder(i, +1), space.gram)
+            via_gram = normalize(space.ladder(i, +1), space)
             direct = space.ladder(i, +1, ORTHONORMAL)
             assert set(via_gram.data) == set(direct.data)
             for key, val in direct.data.items():
                 assert via_gram.data[key] == pytest.approx(val, abs=1e-14)
-            via_gram = normalize(space.ladder(i, -1), space.gram)
+            via_gram = normalize(space.ladder(i, -1), space)
             direct = space.ladder(i, -1, ORTHONORMAL)
             for key, val in direct.data.items():
                 assert via_gram.data[key] == pytest.approx(val, abs=1e-14)
@@ -253,7 +255,7 @@ def test_json_payload_schema():
     assert payload["normalization"] == "unnormalized"
     assert payload["dims"] == [3, 3]
     assert list(payload["entries"]) == [(2, 0, 1, 1)]
-    norm = operator_json_payload(normalize(space.ladder(1, +1), space.gram))
+    norm = operator_json_payload(normalize(space.ladder(1, +1), space))
     assert norm["normalization"] == "orthonormal"
     assert list(norm["entries"]) == [(2, 0, 1.0)]
 
@@ -295,10 +297,33 @@ def test_json_payload_entries_are_those_of_the_fraction_route():
         for op in _exported_ops(space):
             exact = list(operator_json_payload(op)["entries"])
             assert exact == [(r, c, v.numerator, v.denominator) for r, c, v in op.entries()]
-            norm = normalize(op, space.gram)
+            norm = normalize(op, space)
             floats = list(operator_json_payload(norm)["entries"])
             assert floats == [(r, c, float(v)) for r, c, v in norm.entries()]
             assert all(type(v) is float for *_, v in floats)
+
+
+def test_gram_ratio_is_the_oracle_ratio():
+    # G(r)/G(c) at every entry of every ladder, N and e_ij
+    for spec in small_grid(3, 3):
+        space = FockSpace(spec)
+        g = gram_matrix(space).coef
+        for op in _exported_ops(space):
+            for r, c, _ in op.entries():
+                assert Fraction(*space.gram_ratio(r, c)) == Fraction(g[r], g[c])
+
+
+@pytest.mark.parametrize("spec", [*small_grid(3, 3), AlgebraSpec(Kind.BOSE, 1, 300),
+                                  AlgebraSpec(Kind.BOSE, 2, 60)],
+                         ids=lambda spec: f"{spec.kind.value}-{spec.n}-{spec.p}")
+def test_normalize_is_the_oracle_route_bit_for_bit(spec):
+    space = FockSpace(spec)
+    gram = gram_matrix(space)
+    for op in _exported_ops(space):
+        norm, oracle = normalize(op, space), normalize_by_gram(op, gram)
+        assert norm.target == oracle.target
+        assert list(map(repr, norm.coef)) == list(map(repr, oracle.coef))  # every bit
+        assert norm.tag == oracle.tag
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
@@ -343,8 +368,10 @@ def test_removed_second_routes_are_gone():
     for name in ("max_entry_difference", "grand_partition", "mean_occupation", "GramForm",
                  "adjoint_wrt_gram", "gram_value", "rank", "unrank", "validate_vector"):
         assert not hasattr(fockcap, name)
-    for name in ("rank", "unrank", "validate_vector", "_grade_count"):  # FockSpace(spec).index
+    for name in ("rank", "unrank", "validate_vector", "_grade_count"):  # conftest.rank_map
         assert not hasattr(fockcap.basis, name)
     for name in ("identity", "diagonal"):
         assert not hasattr(MonomialMatrix, name)
+    for name in ("gram", "index"):  # FockSpace.gram_ratio; gram_matrix, rank_map in conftest
+        assert not hasattr(FockSpace, name)
     assert not hasattr(Kind.FERMI, "anticommuting")  # Kind.sign < 0
