@@ -88,6 +88,7 @@ class FockSpace:
         # the rank ints of the enumeration, grown by the ladder walks and shared by
         # them, so the ladders of a space hold one int object per rank between them
         self._ranks: list[int] = []
+        self._grade_ratios: dict[tuple[int, int], tuple[int, int]] = {}  # by (k_r, k_c)
 
     @cached_property
     def basis(self) -> list[OccupationVector]:
@@ -105,14 +106,17 @@ class FockSpace:
     def gram_ratio(self, r: int, c: int) -> tuple[int, int]:
         """G(r)/G(c) as two ints (num, den) for the basis vectors u, v of ranks
         r, c: the one place that knows how the Gram form (module docstring) is
-        written down.  Its grade factors perm(p, k)/p^k leave
+        written down.  Its grade factors perm(p, k)/p^k leave, once per grade pair,
         perm(p-k_c, k_r-k_c)/p^(k_r-k_c) if k_r >= k_c, the inverse otherwise,
         and the Bose products a falling factorial per mode where u and v differ."""
-        p, kr, kc = self.spec.p, self.grades[r], self.grades[c]
-        if kr >= kc:
-            num, den = math.perm(p - kc, kr - kc), p ** (kr - kc)
-        else:
-            num, den = p ** (kc - kr), math.perm(p - kr, kc - kr)
+        if r == c:
+            return 1, 1
+        key = kr, kc = self.grades[r], self.grades[c]
+        if key not in self._grade_ratios:
+            p = self.spec.p
+            self._grade_ratios[key] = ((math.perm(p - kc, kr - kc), p ** (kr - kc)) if kr >= kc
+                                       else (p ** (kc - kr), math.perm(p - kr, kc - kr)))
+        num, den = self._grade_ratios[key]
         if self.spec.kind is Kind.BOSE:
             for x, y in zip(self.basis[r], self.basis[c]):
                 if x > y:
@@ -237,8 +241,7 @@ def normalize(op: MonomialMatrix, space: FockSpace) -> MonomialMatrix:
 
     entry'(r, c) = entry(r, c) * sqrt(G(r) / G(c)), the transformation induced
     by |v>> = |v> / sqrt(G(v)).  space.gram_ratio gives G(r) / G(c) as two
-    ints, whose quotient true division rounds correctly.
-    """
+    ints, whose quotient true division rounds correctly."""
     tag = BasisTag(space.spec, UNNORMALIZED)
     if op.tag != tag:
         raise ValueError(f"basis tag mismatch: {op.tag!r} vs {tag!r}")

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 from .basis import AlgebraSpec, Kind, dimension, enumerate_basis
 from .operators import (EXACT, FLOAT, ORTHONORMAL, FockSpace, _orthonormal_magnitude,
                         grade_diagonal, normalize)
-from .sparse import MonomialMatrix, bracket, orbit_ranks
+from .sparse import MonomialMatrix, _filled, bracket, orbit_ranks
 
 FLOAT_TOL = 1e-12
 
@@ -153,24 +153,24 @@ def check_cap(space: FockSpace) -> list[RelationReport]:
 def check_hermiticity(space: FockSpace) -> list[RelationReport]:
     """Adjoint of creation is annihilation; N is self-adjoint.
 
-    The adjoint G^-1 X^T G of X for the diagonal Gram form G holds the entry
-    x of X at (r, c) as x G(r)/G(c) at (c, r).  For a monomial X that is
-    (X D)^T, D the diagonal of the space.gram_ratio of each column's entry
-    over their least common denominator: p for a raising ladder, 1 for N.
-    The residual is the largest entry of the adjoint's defect (X D)^T - Y.
-    """
-    spec, N = space.spec, space.number()
+    The adjoint G^-1 X^T G of X for the diagonal Gram form G is (X D)^T, X D
+    holding each entry x of X at (r, c) as x G(r)/G(c) from space.gram_ratio:
+    for an exact monomial X, integers over their least common denominator (p
+    for a raising ladder, 1 for N); else Fractions, entry by entry.  The
+    residual is the largest entry of the adjoint's defect (X D)^T - Y."""
+    spec, N, ratio, out = space.spec, space.number(), space.gram_ratio, []
     pairs = [("adjoint-is-annihilation", (i,), space.ladder(i, +1), space.ladder(i, -1))
              for i in range(1, spec.n + 1)] + [("number-self-adjoint", (), N, N)]
-    out = []
     for name, indices, X, Y in pairs:
-        ratios = [(0, 1)] * X.cols
-        for r, c, _ in X._live():
-            ratios[c] = space.gram_ratio(r, c)
-        lcm = math.lcm(*(den for _, den in ratios))
-        D = MonomialMatrix(X.cols, range(X.cols), [num * (lcm // den) for num, den in ratios],
-                           lcm, X.tag)
-        out.append(_report(name, spec, indices, ((X @ D).transpose() - Y).max_abs()))
+        if isinstance(X, MonomialMatrix) and X.exact:
+            ratios = [ratio(r, c) if x else (0, 1)
+                      for c, r, x in zip(range(X.cols), X.target, X.coef)]
+            lcm = math.lcm(*{den for _, den in ratios})
+            coefs = [x * num * (lcm // den) for x, (num, den) in zip(X.coef, ratios)]
+            XD = _filled(X.rows, X.target, coefs + [0], X.denom * lcm, True, X.tag)
+        else:  # a wrong X may hold two entries in one column
+            XD = X.map_entries(lambda r, c, x: x * Fraction(*ratio(r, c)), X.tag)
+        out.append(_report(name, spec, indices, (XD.transpose() - Y).max_abs()))
     return out
 
 

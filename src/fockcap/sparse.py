@@ -63,9 +63,6 @@ class SparseMatrix:
         """All nonzero entries as (row, col, value), row-major ascending."""
         return [(r, c, self.data[(r, c)]) for r, c in sorted(self.data)]
 
-    def _live(self) -> list[Entry]:
-        return [(r, c, v) for (r, c), v in self.data.items()]
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_shape(other)
         out = dict(self.data)

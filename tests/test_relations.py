@@ -12,7 +12,7 @@ from fockcap.operators import UNNORMALIZED, grade_diagonal
 from fockcap.relations import EXACT, FLOAT, FLOAT_TOL, RelationReport
 from fockcap.sparse import SparseMatrix
 
-from conftest import small_grid
+from conftest import gram_matrix, small_grid
 
 
 def test_exact_suite_spot_specs():
@@ -162,6 +162,42 @@ def test_hermiticity_fails_for_a_doubled_annihilation_only(monkeypatch, spec):
     assert failed == [("adjoint-is-annihilation", (1,))]
     # the adjoint's defect: G^-1 (a_1^+)^T G - 2 a_1^- = -a_1^-
     assert reports[0].residual == expected > 0
+
+
+def extra_entry(op):
+    """op as a dict-of-keys matrix with one more, small, entry on the diagonal
+    at e_1 (rank n, the last vector of grade 1): column e_1 of a_2^+ then
+    holds two entries with different Gram ratios, 1 and
+    G(e_1 + e_2)/G(e_1) = (p - 1)/p, so a ratio taken per column shows."""
+    n = op.tag.spec.n
+    return op.to_sparse() + SparseMatrix(op.rows, op.cols, {(n, n): Fraction(1, 7)}, op.tag)
+
+
+@pytest.mark.parametrize("wrong", [extra_entry, lambda op: 3 * op],
+                         ids=["two-in-a-column", "tripled"])
+@pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2)],
+                         ids=lambda spec: f"{spec.kind.value}-{spec.n}-{spec.p}")
+def test_hermiticity_residual_is_the_oracle_gram_defect(monkeypatch, spec, wrong):
+    # a wrong a_2^+, monomial or not: the residual is the largest entry of
+    # G^-1 (X^T G - G Y), formed with the oracle Gram matrix
+    ladder = FockSpace.ladder
+
+    def wrong_ladder(self, i, delta, normalization=UNNORMALIZED):
+        op = ladder(self, i, delta, normalization)
+        return wrong(op) if (i, delta) == (2, +1) else op
+
+    monkeypatch.setattr(FockSpace, "ladder", wrong_ladder)
+    space = FockSpace(spec)
+    assert space.basis[spec.n] == (1,) + (0,) * (spec.n - 1)
+    G = gram_matrix(space).to_sparse()
+    G_inv = G.map_entries(lambda r, c, g: 1 / g, G.tag)
+    reports = {rep.indices: rep for rep in check_hermiticity(space)}
+    for i in range(1, spec.n + 1):
+        X, Y = (SparseMatrix(op.rows, op.cols, op.data, op.tag)
+                for op in (space.ladder(i, +1), space.ladder(i, -1)))
+        expected = (G_inv @ (X.transpose() @ G - G @ Y)).max_abs()
+        assert reports[(i,)].residual == expected
+        assert reports[(i,)].passed == (i != 2)
 
 
 def test_backend_agreement():
