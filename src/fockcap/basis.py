@@ -10,10 +10,14 @@ number operator is block diagonal with contiguous grade blocks.
 from __future__ import annotations
 
 import enum
+from itertools import count, islice
 from math import comb, log, log1p
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 OccupationVector = tuple[int, ...]
+# Rows of a basis listing joined into one block of text, as many as cli.CHUNK_ROWS: about
+# 32 KB of JSON rows.  Blocks of 1024 rows, no faster, made a pipe reader's heap grow.
+BLOCK_ROWS = 256
 
 
 class Kind(str, enum.Enum):
@@ -126,14 +130,20 @@ def _runs(spec: AlgebraSpec, table: list[list]) -> Iterator[tuple[int, int, list
     row of grade k - a of the suffix table (or of any table with one entry
     per suffix).  a runs over exactly the heads whose row is in the table,
     so n = 1 costs one step per grade, not one per grade below k."""
+    last, bound = len(table) - 1, spec.max_entry
     for k in range(spec.top + 1):
-        for a in range(max(0, k - len(table) + 1), min(k, spec.max_entry) + 1):
+        for a in range(max(0, k - last), min(k, bound) + 1):
             yield k, a, table[k - a]
+
+
+def iter_runs(spec: AlgebraSpec) -> Iterator[tuple[int, int, list[OccupationVector]]]:
+    """The canonical order as the runs (k, a, row) of the suffix table (see _runs)."""
+    return _runs(spec, _suffix_table(spec))
 
 
 def iter_basis(spec: AlgebraSpec) -> Iterator[OccupationVector]:
     """The basis vectors in canonical (graded, then lex) order, one at a time."""
-    for _, a, row in _runs(spec, _suffix_table(spec)):
+    for _, a, row in iter_runs(spec):
         head = (a,)
         for w in row:
             yield head + w
@@ -192,15 +202,31 @@ def grade_offsets(spec: AlgebraSpec) -> list[int]:
     return offsets
 
 
-def basis_csv(spec: AlgebraSpec) -> Iterator[str]:
-    """Basis listing as CSV lines with columns rank, total, occ_1..occ_n,
-    made as they are read: no list of the basis is built.  Each suffix
-    occ_2..occ_n is formatted once, as ",occ_2,...,occ_n", and each line
-    joins it to its rank, grade and head."""
-    yield ",".join(["rank", "total"] + [f"occ_{i}" for i in range(1, spec.n + 1)]) + "\n"
-    table = [[",".join(["", *map(str, w)]) for w in row] for row in _suffix_table(spec)]
-    r = 0
+def basis_text(spec: AlgebraSpec, parts: Sequence[str]) -> Iterator[str]:
+    """The basis listing in blocks of about BLOCK_ROWS rows, made as they are
+    read.  The vector v of rank r is the row parts[0], r, parts[1], |v|,
+    parts[2], v_1, parts[3], ..., v_n, parts[n + 2].  A block joins the rank
+    texts, the text of each run's grade and head (see _runs), formed once per
+    run, and the text of each suffix v_2..v_n, formed once per table row."""
+    lead = parts[0]
+    fill = "".join("{}" + t.replace("{", "{{").replace("}", "}}") for t in parts[4:]).format
+    table = [[fill(*w) for w in row] for row in _suffix_table(spec)]
+    ranks, top, last = map(str, count()), spec.top, min(spec.top, spec.max_entry)
+    texts, suffixes = [], []  # of the rows not yet written
     for k, a, row in _runs(spec, table):
-        for suffix in row:
-            yield f"{r},{k},{a}{suffix}\n"
-            r += 1
+        texts += [f"{parts[1]}{k}{parts[2]}{a}{parts[3]}"] * len(row)
+        suffixes += row
+        if len(suffixes) >= BLOCK_ROWS or k == top and a == last:  # or the last run
+            block = [lead, "", "", ""] * len(suffixes)
+            block[1::4] = islice(ranks, len(suffixes))
+            block[2::4] = texts
+            block[3::4] = suffixes
+            yield "".join(block)
+            texts, suffixes = [], []
+
+
+def basis_csv(spec: AlgebraSpec) -> Iterator[str]:
+    """Basis listing as CSV with columns rank, total, occ_1..occ_n: the header
+    line, then the blocks of lines of basis_text."""
+    yield ",".join(["rank", "total"] + [f"occ_{i}" for i in range(1, spec.n + 1)]) + "\n"
+    yield from basis_text(spec, ["", *[","] * (spec.n + 1), "\n"])

@@ -18,8 +18,8 @@ import tempfile
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .basis import (AlgebraSpec, Kind, basis_csv, dimension, fermi_cap_note,
-                    graded_dimensions, iter_basis, log10_dimension_bound)
+from .basis import (AlgebraSpec, Kind, basis_csv, basis_text, dimension, fermi_cap_note,
+                    graded_dimensions, log10_dimension_bound)
 from .lie import LIE_CHECKS, run_lie_suite
 from .models import (diagonal_level_counts, diagonal_table, quadratic_hamiltonian_spectrum,
                      toy_levels, toy_spectrum)
@@ -34,11 +34,11 @@ OP_CHOICES = ("create", "annihilate", "number", "eij")
 # the limit no output could print it, and a huge |e| never ends.
 MAX_DIGITS = 4300
 MAX_EXPONENT = MAX_DIGITS - 1
-# Output pieces (JSON tokens, CSV lines) joined into one write: enough that the cost of a
-# call vanishes, few enough that a chunk stays far below the output it is part of.
+# JSON tokens joined into one write: enough that the cost of a call vanishes, few enough
+# that a chunk stays far below the output it is part of.
 CHUNK_PIECES = 8192
-# Rows of a streamed JSON array joined into one write: a basis row is about 30 encoder
-# tokens and 128 bytes, so a chunk holds about as much as CHUNK_PIECES tokens would.
+# Rows of a streamed JSON array joined into one write: a row of about 30 encoder tokens
+# and 128 bytes, such as an occupation row, takes as much as CHUNK_PIECES tokens would.
 CHUNK_ROWS = CHUNK_PIECES // 32
 # Stands in for a value whose text is filled in later: a string the encoder always writes
 # as the same escape, and no payload or row template holds otherwise.
@@ -46,45 +46,50 @@ _HOLE = "\0"
 _HOLE_JSON = json.dumps(_HOLE)
 
 
-def _joined(pieces: Iterable[str]) -> Iterator[str]:
-    """The pieces, joined CHUNK_PIECES at a time."""
-    pieces = iter(pieces)
-    while batch := list(itertools.islice(pieces, CHUNK_PIECES)):
-        yield "".join(batch)
-
-
 def _dump_json(payload) -> Iterator[str]:
-    """json.dumps(payload, indent=2) + "\n" as a stream of chunks; no string holds it all."""
-    yield from _joined(json.JSONEncoder(indent=2).iterencode(payload))
+    """json.dumps(payload, indent=2) + "\n" as a stream of chunks, CHUNK_PIECES tokens
+    each; no string holds it all."""
+    tokens = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := list(itertools.islice(tokens, CHUNK_PIECES)):
+        yield "".join(batch)
     yield "\n"
 
 
-def _dump_json_rows(payload, key, rows: Iterable[tuple], sample) -> Iterator[str]:
-    """_dump_json(payload) with payload[key] = list(rows), streamed from the iterator rows.
+def _row_layout(payload, key, sample) -> tuple[str, list[str], str]:
+    """(opening, parts, closing) of _dump_json(payload) with payload[key] an array of
+    rows laid out as sample: the text up to the first row, the texts around each _HOLE
+    of a row, and the text after the last row.  key is a top-level key of payload, or ()
+    to make the array the whole output, and payload is then not read.
 
-    key is a top-level key of payload, or () to make the array the whole output, and
-    payload is then not read.  Each row is a flat tuple, one value for each _HOLE of
-    sample, in encoding order: ints, finite floats, and strings passed already encoded,
-    as json.dumps(text) gives them, which are written as they are.  sample gives the
-    layout a row shares.  The text around the array is _dump_json's, and each row fills
-    one str.format template made by the encoder from sample, indented to the depth of
-    the array, so the bytes are those of json.dumps(indent=2) with no layout written
-    here.  A finite float formats as the encoder writes it (float.__repr__).
-    """
+    The text around the array is _dump_json's, and parts are cut from the encoder's
+    text of sample, indented to the depth of the array: no layout is written here.  A
+    row is parts[0], its first value, parts[1], ..., parts[-1]; parts[0] begins with the
+    "," after the row before, which the first row drops.  No rows: opening +
+    closing.lstrip()."""
     outline = _HOLE if key == () else {**payload, key: _HOLE}
     head, tail = "".join(_dump_json(outline)).split(_HOLE_JSON)
     line = head[head.rfind("\n") + 1:]
     outer = line[:len(line) - len(line.lstrip(" "))]
     inner = outer + "  "
-    template = json.dumps(sample, indent=2).replace("{", "{{").replace("}", "}}")
-    fill = template.replace("\n", "\n" + inner).replace(_HOLE_JSON, "{}").format
+    parts = json.dumps(sample, indent=2).replace("\n", "\n" + inner).split(_HOLE_JSON)
+    parts[0] = ",\n" + inner + parts[0]
+    return head + "[", parts, "\n" + outer + "]" + tail
+
+
+def _dump_json_rows(payload, key, rows: Iterable[tuple], sample) -> Iterator[str]:
+    """_dump_json(payload) with payload[key] = list(rows), streamed from the iterator rows.
+
+    Each row is a flat tuple, one value for each _HOLE of sample, in encoding order:
+    ints, finite floats (formatted as the encoder writes them, float.__repr__), and
+    strings passed already encoded, as json.dumps(text) gives them.  Each row fills one
+    str.format template of the parts of _row_layout."""
+    opening, parts, closing = _row_layout(payload, key, sample)
+    fill = "{}".join(part.replace("{", "{{").replace("}", "}}") for part in parts).format
     texts = itertools.starmap(fill, rows)
-    sep = ",\n" + inner
-    opened = False
-    while chunk := sep.join(itertools.islice(texts, CHUNK_ROWS)):
-        yield (sep if opened else head + "[\n" + inner) + chunk
-        opened = True
-    yield ("\n" + outer + "]" if opened else head + "[]") + tail
+    while chunk := "".join(itertools.islice(texts, CHUNK_ROWS)):
+        yield opening + chunk[1:] if opening else chunk
+        opening = ""
+    yield closing if not opening else opening + closing.lstrip()
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -192,12 +197,12 @@ def cmd_dim(args) -> int:
 def cmd_basis(args) -> int:
     spec = _spec_from_args(args)
     if args.json:
-        rows = ((r, sum(v), *v) for r, v in enumerate(iter_basis(spec)))
         sample = {"rank": _HOLE, "total": _HOLE, "occupations": [_HOLE] * spec.n}
-        _emit(_dump_json_rows({"spec": _spec_payload(spec)}, "basis", rows, sample),
-              args.output)
+        opening, parts, closing = _row_layout({"spec": _spec_payload(spec)}, "basis", sample)
+        blocks = basis_text(spec, parts)  # one block per run; the vacuum's run comes first
+        _emit(itertools.chain([opening + next(blocks)[1:]], blocks, [closing]), args.output)
     else:
-        _emit(_joined(basis_csv(spec)), args.output)
+        _emit(basis_csv(spec), args.output)
     return 0
 
 

@@ -35,14 +35,13 @@ Mode indices are 1-based in every public signature.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, groupby
-from operator import truediv
+from itertools import chain, compress, groupby, repeat
+from operator import itemgetter, truediv
 from typing import Iterator, NamedTuple, Sequence
 
-from .basis import AlgebraSpec, Kind, OccupationVector, grade_offsets, iter_basis
+from .basis import AlgebraSpec, Kind, OccupationVector, grade_offsets, iter_runs
 from .sparse import MonomialMatrix, _filled, bracket
 
 UNNORMALIZED = "unnormalized"
@@ -75,11 +74,11 @@ class FockSpace:
     (per normalization) and the exact bilinears e_ij; it gives the Gram form
     as the ratio gram_ratio.  Each is built on first use and at most once.  The
     matrices it hands out are shared by every caller of the space and must
-    not be mutated.  The ladders walk the enumeration themselves, so a space
-    asked only for ladders and their products builds no basis list; a walk
-    holds the enumeration's (n-1)-mode suffix table (about n/(n + top) of the
-    basis for Bose), the grade it is at and the vectors still waiting from the
-    grade below.
+    not be mutated.  The basis, the grades and the ladder walks all read the
+    enumeration's runs (basis.iter_runs), so a space asked only for ladders
+    and their products builds no basis list; a walk holds the enumeration's
+    (n-1)-mode suffix table (about n/(n + top) of the basis for Bose), the
+    grade it is at and what still waits from the grade below.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -92,12 +91,12 @@ class FockSpace:
 
     @cached_property
     def basis(self) -> list[OccupationVector]:
-        return list(iter_basis(self.spec))
+        return [head + w for _, a, row in iter_runs(self.spec) for head in ((a,),) for w in row]
 
     @cached_property
     def grades(self) -> list[int]:
-        """Total occupation of each basis vector, by rank (from the enumeration)."""
-        return [sum(v) for v in self.basis]
+        """Total occupation of each basis vector, by rank: k for each vector of a run."""
+        return list(chain.from_iterable(repeat(k, len(row)) for k, _, row in iter_runs(self.spec)))
 
     @cached_property
     def offsets(self) -> list[int]:
@@ -166,13 +165,15 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
     lexicographic order: v + e_i and v' + e_i first differ where v and v'
     do, and by as much.  Grade k comes wholly before grade k + 1 in the
     enumeration, so the j-th vector of A_k and the j-th vector of B_{k+1}
-    are the pair (v, v + e_i): each vector of A_k waits in its grade's queue
-    until the walk meets the vector of B_{k+1} it pairs with.  a_i^+ sends
-    the A vector to the B vector, a_i^- the B vector to the A vector; every
-    other column is empty.  No v +- e_i is formed and no rank is looked up.
-    Over a faulty enumeration (a vector dropped, repeated or out of its
-    grade) the pairs are whatever the queues give, and a vector left
-    unpaired holds no entry.
+    are the pair (v, v + e_i).  a_i^+ sends the A vector to the B vector,
+    a_i^- the B vector to the A vector; every other column is empty.  No
+    v +- e_i is formed and no rank is looked up.  The walk reads the runs
+    (k, a, row) of the seam iter_runs a grade at a time, v_i being the head
+    a (i = 1) or an entry of each suffix in row.  The A_k wait in a list
+    keyed by their grade, and the B_{k+1} take them from its front: over a
+    faulty enumeration (a vector dropped, repeated or out of its grade)
+    grade k pairs only with grade k + 1, and a vector left unpaired holds
+    no entry.
 
     The coefficients are those of the column vector v, at grade k = |v|.
     The Fermi sign prefix_sign reads modes 1..i-1, the same for v and v +- e_i.
@@ -181,38 +182,50 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
     route of FockSpace.ladder, compared with normalize() by
     check_backend_agreement (acceptance criterion 8).  The unnormalized basis
     puts the whole square on a_i^-, as the integer sign*v_i*(p-|v|+1) over
-    the denominator p, and 1 on a_i^+.
+    the denominator p, and 1 on a_i^+.  Only prefix_sign and
+    _orthonormal_magnitude read whole vectors: a Bose unnormalized ladder
+    forms none.
     """
     spec, p, m = space.spec, space.spec.p, i - 1
     fermi, bound = spec.kind is Kind.FERMI, spec.max_entry
     orthonormal = normalization == ORTHONORMAL
     empty = 0.0 if orthonormal else 0  # the coefficient of an empty column
     ranks, targets, coefs = space._ranks, [], []
-    waiting: dict[int, deque] = {}  # grade k -> (rank, vector) of the A_k not yet paired
-    for k, run in groupby(iter_basis(spec), sum):
-        run = list(run)
-        r0 = len(targets)
-        ranks.extend(range(len(ranks), r0 + len(run)))
-        grade = ranks[r0:r0 + len(run)]
-        targets += [-1] * len(run)
-        coefs += [empty] * len(run)
-        occupations = [v[m] for v in run]
-        queue = waiting.get(k - 1)
-        for b, w in zip(compress(grade, occupations), compress(run, occupations)):
-            if not queue:
-                break
-            a, u = queue.popleft()
-            col, row, v = (a, b, u) if delta > 0 else (b, a, w)
-            sign = prefix_sign(v, i) if fermi else 1
-            if orthonormal:
-                coefs[col] = sign * _orthonormal_magnitude(w, i, p)
-            else:
-                coefs[col] = sign if delta > 0 else sign * w[m] * (p - k + 1)
-            targets[col] = row
-        if k < p:
-            below = [x < bound for x in occupations]
-            waiting.setdefault(k, deque()).extend(zip(compress(grade, below),
-                                                      compress(run, below)))
+    waiting: dict[int, tuple[list, list]] = {}  # grade k -> ranks, vectors of the A_k not paired
+    for k, runs in groupby(iter_runs(spec), itemgetter(0)):
+        runs = list(runs)
+        column = []  # v_i of each vector of the grade
+        for _, a, row in runs:
+            column += [a] * len(row) if m == 0 else map(itemgetter(m - 1), row)
+        r0, size = len(targets), len(column)
+        ranks.extend(range(len(ranks), r0 + size))
+        grade = ranks[r0:r0 + size]
+        targets += [-1] * size
+        coefs += [empty] * size
+        vectors = ([(a,) + w for _, a, row in runs for w in row] if fermi or orthonormal
+                   else column)
+        # the j-th B pairs with the j-th A waiting; zip stops at the shorter list
+        a_ranks, a_vectors = waiting.get(k - 1, ([], []))
+        b_ranks, b_vectors = list(compress(grade, column)), list(compress(vectors, column))
+        if orthonormal:
+            values = [_orthonormal_magnitude(w, i, p) for w in b_vectors]
+        elif delta > 0:
+            values = repeat(1)
+        else:
+            values = [x * (p - k + 1) for x in compress(column, column)]
+        if fermi:
+            signed = a_vectors if delta > 0 else b_vectors
+            values = [prefix_sign(v, i) * x for v, x in zip(signed, values)]
+        cols, rows = (a_ranks, b_ranks) if delta > 0 else (b_ranks, a_ranks)
+        for c, r, x in zip(cols, rows, values):
+            targets[c] = r
+            coefs[c] = x
+        del a_ranks[:len(b_ranks)], a_vectors[:len(b_ranks)]
+        if k < p:  # every v_i <= k is below the bound when k is
+            below = repeat(True) if k < bound else [x < bound for x in column]
+            a_ranks, a_vectors = waiting.setdefault(k, ([], []))
+            a_ranks += compress(grade, below)
+            a_vectors += compress(vectors, below)
     denom = 1 if orthonormal or delta > 0 else p
     # the lists end in the kernel's empty slot and are handed over, not copied
     targets.append(-1)

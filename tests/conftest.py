@@ -26,6 +26,13 @@ def brute_basis(spec):
     return sorted(vectors, key=lambda v: (sum(v), v))
 
 
+def one_vector_runs(vectors):
+    """The vectors as the enumeration's runs (k, a, row), one run (|v|, v_1, [v_2..v_n])
+    a vector: how a listed, possibly faulty, enumeration is injected at the seam
+    operators.iter_runs that FockSpace.basis, FockSpace.grades and the ladder walk read."""
+    return iter([(sum(v), v[0], [v[1:]]) for v in vectors])
+
+
 def bumped(v, i, delta):
     """v + delta*e_i for the 1-based mode i."""
     return v[: i - 1] + (v[i - 1] + delta,) + v[i:]

@@ -16,9 +16,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcap import AlgebraSpec, Kind, cli, diagonal_spectrum, run_suite
+from fockcap import AlgebraSpec, Kind, basis, cli, diagonal_spectrum, run_suite
 
-from conftest import alive
+from conftest import alive, brute_basis, small_grid
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +147,43 @@ def test_basis_csv_and_json(capsys):
                            "--json")
     payload = json.loads(out)
     assert payload["basis"][5] == {"rank": 5, "total": 2, "occupations": [2, 0]}
+
+
+WRITER_SPECS = small_grid(3, 3) + [AlgebraSpec(Kind.BOSE, 1, 5), AlgebraSpec(Kind.FERMI, 3, 1),
+                                   AlgebraSpec(Kind.FERMI, 2, 4)]
+
+
+@pytest.mark.parametrize("spec", WRITER_SPECS, ids=lambda s: f"{s.kind.value}-{s.n}-{s.p}")
+def test_basis_exports_are_the_per_vector_oracles(capsys, tmp_path, spec):
+    # the run writer against json.dumps of the per-vector rows and the per-vector CSV
+    # lines, to stdout and to a file, in one block and in blocks of one to three rows
+    vectors = brute_basis(spec)
+    rows = [{"rank": r, "total": sum(v), "occupations": list(v)} for r, v in enumerate(vectors)]
+    payload = {"spec": {"kind": spec.kind.value, "n": spec.n, "p": spec.p}, "basis": rows}
+    lines = [",".join(["rank", "total"] + [f"occ_{i}" for i in range(1, spec.n + 1)])]
+    lines += [",".join(map(str, (r, sum(v), *v))) for r, v in enumerate(vectors)]
+    wants = [(["--json"], json.dumps(payload, indent=2) + "\n"),
+             ([], "".join(line + "\n" for line in lines))]
+    argv = ["basis", "--kind", spec.kind.value, "--n", str(spec.n), "--p", str(spec.p)]
+    out = tmp_path / "basis.txt"
+    for block_rows in (1, 2, 3, basis.BLOCK_ROWS):
+        with mock.patch.object(basis, "BLOCK_ROWS", block_rows):
+            for extra, want in wants:
+                assert cli.main(argv + extra) == 0
+                assert capsys.readouterr().out == want
+                assert cli.main(argv + extra + ["-o", str(out)]) == 0
+                assert out.read_bytes() == want.encode()
+
+
+def test_basis_exports_read_the_runs_not_a_vector_at_a_time(monkeypatch, capsys):
+    def refuse(spec):
+        raise AssertionError("read iter_basis")
+
+    for module in (basis, cli):  # cli, should it import the name again
+        monkeypatch.setattr(module, "iter_basis", refuse, raising=False)
+    for extra in ([], ["--json"]):
+        assert cli.main(["basis", "--kind", "bose", "--n", "3", "--p", "4", *extra]) == 0
+        assert capsys.readouterr().out.count("\n") > 35
 
 
 def test_ops_export_schema(capsys):
@@ -625,7 +662,8 @@ def test_export_is_written_in_chunks_far_below_its_size():
 
 
 def test_basis_json_holds_no_list_of_its_rows():
-    # a list of the 46376 row dicts peaked at 14.5 MB traced; streamed rows need 0.4 MB
+    # a list of the 46376 row dicts peaked at 14.5 MB traced; streamed rows need 0.9 MB,
+    # most of it the texts of the suffix table
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_ChunkSizes()):
@@ -634,6 +672,31 @@ def test_basis_json_holds_no_list_of_its_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20, peak
+
+
+EXPORT_COMMANDS = [
+    ["basis", "--kind", "bose", "--n", "4", "--p", "30", "--json"],
+    ["basis", "--kind", "bose", "--n", "4", "--p", "30"],
+    ["ops", "--kind", "bose", "--n", "4", "--p", "30", "--op", "annihilate", "--i", "2", "--json"],
+    ["ops", "--kind", "fermi", "--n", "14", "--p", "6", "--op", "create", "--i", "3", "--json",
+     "--normalization", "orthonormal"]]
+
+
+@pytest.mark.parametrize("argv, bound", zip(EXPORT_COMMANDS, [3e6, 3e6, 4.2e6, 3e6]),
+                         ids=["basis-json", "basis-csv", "ops-bose", "ops-fermi"])
+def test_export_commands_peak_below_their_bounds(tmp_path, argv, bound):
+    # the export workload's commands, written to a file; the per-vector writer and
+    # walk peaked at 0.44, 1.77, 4.11 and 2.08 MB here, the run writer and walk at
+    # 0.93, 0.68, 3.43 and 1.34 MB
+    argv = argv + ["-o", str(tmp_path / "out")]
+    assert cli.main(argv) == 0  # modules imported and caches warm before tracing
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
 
 
 def test_emit_refuses_a_bare_string():

@@ -36,10 +36,11 @@ from typing import Callable
 import pytest
 
 from fockcap import AlgebraSpec, Kind, cli, operators
+from fockcap.basis import iter_basis
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix
 
-from conftest import bumped, stepped
+from conftest import bumped, one_vector_runs, stepped
 
 SPECS = (AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2),
          AlgebraSpec(Kind.BOSE, 3, 2), AlgebraSpec(Kind.FERMI, 3, 3))
@@ -167,10 +168,11 @@ def _cap_fault(mp):
 
 
 def _enumeration_fault(edit):
-    """The enumeration that FockSpace.basis and the ladder walk both read, edited."""
+    """The enumeration that FockSpace.basis and the ladder walk both read, edited,
+    as one-vector runs at their seam operators.iter_runs."""
     def install(mp):
-        original = operators.iter_basis
-        mp.setattr(operators, "iter_basis", lambda spec: iter(edit(list(original(spec)))))
+        mp.setattr(operators, "iter_runs",
+                   lambda spec: one_vector_runs(edit(list(iter_basis(spec)))))
     return install
 
 

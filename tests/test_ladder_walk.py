@@ -13,11 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix, cli, operators
+from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix, basis, cli, operators
+from fockcap.basis import iter_basis
 from fockcap.operators import (ORTHONORMAL, UNNORMALIZED, BasisTag, _orthonormal_magnitude,
                                operator_json_payload, prefix_sign)
 
-from conftest import bumped, rank_map, small_grid
+from conftest import bumped, one_vector_runs, rank_map, small_grid
 
 NORMALIZATIONS = (UNNORMALIZED, ORTHONORMAL)
 
@@ -46,7 +47,7 @@ def rank_map_ladder(space, i, delta, normalization):
 
 
 def _bits(coefs):
-    return [(type(x), x.hex() if isinstance(x, float) else x) for x in coefs]
+    return [(type(x), repr(x)) for x in coefs]  # a float's repr round-trips its bits
 
 
 def _assert_walk_is_the_rank_map_route(spec):
@@ -79,15 +80,16 @@ def test_walk_stops_at_the_top_grade_not_at_the_cap():
 
 @pytest.mark.parametrize("edit", [lambda b: b[:1] + b[2:], lambda b: b[:2] + b[1:],
                                   lambda b: [b[1], b[0]] + b[2:], lambda b: b[:-1],
-                                  lambda b: b[::-1]],
-                         ids=["drop", "repeat", "swap-grades", "drop-last", "reversed"])
+                                  lambda b: b[::-1], lambda b: [v for v in b if sum(v) != 1]],
+                         ids=["drop", "repeat", "swap-grades", "drop-last", "reversed",
+                              "drop-grade"])
 @pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2)],
                          ids=lambda spec: f"{spec.kind.value}-{spec.n}-{spec.p}")
 def test_walk_over_a_faulty_enumeration_pairs_what_it_can(monkeypatch, spec, edit):
     # an operator comes back, one column per listed vector; every entry it holds
     # steps one grade in the direction of delta, and no row holds two entries
-    original = operators.iter_basis
-    monkeypatch.setattr(operators, "iter_basis", lambda s: iter(edit(list(original(s)))))
+    monkeypatch.setattr(operators, "iter_runs",
+                        lambda s: one_vector_runs(edit(list(iter_basis(s)))))
     space = FockSpace(spec)
     listed = space.basis
     for i in range(1, spec.n + 1):
@@ -101,22 +103,44 @@ def test_walk_over_a_faulty_enumeration_pairs_what_it_can(monkeypatch, spec, edi
                     assert sum(listed[r]) == sum(listed[c]) + delta
 
 
-def test_the_walk_reads_the_enumeration_through_operators_iter_basis(monkeypatch):
+def test_the_walk_reads_the_enumeration_through_operators_iter_runs(monkeypatch):
     # the fault catalogue and the tests above inject enumerations by this name
     calls = []
-    original = operators.iter_basis
+    original = operators.iter_runs
 
     def recorded(spec):
         calls.append(spec)
         return original(spec)
 
-    monkeypatch.setattr(operators, "iter_basis", recorded)
+    monkeypatch.setattr(operators, "iter_runs", recorded)
     spec = AlgebraSpec(Kind.BOSE, 3, 4)
     space = FockSpace(spec)
     assert space.ladder(2, +1).nnz and calls == [spec]
     assert space.ladder(2, -1, ORTHONORMAL).nnz and calls == [spec, spec]
-    monkeypatch.setattr(operators, "iter_basis", lambda s: iter(list(original(s))[::-1]))
+    monkeypatch.setattr(operators, "iter_runs",
+                        lambda s: one_vector_runs(list(iter_basis(s))[::-1]))
     assert FockSpace(spec).ladder(2, +1).nnz == 0  # reversed: no grade k + 1 follows grade k
+
+
+def test_a_bose_unnormalized_walk_forms_no_vector(monkeypatch):
+    # its coefficients, 1 and w_i (p - k + 1), read the column of v_i alone; the guard
+    # catches (a,) + w, which a sign or an orthonormal magnitude needs
+    class Suffix(tuple):
+        def __radd__(self, head):
+            raise AssertionError("formed a vector")
+
+    spec = AlgebraSpec(Kind.BOSE, 3, 5)
+    keys = [(i, delta) for i in range(1, spec.n + 1) for delta in (+1, -1)]
+    want = FockSpace(spec)
+    want = {key: want.ladder(*key) for key in keys}
+    runs = [(k, a, [Suffix(w) for w in row]) for k, a, row in basis.iter_runs(spec)]
+    monkeypatch.setattr(operators, "iter_runs", lambda s: iter(runs))
+    space = FockSpace(spec)
+    for key in keys:
+        got = space.ladder(*key)
+        assert (got.target, got.coef) == (want[key].target, want[key].coef), key
+    with pytest.raises(AssertionError, match="formed a vector"):
+        space.ladder(1, +1, ORTHONORMAL)
 
 
 def test_the_walk_reads_no_basis_list_and_no_rank_map(monkeypatch):

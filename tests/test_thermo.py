@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fockcap import (AlgebraSpec, Kind, basis, character, cli, dimension, enumerate_basis,
-                     graded_dimensions, occupation_summary, operators)
+                     graded_dimensions, occupation_summary)
 from fockcap.thermo import thermo_csv
 
 from conftest import small_grid
@@ -227,8 +227,8 @@ def test_thermo_command_builds_no_basis(monkeypatch, capsys, built_spaces):
     def refuse(*args, **kwargs):
         raise AssertionError("thermo built a basis")
 
-    for module in (basis, operators):  # basis.enumerate_basis reads basis.iter_basis
-        monkeypatch.setattr(module, "iter_basis", refuse)
+    # every enumeration (iter_basis, iter_runs, basis_text) reads the suffix table
+    monkeypatch.setattr(basis, "_suffix_table", refuse)
     argv = ["thermo", "--kind", "bose", "--n", "3", "--p", "4", "--beta", "0.5,2",
             "--mu=-1,0.5", "--energies", "1,0,-0.5"]
     for extra in ([], ["--json"]):
