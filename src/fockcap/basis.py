@@ -15,6 +15,16 @@ from math import comb, log, log1p
 from typing import Iterator, NamedTuple, Sequence
 
 OccupationVector = tuple[int, ...]
+# The option values the command line offers.  Every command imports this module, so
+# they live here and the parser loads no other; operators, relations and lie import
+# them again by name.
+UNNORMALIZED = "unnormalized"
+ORTHONORMAL = "orthonormal"
+# Backends of the relation and spectrum reports.
+EXACT = "exact"
+FLOAT = "float"
+# The named subsets of the Lie-structure suite (lie.run_lie_suite).
+LIE_CHECKS = ("brackets", "identify", "branching")
 # Rows of a basis listing joined into one block of text, as many as cli.CHUNK_ROWS: about
 # 32 KB of JSON rows.  Blocks of 1024 rows, no faster, made a pipe reader's heap grow.
 BLOCK_ROWS = 256

@@ -3,6 +3,10 @@
 Deterministic, machine-readable reports over the capped Fock algebras.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
 3 I/O failure.
+
+Only basis is imported here, for the parser; each command imports what it
+runs, so the package's lazily loaded modules that it does not call are never
+executed (see fockcap/__init__.py).
 """
 
 from __future__ import annotations
@@ -14,19 +18,11 @@ import math
 import os
 import stat
 import sys
-import tempfile
-from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .basis import (AlgebraSpec, Kind, basis_csv, basis_text, dimension, fermi_cap_note,
-                    graded_dimensions, log10_dimension_bound)
-from .lie import LIE_CHECKS, run_lie_suite
-from .models import (diagonal_level_counts, diagonal_table, quadratic_hamiltonian_spectrum,
-                     toy_levels, toy_spectrum)
-from .operators import (EXACT, FLOAT, ORTHONORMAL, UNNORMALIZED, FockSpace, normalize,
-                        operator_json_payload)
-from .relations import run_grid, run_suite
-from .thermo import sweep, thermo_csv
+from .basis import (EXACT, FLOAT, LIE_CHECKS, ORTHONORMAL, UNNORMALIZED, AlgebraSpec, Kind,
+                    basis_csv, basis_text, dimension, fermi_cap_note, graded_dimensions,
+                    log10_dimension_bound)
 
 OP_CHOICES = ("create", "annihilate", "number", "eij")
 # CPython converts an int of at most MAX_DIGITS digits to text, so exact output can print no
@@ -116,6 +112,8 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         return
+    import tempfile  # here: of all commands, only an output file needs it
+
     target = os.path.realpath(out)  # through a symlink, as open(out, "w") writes
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".fockcap-", suffix=".tmp")
@@ -153,7 +151,9 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _fraction_list(text: str) -> list[Fraction]:
+def _fraction_list(text: str) -> list:
+    from fractions import Fraction
+
     literals = [x.strip() for x in text.split(",") if x.strip()]
     for literal in literals:  # refuse a huge exponent from the text, before 10**|e| is formed
         digits = literal.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
@@ -207,6 +207,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_ops(args) -> int:
+    from .operators import FockSpace, normalize, operator_json_payload
+
     spec = _spec_from_args(args)
     for flag, value, used in (("--i", args.i, args.op != "number"),
                               ("--j", args.j, args.op == "eij")):
@@ -260,6 +262,8 @@ def _emit_reports(reports, args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .relations import run_grid, run_suite
+
     if args.grid is not None:
         if (args.kind, args.n, args.p) != (None, None, None):
             raise ValueError("--grid cannot be combined with --kind/--n/--p")
@@ -275,10 +279,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lie(args) -> int:
+    from .lie import run_lie_suite
+
     return _emit_reports(run_lie_suite(_spec_from_args(args), args.check), args)
 
 
 def cmd_thermo(args) -> int:
+    from .thermo import sweep, thermo_csv
+
     spec = _spec_from_args(args)
     betas = _float_list(args.beta)
     mus = _float_list(args.mu)
@@ -295,6 +303,8 @@ def cmd_thermo(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .models import diagonal_level_counts, diagonal_table, quadratic_hamiltonian_spectrum
+
     spec = _spec_from_args(args)
     if args.energies is None and args.matrix_file is None:
         raise ValueError("one of --energies or --matrix-file is required")
@@ -330,6 +340,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_toy(args) -> int:
+    from .models import toy_levels, toy_spectrum
+
     levels = toy_levels(args.p)
     spectrum = toy_spectrum(args.p)
     if args.json:

@@ -28,12 +28,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import AlgebraSpec, Kind, graded_dimensions
-from .operators import EXACT, FLOAT, ORTHONORMAL, FockSpace, grade_diagonal, normalize
+from .basis import EXACT, FLOAT, LIE_CHECKS, ORTHONORMAL, AlgebraSpec, Kind, graded_dimensions
+from .operators import FockSpace, grade_diagonal, normalize
 from .relations import RelationReport, _report
 from .sparse import MonomialMatrix, bracket, orbit_ranks
-
-LIE_CHECKS = ("brackets", "identify", "branching")
 
 
 def diagonal_action_value(spec: AlgebraSpec, v: Sequence[int], i: int) -> int:

@@ -37,8 +37,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .basis import AlgebraSpec
-from .operators import EXACT, FLOAT
+from .basis import EXACT, FLOAT, AlgebraSpec
 
 CLUSTER_TOL = 1e-9
 

@@ -41,14 +41,10 @@ from itertools import chain, compress, groupby, repeat
 from operator import itemgetter, truediv
 from typing import Iterator, NamedTuple, Sequence
 
-from .basis import AlgebraSpec, Kind, OccupationVector, grade_offsets, iter_runs
+from .basis import EXACT, FLOAT  # noqa: F401  (the backends, importable from here as before)
+from .basis import (ORTHONORMAL, UNNORMALIZED, AlgebraSpec, Kind, OccupationVector,
+                    grade_offsets, iter_runs)
 from .sparse import MonomialMatrix, _filled, bracket
-
-UNNORMALIZED = "unnormalized"
-ORTHONORMAL = "orthonormal"
-# Backends of the relation and spectrum reports.
-EXACT = "exact"
-FLOAT = "float"
 
 
 class BasisTag(NamedTuple):
@@ -75,10 +71,11 @@ class FockSpace:
     as the ratio gram_ratio.  Each is built on first use and at most once.  The
     matrices it hands out are shared by every caller of the space and must
     not be mutated.  The basis, the grades and the ladder walks all read the
-    enumeration's runs (basis.iter_runs), so a space asked only for ladders
-    and their products builds no basis list; a walk holds the enumeration's
-    (n-1)-mode suffix table (about n/(n + top) of the basis for Bose), the
-    grade it is at and what still waits from the grade below.
+    enumeration's runs, listed once by the seam iter_runs (basis.iter_runs),
+    so a space asked only for ladders and their products builds no basis
+    list; the runs hold the enumeration's (n-1)-mode suffix table (about
+    n/(n + top) of the basis for Bose), and a walk holds besides the grade it
+    is at and what still waits from the grade below.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -90,13 +87,18 @@ class FockSpace:
         self._grade_ratios: dict[tuple[int, int], tuple[int, int]] = {}  # by (k_r, k_c)
 
     @cached_property
+    def runs(self) -> list[tuple[int, int, list[OccupationVector]]]:
+        """The enumeration as its runs (k, a, row) (see basis._runs), read once."""
+        return list(iter_runs(self.spec))
+
+    @cached_property
     def basis(self) -> list[OccupationVector]:
-        return [head + w for _, a, row in iter_runs(self.spec) for head in ((a,),) for w in row]
+        return [head + w for _, a, row in self.runs for head in ((a,),) for w in row]
 
     @cached_property
     def grades(self) -> list[int]:
         """Total occupation of each basis vector, by rank: k for each vector of a run."""
-        return list(chain.from_iterable(repeat(k, len(row)) for k, _, row in iter_runs(self.spec)))
+        return list(chain.from_iterable(repeat(k, len(row)) for k, _, row in self.runs))
 
     @cached_property
     def offsets(self) -> list[int]:
@@ -168,7 +170,7 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
     are the pair (v, v + e_i).  a_i^+ sends the A vector to the B vector,
     a_i^- the B vector to the A vector; every other column is empty.  No
     v +- e_i is formed and no rank is looked up.  The walk reads the runs
-    (k, a, row) of the seam iter_runs a grade at a time, v_i being the head
+    (k, a, row) of space.runs a grade at a time, v_i being the head
     a (i = 1) or an entry of each suffix in row.  The A_k wait in a list
     keyed by their grade, and the B_{k+1} take them from its front: over a
     faulty enumeration (a vector dropped, repeated or out of its grade)
@@ -192,7 +194,7 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
     empty = 0.0 if orthonormal else 0  # the coefficient of an empty column
     ranks, targets, coefs = space._ranks, [], []
     waiting: dict[int, tuple[list, list]] = {}  # grade k -> ranks, vectors of the A_k not paired
-    for k, runs in groupby(iter_runs(spec), itemgetter(0)):
+    for k, runs in groupby(space.runs, itemgetter(0)):
         runs = list(runs)
         column = []  # v_i of each vector of the grade
         for _, a, row in runs:

@@ -33,9 +33,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .basis import AlgebraSpec, Kind, dimension, enumerate_basis
-from .operators import (EXACT, FLOAT, ORTHONORMAL, FockSpace, _orthonormal_magnitude,
-                        grade_diagonal, normalize)
+from .basis import EXACT, FLOAT, ORTHONORMAL, AlgebraSpec, Kind, dimension, enumerate_basis
+from .operators import FockSpace, _orthonormal_magnitude, grade_diagonal, normalize
 from .sparse import MonomialMatrix, _filled, bracket, orbit_ranks
 
 FLOAT_TOL = 1e-12

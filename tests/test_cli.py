@@ -35,20 +35,99 @@ def test_importing_the_cli_leaves_numpy_unloaded():
                    env={**os.environ, "PYTHONPATH": src}, check=True)
 
 
-def test_importing_the_cli_loads_every_module_and_no_dataclasses():
+def _fockcap_modules(src, code):
+    """Run code in a fresh interpreter; return the fockcap modules in sys.modules
+    then, those it executed (a lazily registered module that was never used is
+    still a LazyLoader module, not a types.ModuleType) and what code printed."""
+    script = (code + "\nimport json, sys, types\n"
+              "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'fockcap'), "
+              "sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'fockcap' "
+              "and type(mod) is types.ModuleType)]))")
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    *printed, last = out.splitlines()
+    return *json.loads(last), printed
+
+
+def test_importing_the_cli_registers_every_module_and_runs_only_basis():
     # dataclasses would pull in inspect, ast, dis and tokenize at every start-up; the
-    # benchmark's tracer reads every fockcap module from sys.modules right after the import
+    # benchmark's tracer reads every fockcap module from sys.modules right after the
+    # import, and the lazy ones load when it reads them
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     package = os.path.dirname(os.path.abspath(cli.__file__))
     modules = sorted(["fockcap"] + [f"fockcap.{name[:-3]}" for name in os.listdir(package)
                                     if name.endswith(".py") and name != "__init__.py"])
-    out = subprocess.run([sys.executable, "-c",
-                          "import fockcap.cli, json, sys; print(json.dumps("
-                          "[sorted(m for m in sys.modules if m.split('.')[0] == 'fockcap'), "
-                          "'dataclasses' in sys.modules, 'inspect' in sys.modules]))"],
-                         env={**os.environ, "PYTHONPATH": src}, check=True,
-                         capture_output=True, text=True).stdout
-    assert json.loads(out) == [modules, False, False]
+    present, executed, printed = _fockcap_modules(
+        src, "import fockcap.cli, sys; print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert present == modules and len(modules) == 9
+    assert executed == ["fockcap", "fockcap.basis", "fockcap.cli"]
+    assert printed == ["False False"]
+
+
+# The fockcap modules besides the package, cli and basis that each command executes.
+COMMAND_MODULES = [
+    (["dim", "--kind", "bose", "--n", "2", "--p", "3"], []),
+    (["basis", "--kind", "fermi", "--n", "3", "--p", "2"], []),
+    (["spectrum", "--kind", "bose", "--n", "2", "--p", "3", "--energies", "1,2"], ["models"]),
+    (["toy", "--p", "4"], ["models"]),
+    (["thermo", "--kind", "bose", "--n", "2", "--p", "3", "--beta", "1", "--mu", "0"],
+     ["thermo"]),
+    (["ops", "--kind", "bose", "--n", "2", "--p", "3", "--op", "annihilate", "--i", "1"],
+     ["operators", "sparse"]),
+    (["verify", "--kind", "bose", "--n", "2", "--p", "2"], ["operators", "relations", "sparse"]),
+    (["lie", "--kind", "fermi", "--n", "2", "--p", "1"],
+     ["lie", "operators", "relations", "sparse"]),
+]
+
+
+@pytest.mark.parametrize("argv,modules", COMMAND_MODULES, ids=[a[0] for a, _ in COMMAND_MODULES])
+def test_each_command_executes_only_the_modules_it_runs(argv, modules):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    present, executed, printed = _fockcap_modules(
+        src, "import contextlib, io\nfrom fockcap import cli\nwith contextlib.redirect_stdout("
+             f"io.StringIO()) as out:\n    code = cli.main({argv!r})\n"
+             "print(code, bool(out.getvalue()))")
+    assert printed == ["0 True"]
+    assert len(present) == 9
+    assert executed == sorted(["fockcap", "fockcap.basis", "fockcap.cli"]
+                              + [f"fockcap.{name}" for name in modules])
+
+
+# Every name the package re-exports, by its home module.
+PACKAGE_EXPORTS = {
+    "basis": ["AlgebraSpec", "Kind", "OccupationVector", "basis_csv", "dimension",
+              "enumerate_basis", "fermi_cap_note", "graded_dimensions", "grade_offsets"],
+    "lie": ["check_adjoint_action", "check_branching", "check_gl_commutators",
+            "check_identification", "diagonal_action_value", "extended_rescaled_generators",
+            "run_lie_suite", "weight_vector"],
+    "models": ["SpectrumReport", "diagonal_level_counts", "diagonal_spectrum",
+               "quadratic_hamiltonian_spectrum", "toy_levels", "toy_spectrum"],
+    "operators": ["FockSpace", "normalize", "operator_json_payload"],
+    "relations": ["ClassicalLimitReport", "RelationReport", "check_backend_agreement",
+                  "check_cap", "check_classical_limit", "check_hermiticity", "check_mixed",
+                  "check_number", "check_pp", "check_vacuum_cyclic", "run_grid", "run_suite"],
+    "sparse": ["MonomialMatrix"],
+    "thermo": ["CharacterPolynomial", "character", "occupation_summary", "sweep"],
+}
+
+
+def test_the_package_names_are_those_of_their_modules():
+    import importlib
+
+    import fockcap
+    for module, names in PACKAGE_EXPORTS.items():
+        home = importlib.import_module(f"fockcap.{module}")
+        assert getattr(fockcap, module) is home
+        for name in names:
+            assert getattr(fockcap, name) is getattr(home, name), (module, name)
+            assert name in dir(fockcap)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fockcap.no_such_name
+    for module in ("operators", "relations"):  # the constants that moved to basis
+        for name in ("EXACT", "FLOAT", "ORTHONORMAL"):
+            assert getattr(importlib.import_module(f"fockcap.{module}"), name) \
+                is getattr(basis, name)
+    assert fockcap.lie.LIE_CHECKS is basis.LIE_CHECKS
 
 
 def test_a_diagonal_float_spectrum_leaves_numpy_unloaded():
@@ -284,6 +363,7 @@ def test_verify_grid_refuses_a_spec(capsys, spec):
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
+    from fockcap import relations
     from fockcap.relations import RelationReport
     from fockcap import AlgebraSpec, Kind
     from fractions import Fraction
@@ -292,7 +372,7 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
         spec = AlgebraSpec(Kind.FERMI, 1, 1)
         return [RelationReport("mixed-ladder", spec, (1, 1), Fraction(1), False)]
 
-    monkeypatch.setattr(cli, "run_grid", fake_grid)
+    monkeypatch.setattr(relations, "run_grid", fake_grid)  # cmd_verify imports it when run
     code, out, _ = run_cli(capsys, "verify", "--grid", "1", "1")
     assert code == 1
     assert "FAIL" in out

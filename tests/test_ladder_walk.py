@@ -116,7 +116,10 @@ def test_the_walk_reads_the_enumeration_through_operators_iter_runs(monkeypatch)
     spec = AlgebraSpec(Kind.BOSE, 3, 4)
     space = FockSpace(spec)
     assert space.ladder(2, +1).nnz and calls == [spec]
-    assert space.ladder(2, -1, ORTHONORMAL).nnz and calls == [spec, spec]
+    # a space reads the enumeration once: its other walks, basis and grades reuse it
+    assert space.ladder(2, -1, ORTHONORMAL).nnz and calls == [spec]
+    assert len(space.basis) == len(space.grades) == 35 and calls == [spec]
+    assert FockSpace(spec).ladder(1, +1).nnz and calls == [spec, spec]
     monkeypatch.setattr(operators, "iter_runs",
                         lambda s: one_vector_runs(list(iter_basis(s))[::-1]))
     assert FockSpace(spec).ladder(2, +1).nnz == 0  # reversed: no grade k + 1 follows grade k
