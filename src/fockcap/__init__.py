@@ -12,8 +12,8 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # Each re-exported name, by the submodule that defines it.
 _EXPORTS = {name: module for module, names in (
-    ("basis", "AlgebraSpec Kind OccupationVector basis_csv dimension enumerate_basis "
-              "fermi_cap_note graded_dimensions grade_offsets"),
+    ("basis", "AlgebraSpec Kind OccupationVector basis_csv dimension fermi_cap_note "
+              "graded_dimensions grade_offsets"),
     ("lie", "check_adjoint_action check_branching check_gl_commutators check_identification "
             "diagonal_action_value extended_rescaled_generators run_lie_suite weight_vector"),
     ("models", "SpectrumReport diagonal_level_counts diagonal_spectrum "

@@ -25,8 +25,9 @@ EXACT = "exact"
 FLOAT = "float"
 # The named subsets of the Lie-structure suite (lie.run_lie_suite).
 LIE_CHECKS = ("brackets", "identify", "branching")
-# Rows of a basis listing joined into one block of text, as many as cli.CHUNK_ROWS: about
-# 32 KB of JSON rows.  Blocks of 1024 rows, no faster, made a pipe reader's heap grow.
+# Rows of a basis listing, or of any streamed JSON array (cli._dump_json_rows), joined
+# into one block of text: about 32 KB of JSON rows.  Blocks of 1024 rows, no faster, made
+# a pipe reader's heap grow.
 BLOCK_ROWS = 256
 
 
@@ -149,19 +150,6 @@ def _runs(spec: AlgebraSpec, table: list[list]) -> Iterator[tuple[int, int, list
 def iter_runs(spec: AlgebraSpec) -> Iterator[tuple[int, int, list[OccupationVector]]]:
     """The canonical order as the runs (k, a, row) of the suffix table (see _runs)."""
     return _runs(spec, _suffix_table(spec))
-
-
-def iter_basis(spec: AlgebraSpec) -> Iterator[OccupationVector]:
-    """The basis vectors in canonical (graded, then lex) order, one at a time."""
-    for _, a, row in iter_runs(spec):
-        head = (a,)
-        for w in row:
-            yield head + w
-
-
-def enumerate_basis(spec: AlgebraSpec) -> list[OccupationVector]:
-    """All basis vectors in canonical (graded, then lex) order."""
-    return list(iter_basis(spec))
 
 
 def graded_dimensions(spec: AlgebraSpec) -> list[int]:

@@ -20,6 +20,7 @@ import stat
 import sys
 from typing import Iterable, Iterator
 
+from . import basis
 from .basis import (EXACT, FLOAT, LIE_CHECKS, ORTHONORMAL, UNNORMALIZED, AlgebraSpec, Kind,
                     basis_csv, basis_text, dimension, fermi_cap_note, graded_dimensions,
                     log10_dimension_bound)
@@ -33,9 +34,6 @@ MAX_EXPONENT = MAX_DIGITS - 1
 # JSON tokens joined into one write: enough that the cost of a call vanishes, few enough
 # that a chunk stays far below the output it is part of.
 CHUNK_PIECES = 8192
-# Rows of a streamed JSON array joined into one write: a row of about 30 encoder tokens
-# and 128 bytes, such as an occupation row, takes as much as CHUNK_PIECES tokens would.
-CHUNK_ROWS = CHUNK_PIECES // 32
 # Stands in for a value whose text is filled in later: a string the encoder always writes
 # as the same escape, and no payload or row template holds otherwise.
 _HOLE = "\0"
@@ -78,11 +76,12 @@ def _dump_json_rows(payload, key, rows: Iterable[tuple], sample) -> Iterator[str
     Each row is a flat tuple, one value for each _HOLE of sample, in encoding order:
     ints, finite floats (formatted as the encoder writes them, float.__repr__), and
     strings passed already encoded, as json.dumps(text) gives them.  Each row fills one
-    str.format template of the parts of _row_layout."""
+    str.format template of the parts of _row_layout, and basis.BLOCK_ROWS rows make a
+    write."""
     opening, parts, closing = _row_layout(payload, key, sample)
     fill = "{}".join(part.replace("{", "{{").replace("}", "}}") for part in parts).format
     texts = itertools.starmap(fill, rows)
-    while chunk := "".join(itertools.islice(texts, CHUNK_ROWS)):
+    while chunk := "".join(itertools.islice(texts, basis.BLOCK_ROWS)):
         yield opening + chunk[1:] if opening else chunk
         opening = ""
     yield closing if not opening else opening + closing.lstrip()

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, groupby, repeat
 from operator import itemgetter, truediv
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .basis import EXACT, FLOAT  # noqa: F401  (the backends, importable from here as before)
 from .basis import (ORTHONORMAL, UNNORMALIZED, AlgebraSpec, Kind, OccupationVector,
@@ -57,11 +57,6 @@ def _check_mode(spec: AlgebraSpec, i: int) -> None:
         raise ValueError(f"mode index {i!r} out of range 1..{spec.n}")
 
 
-def prefix_sign(v: Sequence[int], i: int) -> int:
-    """Fermionic reordering sign (-1)^(v_1+...+v_{i-1}) for 1-based mode i."""
-    return -1 if sum(v[: i - 1]) % 2 else 1
-
-
 class FockSpace:
     """Everything the checks and the CLI read of one capped Fock space.
 
@@ -75,7 +70,8 @@ class FockSpace:
     so a space asked only for ladders and their products builds no basis
     list; the runs hold the enumeration's (n-1)-mode suffix table (about
     n/(n + top) of the basis for Bose), and a walk holds besides the grade it
-    is at and what still waits from the grade below.
+    is at and the ranks that still wait from the grade below.  basis is the
+    one place that forms whole vectors (a,) + w.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -178,56 +174,53 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
     no entry.
 
     The coefficients are those of the column vector v, at grade k = |v|.
-    The Fermi sign prefix_sign reads modes 1..i-1, the same for v and v +- e_i.
-    With u the one of the pair that holds more quanta (the B vector), the
-    orthonormal entry is sign*sqrt(u_i (p-|u|+1)/p) either way: the oracle
-    route of FockSpace.ladder, compared with normalize() by
-    check_backend_agreement (acceptance criterion 8).  The unnormalized basis
-    puts the whole square on a_i^-, as the integer sign*v_i*(p-|v|+1) over
-    the denominator p, and 1 on a_i^+.  Only prefix_sign and
-    _orthonormal_magnitude read whole vectors: a Bose unnormalized ladder
-    forms none.
+    The Fermi sign_i reads modes 1..i-1, which v and v +- e_i share, so it is
+    read on the one of the pair that holds more quanta, the B vector u: the
+    parity of its head a and the first i - 2 entries of its suffix.  The
+    orthonormal entry is sign*sqrt(u_i (p-|u|+1)/p) either way
+    (_orthonormal_magnitude): the oracle route of FockSpace.ladder, compared
+    with normalize() by check_backend_agreement (acceptance criterion 8).
+    The unnormalized basis puts the whole square on a_i^-, as the integer
+    sign*v_i*(p-|v|+1) over the denominator p, and 1 on a_i^+.  So each
+    coefficient reads v_i, the grade and that parity; no walk forms a
+    vector, and the A_k wait as ranks.
     """
     spec, p, m = space.spec, space.spec.p, i - 1
     fermi, bound = spec.kind is Kind.FERMI, spec.max_entry
     orthonormal = normalization == ORTHONORMAL
     empty = 0.0 if orthonormal else 0  # the coefficient of an empty column
     ranks, targets, coefs = space._ranks, [], []
-    waiting: dict[int, tuple[list, list]] = {}  # grade k -> ranks, vectors of the A_k not paired
+    waiting: dict[int, list[int]] = {}  # grade k -> ranks of the A_k not paired
     for k, runs in groupby(space.runs, itemgetter(0)):
-        runs = list(runs)
         column = []  # v_i of each vector of the grade
+        signs = []  # sign_i of each B vector of the grade, for Fermi past mode 1
         for _, a, row in runs:
             column += [a] * len(row) if m == 0 else map(itemgetter(m - 1), row)
+            if fermi and m:
+                signs += [-1 if (a + sum(w[:m - 1])) & 1 else 1 for w in row if w[m - 1]]
         r0, size = len(targets), len(column)
         ranks.extend(range(len(ranks), r0 + size))
         grade = ranks[r0:r0 + size]
         targets += [-1] * size
         coefs += [empty] * size
-        vectors = ([(a,) + w for _, a, row in runs for w in row] if fermi or orthonormal
-                   else column)
         # the j-th B pairs with the j-th A waiting; zip stops at the shorter list
-        a_ranks, a_vectors = waiting.get(k - 1, ([], []))
-        b_ranks, b_vectors = list(compress(grade, column)), list(compress(vectors, column))
+        a_ranks, b_ranks = waiting.get(k - 1, []), list(compress(grade, column))
         if orthonormal:
-            values = [_orthonormal_magnitude(w, i, p) for w in b_vectors]
+            values = [_orthonormal_magnitude(x, k, p) for x in compress(column, column)]
         elif delta > 0:
             values = repeat(1)
         else:
             values = [x * (p - k + 1) for x in compress(column, column)]
-        if fermi:
-            signed = a_vectors if delta > 0 else b_vectors
-            values = [prefix_sign(v, i) * x for v, x in zip(signed, values)]
+        if signs:
+            values = [s * x for s, x in zip(signs, values)]
         cols, rows = (a_ranks, b_ranks) if delta > 0 else (b_ranks, a_ranks)
         for c, r, x in zip(cols, rows, values):
             targets[c] = r
             coefs[c] = x
-        del a_ranks[:len(b_ranks)], a_vectors[:len(b_ranks)]
+        del a_ranks[:len(b_ranks)]
         if k < p:  # every v_i <= k is below the bound when k is
             below = repeat(True) if k < bound else [x < bound for x in column]
-            a_ranks, a_vectors = waiting.setdefault(k, ([], []))
-            a_ranks += compress(grade, below)
-            a_vectors += compress(vectors, below)
+            waiting.setdefault(k, []).extend(compress(grade, below))
     denom = 1 if orthonormal or delta > 0 else p
     # the lists end in the kernel's empty slot and are handed over, not copied
     targets.append(-1)
@@ -236,10 +229,11 @@ def _ladder_matrix(space: FockSpace, i: int, delta: int, normalization: str) -> 
                    BasisTag(spec, normalization))
 
 
-def _orthonormal_magnitude(u: Sequence[int], i: int, p: int) -> float:
-    """|<u|a_i^+|u - e_i>| = |<u - e_i|a_i^-|u>| on the orthonormal basis:
-    sqrt(u_i (p - |u| + 1)/p), which tends to the uncapped sqrt(u_i) as p grows."""
-    return math.sqrt(u[i - 1] * (p - sum(u) + 1) / p)
+def _orthonormal_magnitude(x: int, k: int, p: int) -> float:
+    """|<u|a_i^+|u - e_i>| = |<u - e_i|a_i^-|u>| on the orthonormal basis, for u
+    of grade k with u_i = x: sqrt(x (p - k + 1)/p), which tends to the uncapped
+    sqrt(x) as p grows."""
+    return math.sqrt(x * (p - k + 1) / p)
 
 
 def _number_matrix(space: FockSpace, normalization: str) -> MonomialMatrix:

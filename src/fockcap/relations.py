@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .basis import EXACT, FLOAT, ORTHONORMAL, AlgebraSpec, Kind, dimension, enumerate_basis
+from .basis import EXACT, FLOAT, ORTHONORMAL, AlgebraSpec, Kind, dimension
 from .operators import FockSpace, _orthonormal_magnitude, grade_diagonal, normalize
 from .sparse import MonomialMatrix, _filled, bracket, orbit_ranks
 
@@ -259,9 +259,9 @@ def _window_deviation(kind: Kind, n: int, window_cap: int, p: int) -> float:
     window_cap), between the cap-p orthonormal ladder coefficients and the
     ordinary fermion/boson ones.  Each element belongs to the window state u
     that holds more quanta; its uncapped value is sqrt(u_i) for both kinds."""
-    return max((abs(_orthonormal_magnitude(u, i, p) - math.sqrt(u[i - 1]))
-                for u in enumerate_basis(AlgebraSpec(kind, n, window_cap))
-                for i in range(1, n + 1) if u[i - 1] > 0), default=0.0)
+    return max((abs(_orthonormal_magnitude(x, sum(u), p) - math.sqrt(x))
+                for u in FockSpace(AlgebraSpec(kind, n, window_cap)).basis
+                for x in u if x > 0), default=0.0)
 
 
 def check_classical_limit(kind: Kind, n: int, window_cap: int,

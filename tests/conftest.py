@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix, models
+from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix, basis, models
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, BasisTag, grade_diagonal
 
 
@@ -26,10 +26,12 @@ def brute_basis(spec):
     return sorted(vectors, key=lambda v: (sum(v), v))
 
 
-def one_vector_runs(vectors):
-    """The vectors as the enumeration's runs (k, a, row), one run (|v|, v_1, [v_2..v_n])
-    a vector: how a listed, possibly faulty, enumeration is injected at the seam
-    operators.iter_runs that FockSpace.basis, FockSpace.grades and the ladder walk read."""
+def one_vector_runs(spec, edit):
+    """The basis of spec, listed and then edited by edit, as the enumeration's runs
+    (k, a, row), one run (|v|, v_1, [v_2..v_n]) a vector: how a faulty enumeration is
+    injected at the seam operators.iter_runs that FockSpace.basis, FockSpace.grades and
+    the ladder walk read.  The list is read from basis.iter_runs, not from the seam."""
+    vectors = edit([(a,) + w for _, a, row in basis.iter_runs(spec) for w in row])
     return iter([(sum(v), v[0], [v[1:]]) for v in vectors])
 
 

@@ -12,9 +12,9 @@ from math import comb, factorial
 from fockcap import (AlgebraSpec, FockSpace, Kind, check_backend_agreement, check_cap,
                      check_classical_limit, check_hermiticity, check_mixed,
                      check_number, check_pp, check_vacuum_cyclic,
-                     diagonal_spectrum, dimension, enumerate_basis,
-                     graded_dimensions, normalize, quadratic_hamiltonian_spectrum,
-                     run_lie_suite, run_suite, toy_levels, toy_spectrum)
+                     diagonal_spectrum, dimension, graded_dimensions, normalize,
+                     quadratic_hamiltonian_spectrum, run_lie_suite, run_suite, toy_levels,
+                     toy_spectrum)
 from fockcap.relations import EXACT, FLOAT
 
 from conftest import diagonal_hamiltonian, gram_matrix, normalize_by_gram, spectrum_of_diagonal
@@ -58,7 +58,7 @@ def test_criterion_2_gram_formulas_and_oracle():
     for spec in GRID:
         space = FockSpace(spec)
         gram = gram_matrix(space)
-        basis = enumerate_basis(spec)
+        basis = space.basis
         values = [gram.get(r, r) for r in range(len(basis))]
         # closed forms
         for g, v in zip(values, basis):
@@ -102,7 +102,7 @@ def test_criterion_3_dimensions_and_grading():
         top = 1 if spec.kind is Kind.FERMI else spec.p
         brute = sorted((v for v in itertools.product(range(top + 1), repeat=spec.n)
                         if sum(v) <= spec.p), key=lambda v: (sum(v), v))
-        assert enumerate_basis(spec) == brute
+        assert FockSpace(spec).basis == brute
         assert dimension(spec) == len(brute) == sum(graded)
         checked += 1
     _announce(3, "dimensions and grading vs closed forms and brute force", True,

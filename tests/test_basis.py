@@ -4,16 +4,16 @@ from math import comb, log10
 
 import pytest
 
-from fockcap import (AlgebraSpec, Kind, basis_csv, dimension, enumerate_basis,
-                     fermi_cap_note, graded_dimensions, grade_offsets)
-from fockcap.basis import iter_basis, log10_dimension_bound
+from fockcap import (AlgebraSpec, FockSpace, Kind, basis_csv, dimension, fermi_cap_note,
+                     graded_dimensions, grade_offsets)
+from fockcap.basis import log10_dimension_bound
 
 from conftest import brute_basis, small_grid
 
 
 def test_enumeration_matches_brute_force_oracle():
     for spec in small_grid(4, 4):
-        assert enumerate_basis(spec) == brute_basis(spec)
+        assert FockSpace(spec).basis == brute_basis(spec)
 
 
 def test_sign_and_top_of_a_spec():
@@ -27,9 +27,9 @@ def test_sign_and_top_of_a_spec():
 
 
 def test_frozen_orderings():
-    assert enumerate_basis(AlgebraSpec(Kind.FERMI, 2, 1)) == [(0, 0), (0, 1), (1, 0)]
-    assert enumerate_basis(AlgebraSpec(Kind.FERMI, 1, 1)) == [(0,), (1,)]
-    assert enumerate_basis(AlgebraSpec(Kind.BOSE, 2, 2)) == [
+    assert FockSpace(AlgebraSpec(Kind.FERMI, 2, 1)).basis == [(0, 0), (0, 1), (1, 0)]
+    assert FockSpace(AlgebraSpec(Kind.FERMI, 1, 1)).basis == [(0,), (1,)]
+    assert FockSpace(AlgebraSpec(Kind.BOSE, 2, 2)).basis == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
@@ -56,7 +56,7 @@ def test_dimension_equals_enumeration_and_grade_sum():
             for p in range(1, 7):
                 spec = AlgebraSpec(kind, n, p)
                 graded = graded_dimensions(spec)
-                assert dimension(spec) == len(enumerate_basis(spec)) == sum(graded)
+                assert dimension(spec) == len(FockSpace(spec).basis) == sum(graded)
 
 
 def test_graded_dimensions_are_binomials():
@@ -79,7 +79,7 @@ def test_graded_dimensions_frozen():
 
 def test_enumeration_is_graded():
     for spec in small_grid(5, 5):
-        totals = [sum(v) for v in enumerate_basis(spec)]
+        totals = [sum(v) for v in FockSpace(spec).basis]
         assert totals == sorted(totals)
 
 
@@ -155,7 +155,7 @@ KERNEL_SPECS = [AlgebraSpec(kind, n, p) for kind in Kind for n in range(1, 7) fo
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"{s.kind.value}-{s.n}-{s.p}")
 def test_iter_basis_and_basis_csv_match_the_per_vector_oracles(spec):
     expected = brute_basis(spec)
-    assert list(iter_basis(spec)) == expected
+    assert FockSpace(spec).basis == expected
     rows = "".join(f"{r},{sum(v)},{','.join(map(str, v))}\n" for r, v in enumerate(expected))
     header = ",".join(["rank", "total"] + [f"occ_{i}" for i in range(1, spec.n + 1)]) + "\n"
     assert "".join(basis_csv(spec)) == header + rows
@@ -172,4 +172,4 @@ def test_one_bose_mode_lists_in_time_linear_in_the_cap():
     assert text.endswith("\n99999,99999,99999\n100000,100000,100000\n")
     assert text.count("\n") == p + 2
     assert text == "rank,total,occ_1\n" + "".join(f"{k},{k},{k}\n" for k in range(p + 1))
-    assert list(iter_basis(AlgebraSpec(Kind.BOSE, 1, 7))) == [(k,) for k in range(8)]
+    assert FockSpace(AlgebraSpec(Kind.BOSE, 1, 7)).basis == [(k,) for k in range(8)]

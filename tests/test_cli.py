@@ -96,7 +96,7 @@ def test_each_command_executes_only_the_modules_it_runs(argv, modules):
 # Every name the package re-exports, by its home module.
 PACKAGE_EXPORTS = {
     "basis": ["AlgebraSpec", "Kind", "OccupationVector", "basis_csv", "dimension",
-              "enumerate_basis", "fermi_cap_note", "graded_dimensions", "grade_offsets"],
+              "fermi_cap_note", "graded_dimensions", "grade_offsets"],
     "lie": ["check_adjoint_action", "check_branching", "check_gl_commutators",
             "check_identification", "diagonal_action_value", "extended_rescaled_generators",
             "run_lie_suite", "weight_vector"],
@@ -255,11 +255,11 @@ def test_basis_exports_are_the_per_vector_oracles(capsys, tmp_path, spec):
 
 
 def test_basis_exports_read_the_runs_not_a_vector_at_a_time(monkeypatch, capsys):
-    def refuse(spec):
-        raise AssertionError("read iter_basis")
+    def refuse(space):
+        raise AssertionError("read FockSpace.basis")
 
-    for module in (basis, cli):  # cli, should it import the name again
-        monkeypatch.setattr(module, "iter_basis", refuse, raising=False)
+    from fockcap.operators import FockSpace  # the one list of whole vectors
+    monkeypatch.setattr(FockSpace, "basis", property(refuse))
     for extra in ([], ["--json"]):
         assert cli.main(["basis", "--kind", "bose", "--n", "3", "--p", "4", *extra]) == 0
         assert capsys.readouterr().out.count("\n") > 35
@@ -699,7 +699,7 @@ def test_streamed_json_rows_are_the_bytes_of_json_dumps(data, sample, before, af
     rows = data.draw(st.lists(st.tuples(*[ROW_VALUES] * width), max_size=12))
     full_rows = [_fill_holes(sample, iter(row)) for row in rows]
     payload, full = {**before, "rows": None, **after}, {**before, "rows": full_rows, **after}
-    with mock.patch.object(cli, "CHUNK_ROWS", batch):
+    with mock.patch.object(basis, "BLOCK_ROWS", batch):
         streamed = "".join(cli._dump_json_rows(payload, "rows", iter(rows), sample))
     assert streamed == json.dumps(full, indent=2) + "\n"
     if not rows:
@@ -712,7 +712,7 @@ def test_streamed_json_rows_are_the_bytes_of_json_dumps(data, sample, before, af
 def test_streamed_json_rows_of_a_top_level_array_take_encoded_strings(rows, batch):
     # the key path () makes the array the whole output; a string row value arrives encoded
     encoded = [(json.dumps(v) if isinstance(v, str) else v, m) for v, m in rows]
-    with mock.patch.object(cli, "CHUNK_ROWS", batch):
+    with mock.patch.object(basis, "BLOCK_ROWS", batch):
         streamed = "".join(cli._dump_json_rows(None, (), iter(encoded),
                                                {"value": H, "mult": H}))
     assert streamed == json.dumps([{"value": v, "mult": m} for v, m in rows], indent=2) + "\n"

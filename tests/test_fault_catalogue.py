@@ -36,7 +36,6 @@ from typing import Callable
 import pytest
 
 from fockcap import AlgebraSpec, Kind, cli, operators
-from fockcap.basis import iter_basis
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 from fockcap.sparse import MonomialMatrix, RowReducer, SparseMatrix
 
@@ -142,9 +141,21 @@ def _number_fault(edit, route):
 
 
 def _prefix_sign_fault(stop):
-    """The Fermi sign of mode i counts the occupations of modes 1..stop(i)."""
+    """The Fermi sign of mode i counts the occupations of modes 1..stop(i), not
+    1..i-1: every Fermi ladder, in both normalizations, with the entry of each
+    column v times the wrong sign over the right one, both read on v."""
     def install(mp):
-        mp.setattr(operators, "prefix_sign", lambda v, i: -1 if sum(v[:stop(i)]) % 2 else 1)
+        original = operators._ladder_matrix
+
+        def faulty(space, i, delta, normalization):
+            op = original(space, i, delta, normalization)
+            if space.spec.kind is not Kind.FERMI:
+                return op
+            basis = space.basis
+            return _edited(op, [c for c in _live(op)
+                                if (sum(basis[c][:stop(i)]) - sum(basis[c][:i - 1])) % 2], -1)
+
+        mp.setattr(operators, "_ladder_matrix", faulty)
     return install
 
 
@@ -164,15 +175,14 @@ def _gram_fault(mp):
 def _cap_fault(mp):
     """The orthonormal coefficients of the cap p + 1 on the space of cap p."""
     original = operators._orthonormal_magnitude
-    mp.setattr(operators, "_orthonormal_magnitude", lambda u, i, p: original(u, i, p + 1))
+    mp.setattr(operators, "_orthonormal_magnitude", lambda x, k, p: original(x, k, p + 1))
 
 
 def _enumeration_fault(edit):
     """The enumeration that FockSpace.basis and the ladder walk both read, edited,
     as one-vector runs at their seam operators.iter_runs."""
     def install(mp):
-        mp.setattr(operators, "iter_runs",
-                   lambda spec: one_vector_runs(edit(list(iter_basis(spec)))))
+        mp.setattr(operators, "iter_runs", lambda spec: one_vector_runs(spec, edit))
     return install
 
 

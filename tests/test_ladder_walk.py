@@ -14,13 +14,17 @@ from fractions import Fraction
 import pytest
 
 from fockcap import AlgebraSpec, FockSpace, Kind, MonomialMatrix, basis, cli, operators
-from fockcap.basis import iter_basis
 from fockcap.operators import (ORTHONORMAL, UNNORMALIZED, BasisTag, _orthonormal_magnitude,
-                               operator_json_payload, prefix_sign)
+                               operator_json_payload)
 
 from conftest import bumped, one_vector_runs, rank_map, small_grid
 
 NORMALIZATIONS = (UNNORMALIZED, ORTHONORMAL)
+
+
+def prefix_sign(v, i):
+    """Fermionic reordering sign (-1)^(v_1+...+v_{i-1}) for 1-based mode i."""
+    return -1 if sum(v[: i - 1]) % 2 else 1
 
 
 def rank_map_ladder(space, i, delta, normalization):
@@ -35,7 +39,8 @@ def rank_map_ladder(space, i, delta, normalization):
         if row < 0:
             coef = 0
         elif normalization == ORTHONORMAL:
-            coef = sign * _orthonormal_magnitude(w if delta > 0 else v, i, p)
+            u = w if delta > 0 else v
+            coef = sign * _orthonormal_magnitude(u[i - 1], sum(u), p)
         elif delta > 0:
             coef = sign
         else:
@@ -88,8 +93,7 @@ def test_walk_stops_at_the_top_grade_not_at_the_cap():
 def test_walk_over_a_faulty_enumeration_pairs_what_it_can(monkeypatch, spec, edit):
     # an operator comes back, one column per listed vector; every entry it holds
     # steps one grade in the direction of delta, and no row holds two entries
-    monkeypatch.setattr(operators, "iter_runs",
-                        lambda s: one_vector_runs(edit(list(iter_basis(s)))))
+    monkeypatch.setattr(operators, "iter_runs", lambda s: one_vector_runs(s, edit))
     space = FockSpace(spec)
     listed = space.basis
     for i in range(1, spec.n + 1):
@@ -120,30 +124,44 @@ def test_the_walk_reads_the_enumeration_through_operators_iter_runs(monkeypatch)
     assert space.ladder(2, -1, ORTHONORMAL).nnz and calls == [spec]
     assert len(space.basis) == len(space.grades) == 35 and calls == [spec]
     assert FockSpace(spec).ladder(1, +1).nnz and calls == [spec, spec]
-    monkeypatch.setattr(operators, "iter_runs",
-                        lambda s: one_vector_runs(list(iter_basis(s))[::-1]))
+    monkeypatch.setattr(operators, "iter_runs", lambda s: one_vector_runs(s, lambda b: b[::-1]))
     assert FockSpace(spec).ladder(2, +1).nnz == 0  # reversed: no grade k + 1 follows grade k
 
 
-def test_a_bose_unnormalized_walk_forms_no_vector(monkeypatch):
-    # its coefficients, 1 and w_i (p - k + 1), read the column of v_i alone; the guard
-    # catches (a,) + w, which a sign or an orthonormal magnitude needs
+def test_no_walk_forms_a_vector(monkeypatch):
+    # each coefficient reads v_i, the grade and, for Fermi, the parity of modes 1..i-1;
+    # the guard catches (a,) + w
     class Suffix(tuple):
         def __radd__(self, head):
             raise AssertionError("formed a vector")
 
-    spec = AlgebraSpec(Kind.BOSE, 3, 5)
-    keys = [(i, delta) for i in range(1, spec.n + 1) for delta in (+1, -1)]
-    want = FockSpace(spec)
-    want = {key: want.ladder(*key) for key in keys}
-    runs = [(k, a, [Suffix(w) for w in row]) for k, a, row in basis.iter_runs(spec)]
-    monkeypatch.setattr(operators, "iter_runs", lambda s: iter(runs))
+    keys = [(i, delta, normalization) for i in range(1, 4) for delta in (+1, -1)
+            for normalization in NORMALIZATIONS]
+    for spec in (AlgebraSpec(Kind.BOSE, 3, 5), AlgebraSpec(Kind.FERMI, 3, 2)):
+        want = FockSpace(spec)
+        want = {key: want.ladder(*key) for key in keys}
+        runs = [(k, a, [Suffix(w) for w in row]) for k, a, row in basis.iter_runs(spec)]
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "iter_runs", lambda s: iter(runs))
+            space = FockSpace(spec)
+            for key in keys:
+                got = space.ladder(*key)
+                assert (got.target, _bits(got.coef)) == \
+                    (want[key].target, _bits(want[key].coef)), (spec, key)
+
+
+def test_a_fermi_orthonormal_walk_holds_ranks_not_vectors():
+    # the walk forming (a,) + w for every vector peaked at 1.37 MB here
+    spec = AlgebraSpec(Kind.FERMI, 14, 6)
     space = FockSpace(spec)
-    for key in keys:
-        got = space.ladder(*key)
-        assert (got.target, got.coef) == (want[key].target, want[key].coef), key
-    with pytest.raises(AssertionError, match="formed a vector"):
-        space.ladder(1, +1, ORTHONORMAL)
+    space.runs  # listed before tracing, as a space that built another walk holds them
+    tracemalloc.start()
+    try:
+        space.ladder(5, -1, ORTHONORMAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8e6
 
 
 def test_the_walk_reads_no_basis_list_and_no_rank_map(monkeypatch):

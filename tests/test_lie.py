@@ -4,9 +4,8 @@ import pytest
 
 from fockcap import (AlgebraSpec, FockSpace, Kind, check_adjoint_action, check_branching,
                      check_gl_commutators, check_identification, cli,
-                     diagonal_action_value, dimension, enumerate_basis,
-                     extended_rescaled_generators, operators, run_lie_suite)
-from fockcap.basis import iter_basis
+                     diagonal_action_value, dimension, extended_rescaled_generators,
+                     operators, run_lie_suite)
 from fockcap.operators import ORTHONORMAL
 from fockcap.sparse import MonomialMatrix
 
@@ -36,7 +35,8 @@ def test_diagonal_generator_on_vacuum():
 
 def test_diagonal_action_values_match_matrices():
     for spec in (F22, B22, AlgebraSpec(Kind.BOSE, 3, 2)):
-        basis, space = enumerate_basis(spec), FockSpace(spec)
+        space = FockSpace(spec)
+        basis = space.basis
         for i in range(1, spec.n + 1):
             eii = space.bilinear(i, i)
             for r, v in enumerate(basis):
@@ -127,8 +127,9 @@ def test_weight_vector_coordinates():
     # coordinates are the joint eigenvalues of the diagonal generators,
     # adjoined direction first
     for spec in (F22, B22, AlgebraSpec(Kind.BOSE, 3, 2)):
-        table = extended_rescaled_generators(FockSpace(spec))
-        for r, v in enumerate(enumerate_basis(spec)):
+        space = FockSpace(spec)
+        table = extended_rescaled_generators(space)
+        for r, v in enumerate(space.basis):
             weight = weight_vector(spec, v)
             assert table[(0, 0)].get(r, r) == weight[0]
             for i in range(1, spec.n + 1):
@@ -149,8 +150,8 @@ def test_branching_block_dims_counts_the_enumeration(monkeypatch):
         return next(rep for rep in reports if rep.relation == "branching-block-dims")
 
     assert block_dims(check_branching(FockSpace(spec))).passed
-    monkeypatch.setattr(operators, "iter_runs",  # top block one short
-                        lambda s: one_vector_runs(list(iter_basis(s))[:-1]))
+    # top block one short
+    monkeypatch.setattr(operators, "iter_runs", lambda s: one_vector_runs(s, lambda b: b[:-1]))
     assert not block_dims(check_branching(FockSpace(spec))).passed
 
 

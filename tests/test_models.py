@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockcap import (AlgebraSpec, Kind, cli, diagonal_spectrum, dimension, enumerate_basis,
+from fockcap import (AlgebraSpec, Kind, cli, diagonal_spectrum, dimension,
                      quadratic_hamiltonian_spectrum, models, toy_levels, toy_spectrum)
-from fockcap.basis import iter_basis
 from fockcap.operators import ORTHONORMAL, FockSpace
 from fockcap.sparse import MonomialMatrix, SparseMatrix
 
@@ -43,7 +42,7 @@ def test_diagonal_hamiltonian_formula():
     for spec in small_grid(3, 3):
         eps = [Fraction(i + 1, 2) for i in range(spec.n)]
         h = diagonal_hamiltonian(spec, eps)
-        for r, v in enumerate(enumerate_basis(spec)):
+        for r, v in enumerate(FockSpace(spec).basis):
             k = sum(v)
             expected = sum(e * x for e, x in zip(eps, v)) * Fraction(spec.p - k + 1, spec.p)
             assert h.get(r, r) == expected
@@ -144,7 +143,7 @@ def test_diagonal_spectrum_equals_a_count_over_the_basis(kind, n, p, energies):
     spec = AlgebraSpec(kind, n, p)
     eps = [Fraction(e) for e in energies]
     counts = collections.Counter(sum(e * x for e, x in zip(eps, v)) * (p - sum(v) + 1) / p
-                                 for v in iter_basis(spec))
+                                 for v in FockSpace(spec).basis)
     assert diagonal_spectrum(spec, energies).levels == tuple(sorted(counts.items()))
 
 

@@ -4,8 +4,7 @@ from math import factorial
 import pytest
 
 import fockcap
-from fockcap import (AlgebraSpec, FockSpace, Kind, MonomialMatrix, dimension,
-                     enumerate_basis, normalize,
+from fockcap import (AlgebraSpec, FockSpace, Kind, MonomialMatrix, dimension, normalize,
                      operator_json_payload)
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, grade_diagonal
 
@@ -18,8 +17,8 @@ B22 = AlgebraSpec(Kind.BOSE, 2, 2)
 
 def column_image(spec, op, v):
     """Decode op|v> into a dict occupation-vector -> coefficient."""
-    col = rank_map(FockSpace(spec))[v]
-    basis = enumerate_basis(spec)
+    space = FockSpace(spec)
+    col, basis = rank_map(space)[v], space.basis
     return {basis[r]: val for (r, c), val in op.data.items() if c == col}
 
 
@@ -88,7 +87,7 @@ def test_gram_closed_forms():
     assert gram_entry(B22, (2, 0)) == Fraction(1)
     for spec in small_grid(3, 3):
         assert gram_entry(spec, (0,) * spec.n) == 1
-        for v in enumerate_basis(spec):
+        for v in FockSpace(spec).basis:
             k = sum(v)
             expected = Fraction(factorial(spec.p), spec.p ** k * factorial(spec.p - k))
             if spec.kind is Kind.BOSE:
@@ -101,7 +100,7 @@ def test_gram_recurrence():
     # adding one quantum at grade k multiplies the norm by (p-k)/p (fermi)
     # resp. (l_i+1)(p-k)/p (bose)
     for spec in small_grid(3, 3):
-        for v in enumerate_basis(spec):
+        for v in FockSpace(spec).basis:
             k = sum(v)
             if k == spec.p:
                 continue
@@ -121,7 +120,7 @@ def gram_from_matrix_elements(spec):
     create = {i: space.ladder(i, +1) for i in range(1, spec.n + 1)}
     annihilate = {i: space.ladder(i, -1) for i in range(1, spec.n + 1)}
     values = []
-    for v in enumerate_basis(spec):
+    for v in space.basis:
         vec = {0: Fraction(1)}
         for i in range(spec.n, 0, -1):
             for _ in range(v[i - 1]):
@@ -203,7 +202,7 @@ def test_normalized_creation_column_norms():
     # resp. (l_i+1)(p-k)/p (bose)
     for spec in small_grid(3, 3):
         space = FockSpace(spec)
-        basis = enumerate_basis(spec)
+        basis = space.basis
         for i in range(1, spec.n + 1):
             op = normalize(space.ladder(i, +1), space)
             by_col = {}
@@ -237,9 +236,8 @@ def test_direct_orthonormal_build_matches_normalization():
 
 def test_grade_block_structure():
     for spec in small_grid(3, 3):
-        basis = enumerate_basis(spec)
-        totals = [sum(v) for v in basis]
         space = FockSpace(spec)
+        totals = [sum(v) for v in space.basis]
         for i in range(1, spec.n + 1):
             for (r, c), _ in space.ladder(i, +1).data.items():
                 assert totals[r] == totals[c] + 1
@@ -370,6 +368,9 @@ def test_removed_second_routes_are_gone():
         assert not hasattr(fockcap, name)
     for name in ("rank", "unrank", "validate_vector", "_grade_count"):  # conftest.rank_map
         assert not hasattr(fockcap.basis, name)
+    for name in ("iter_basis", "enumerate_basis"):  # FockSpace.basis
+        assert not hasattr(fockcap, name) and not hasattr(fockcap.basis, name)
+    assert not hasattr(fockcap.operators, "prefix_sign")  # test_ladder_walk.prefix_sign
     for name in ("identity", "diagonal"):
         assert not hasattr(MonomialMatrix, name)
     for name in ("gram", "index"):  # FockSpace.gram_ratio; gram_matrix, rank_map in conftest

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fockcap import (AlgebraSpec, Kind, basis, character, cli, dimension, enumerate_basis,
+from fockcap import (AlgebraSpec, FockSpace, Kind, basis, character, cli, dimension,
                      graded_dimensions, occupation_summary)
 from fockcap.thermo import thermo_csv
 
@@ -14,7 +14,7 @@ def basis_sum(spec, beta, energies, mu):
     weight exp(-beta*(sum_i eps_i v_i - mu|v|)).  A weight, Xi, a mean or the
     mean total beyond the float range is a ValueError, as in occupation_summary."""
     weights = []
-    for v in enumerate_basis(spec):
+    for v in FockSpace(spec).basis:
         energy = sum(e * x for e, x in zip(energies, v))
         try:
             weights.append((v, math.exp(-beta * (energy - mu * sum(v)))))
@@ -227,7 +227,7 @@ def test_thermo_command_builds_no_basis(monkeypatch, capsys, built_spaces):
     def refuse(*args, **kwargs):
         raise AssertionError("thermo built a basis")
 
-    # every enumeration (iter_basis, iter_runs, basis_text) reads the suffix table
+    # every enumeration (FockSpace.basis, iter_runs, basis_text) reads the suffix table
     monkeypatch.setattr(basis, "_suffix_table", refuse)
     argv = ["thermo", "--kind", "bose", "--n", "3", "--p", "4", "--beta", "0.5,2",
             "--mu=-1,0.5", "--energies", "1,0,-0.5"]
