@@ -226,8 +226,8 @@ def cmd_ops(args) -> int:
         op = space.bilinear(args.i, args.j)
     if args.normalization == ORTHONORMAL:
         op = normalize(op, space)
-    # the export reads only op: free what the space built (the basis, for N or the
-    # orthonormal conjugation) before encoding
+    # the export reads only op: free what the space built (its runs and grades, and the
+    # basis only for the Bose orthonormal conjugation, whose gram_ratio reads it) first
     del space
     payload = operator_json_payload(op)
     sample = [_HOLE] * (3 if args.normalization == ORTHONORMAL else 4)

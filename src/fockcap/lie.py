@@ -47,15 +47,25 @@ def weight_vector(spec: AlgebraSpec, v: Sequence[int]) -> tuple[int, ...]:
     return (spec.p - sum(v),) + tuple(v)
 
 
+def _generators(space: FockSpace) -> dict[tuple[int, int], MonomialMatrix]:
+    """The unscaled exact generators, labelled as in the (n+1)x(n+1) table:
+    e_ij at (i, j), a_i^+ at (i, 0) and a_i^- at (0, i)."""
+    idx = range(1, space.spec.n + 1)
+    table = {(i, j): space.bilinear(i, j) for i in idx for j in idx}
+    for i in idx:
+        table[(i, 0)] = space.ladder(i, +1)
+        table[(0, i)] = space.ladder(i, -1)
+    return table
+
+
 def check_gl_commutators(space: FockSpace) -> list[RelationReport]:
     """[e_ij, e_kl] = delta_jk e_il - delta_il e_kj over all index quadruples:
     _bracket_residual over the e_ij, none of which is a crossing generator."""
-    spec, e = space.spec, space.bilinear
-    idx = range(1, spec.n + 1)
-    table = {(i, j): e(i, j) for i in idx for j in idx}
+    spec, table = space.spec, _generators(space)
+    labels = [ab for ab in table if not _crossing(*ab)]
     return [_report("gl-commutator", spec, ij + kl,
                     _bracket_residual(spec.kind, 1, table, ij, kl).max_abs(), EXACT)
-            for ij in table for kl in table]
+            for ij in labels for kl in labels]
 
 
 def check_adjoint_action(space: FockSpace) -> list[RelationReport]:
@@ -63,31 +73,23 @@ def check_adjoint_action(space: FockSpace) -> list[RelationReport]:
 
     [e_ij, a_k^+] = d_jk a_i^+ + s d_ij a_k^+,
     [e_ij, a_k^-] = -d_ik a_j^- - s d_ij a_k^-,
-    with the exchange sign s = -1 for Fermi, +1 for Bose.
+    with the exchange sign s = -1 for Fermi, +1 for Bose.  The d_jk and d_ik
+    terms are the table bracket [E_ij, E_k0] resp. [E_ij, E_0k] of
+    _bracket_residual over the unscaled generators; the s d_ij term is there
+    because e_ii = E_ii - s E_00 and [E_00, a_k^pm] = -+a_k^pm.
     """
-    spec = space.spec
-    e = space.bilinear
-    ups = {i: space.ladder(i, +1) for i in range(1, spec.n + 1)}
-    downs = {i: space.ladder(i, -1) for i in range(1, spec.n + 1)}
-    out = []
+    spec, table = space.spec, _generators(space)
     idx = range(1, spec.n + 1)
+    out = []
     for i in idx:
         for j in idx:
             for k in idx:
-                expr = bracket(e(i, j), ups[k])
-                if j == k:
-                    expr = expr - ups[i]
-                if i == j:
-                    expr = expr - spec.kind.sign * ups[k]
-                out.append(_report("ladder-adjoint-plus", spec, (i, j, k),
-                                   expr.max_abs(), EXACT))
-                expr = bracket(e(i, j), downs[k])
-                if i == k:
-                    expr = expr + downs[j]
-                if i == j:
-                    expr = expr + spec.kind.sign * downs[k]
-                out.append(_report("ladder-adjoint-minus", spec, (i, j, k),
-                                   expr.max_abs(), EXACT))
+                for relation, kl, delta in (("ladder-adjoint-plus", (k, 0), +1),
+                                            ("ladder-adjoint-minus", (0, k), -1)):
+                    expr = _bracket_residual(spec.kind, 1, table, (i, j), kl)
+                    if i == j:
+                        expr = expr - delta * spec.kind.sign * table[kl]
+                    out.append(_report(relation, spec, (i, j, k), expr.max_abs(), EXACT))
     return out
 
 
@@ -101,15 +103,9 @@ def extended_rescaled_generators(space: FockSpace) -> dict[tuple[int, int], Mono
     spec = space.spec
     e00 = grade_diagonal(space, lambda k: spec.p - k)
     signed_e00 = spec.kind.sign * e00
-    table: dict[tuple[int, int], MonomialMatrix] = {(0, 0): e00}
-    for i in range(1, spec.n + 1):
-        table[(i, 0)] = spec.p * space.ladder(i, +1)
-        table[(0, i)] = spec.p * space.ladder(i, -1)
-        table[(i, i)] = space.bilinear(i, i) + signed_e00
-        for j in range(1, spec.n + 1):
-            if i != j:
-                table[(i, j)] = space.bilinear(i, j)
-    return table
+    return {(0, 0): e00} | {
+        (a, b): spec.p * op if _crossing(a, b) else op + signed_e00 if a == b else op
+        for (a, b), op in _generators(space).items()}
 
 
 def _crossing(a: int, b: int) -> bool:
@@ -185,13 +181,13 @@ def check_identification(space: FockSpace) -> list[RelationReport]:
         hw_resid = max(hw_resid, *map(abs, image.values()))
     out.append(_report("highest-weight", spec, (), hw_resid, EXACT))
 
+    # [E_00, a_i^pm] = -+a_i^pm on the unscaled ladders: on the p-scaled table it
+    # would repeat the extended-bracket reports (0, 0, i, 0) and (0, 0, 0, i)
+    unscaled = _generators(space) | {(0, 0): exact[(0, 0)]}
     for i in range(1, spec.n + 1):
-        up = space.ladder(i, +1)
-        down = space.ladder(i, -1)
-        out.append(_report("root-ladder-plus", spec, (i,),
-                           (bracket(exact[(0, 0)], up) + up).max_abs(), EXACT))
-        out.append(_report("root-ladder-minus", spec, (i,),
-                           (bracket(exact[(0, 0)], down) - down).max_abs(), EXACT))
+        for relation, ladder in (("root-ladder-plus", (i, 0)), ("root-ladder-minus", (0, i))):
+            expr = _bracket_residual(spec.kind, 1, unscaled, (0, 0), ladder)
+            out.append(_report(relation, spec, (i,), expr.max_abs(), EXACT))
     return out
 
 
@@ -235,12 +231,11 @@ def check_branching(space: FockSpace) -> list[RelationReport]:
 
     for i in range(1, spec.n + 1):
         e = space.bilinear(i, i)
-        matrix_trace = sum((e.get(r, r) for r in range(len(basis))), Fraction(0))
-        action_trace = sum(diagonal_action_value(spec, v, i) for v in basis)
+        matrix = [e.get(r, r) for r in range(dim)]
+        action = [diagonal_action_value(spec, v, i) for v in basis]
         out.append(_report("diagonal-trace", spec, (i,),
-                           abs(matrix_trace - action_trace), EXACT))
-        diag_resid = max((abs(e.get(r, r) - diagonal_action_value(spec, v, i))
-                          for r, v in enumerate(basis)), default=Fraction(0))
+                           abs(sum(matrix, Fraction(0)) - sum(action)), EXACT))
+        diag_resid = max((abs(x - y) for x, y in zip(matrix, action)), default=Fraction(0))
         off_resid = e.max_abs(lambda r, c: r != c)
         out.append(_report("diagonal-action", spec, (i,),
                            max(diag_resid, off_resid), EXACT))

@@ -167,7 +167,7 @@ def check_hermiticity(space: FockSpace) -> list[RelationReport]:
             lcm = math.lcm(*{den for _, den in ratios})
             coefs = [x * num * (lcm // den) for x, (num, den) in zip(X.coef, ratios)]
             XD = _filled(X.rows, X.target, coefs + [0], X.denom * lcm, True, X.tag)
-        else:  # a wrong X may hold two entries in one column
+        else:  # a SparseMatrix: the dict-of-keys copies of tests/test_kernel.py
             XD = X.map_entries(lambda r, c, x: x * Fraction(*ratio(r, c)), X.tag)
         out.append(_report(name, spec, indices, (XD.transpose() - Y).max_abs()))
     return out

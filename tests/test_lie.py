@@ -6,10 +6,10 @@ from fockcap import (AlgebraSpec, FockSpace, Kind, check_adjoint_action, check_b
                      check_gl_commutators, check_identification, cli,
                      diagonal_action_value, dimension, extended_rescaled_generators,
                      operators, run_lie_suite)
-from fockcap.operators import ORTHONORMAL
+from fockcap.operators import ORTHONORMAL, grade_diagonal
 from fockcap.sparse import MonomialMatrix
 
-from conftest import one_vector_runs, rank_map
+from conftest import bumped, one_vector_runs, rank_map, stepped
 
 F21 = AlgebraSpec(Kind.FERMI, 2, 1)
 F22 = AlgebraSpec(Kind.FERMI, 2, 2)
@@ -79,6 +79,61 @@ def test_adjoint_action_exhaustive():
     for spec in (F22, B22, AlgebraSpec(Kind.FERMI, 3, 2)):
         for rep in check_adjoint_action(FockSpace(spec)):
             assert rep.residual == 0, (rep.relation, rep.indices)
+
+
+def _three_wrong_ladders(monkeypatch):
+    """a_1^+ steps v to v + e_2 (its coefficients still those of mode 1), a_2^-
+    is tripled and a_2^+ steps v to v + e_1 + e_2, in both normalizations.  The
+    first two keep the grade step, so only the last breaks [E_00, a^pm] = -+a^pm."""
+    original = operators._ladder_matrix
+
+    def faulty(space, i, delta, normalization):
+        op = original(space, i, delta, normalization)
+        if (i, delta) == (1, +1):
+            return stepped(space, op, lambda v: bumped(v, 2, +1))
+        if (i, delta) == (2, +1):
+            return stepped(space, op, lambda v: bumped(bumped(v, 1, +1), 2, +1))
+        return 3 * op if (i, delta) == (2, -1) else op
+
+    monkeypatch.setattr(operators, "_ladder_matrix", faulty)
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2),
+                                  AlgebraSpec(Kind.BOSE, 3, 2)],
+                         ids=lambda spec: f"{spec.kind.value}-{spec.n}-{spec.p}")
+def test_failing_ladder_residuals_are_those_of_the_paper_expressions(monkeypatch, spec):
+    # each residual is the max |entry| of the relation's defect, formed here from the
+    # (wrong) ladders, the e_ij built from them and E_00 = p*Id - N
+    _three_wrong_ladders(monkeypatch)
+    space = FockSpace(spec)
+    s, idx, e = spec.kind.sign, range(1, spec.n + 1), space.bilinear
+    up = {k: space.ladder(k, +1) for k in idx}
+    down = {k: space.ladder(k, -1) for k in idx}
+    e00 = grade_diagonal(space, lambda k: spec.p - k)
+
+    def commutator(x, y):
+        return x @ y - y @ x
+
+    def d(a, b):
+        return int(a == b)
+
+    expected = {}
+    for i in idx:
+        expected["root-ladder-plus", (i,)] = commutator(e00, up[i]) + up[i]
+        expected["root-ladder-minus", (i,)] = commutator(e00, down[i]) - down[i]
+        for j in idx:
+            for k in idx:
+                expected["ladder-adjoint-plus", (i, j, k)] = (
+                    commutator(e(i, j), up[k]) - d(j, k) * up[i] - s * d(i, j) * up[k])
+                expected["ladder-adjoint-minus", (i, j, k)] = (
+                    commutator(e(i, j), down[k]) + d(i, k) * down[j] + s * d(i, j) * down[k])
+    relations = {relation for relation, _ in expected}
+    got = {(rep.relation, rep.indices): rep.residual
+           for rep in check_adjoint_action(space) + check_identification(space)
+           if rep.relation in relations}
+    assert got == {key: expr.max_abs() for key, expr in expected.items()}
+    for family in ("ladder-adjoint", "root-ladder"):
+        assert any(res for (relation, _), res in got.items() if relation.startswith(family))
 
 
 def test_extended_generators_bracket_examples():
