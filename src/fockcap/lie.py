@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import EXACT, FLOAT, LIE_CHECKS, ORTHONORMAL, AlgebraSpec, Kind, graded_dimensions
+from .basis import EXACT, FLOAT, LIE_CHECKS, ORTHONORMAL, AlgebraSpec, Kind, grade_offsets
 from .operators import FockSpace, grade_diagonal, normalize
 from .relations import RelationReport, _report
 from .sparse import MonomialMatrix, bracket, orbit_ranks
@@ -201,8 +201,8 @@ def check_branching(space: FockSpace) -> list[RelationReport]:
     """
     spec = space.spec
     out = []
-    basis, grades, offsets = space.basis, space.grades, space.offsets
-    dims = graded_dimensions(spec)
+    basis, grades, offsets = space.basis, space.grades, grade_offsets(spec)
+    dims = [b - a for a, b in zip(offsets, offsets[1:])]  # the closed-form d_0..d_p
 
     enumerated = [0] * (spec.p + 1)
     for k in grades:

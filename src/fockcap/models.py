@@ -9,10 +9,10 @@ at the basis vector v (the Fermi sign squares to 1), so each level depends
 only on the grade |v| and the energy sum sum_i eps_i v_i.  diagonal_spectrum
 counts the basis vectors by those two numbers, one mode at a time, and builds
 no space and no operator; its oracle, which assembles H by exact matrix
-products, lives with the tests.  For two capped boson modes with unit
-coefficients the closed-form levels are E_k = k - k(k-1)/p with multiplicity
-k+1 (k = 0..p); the gap between consecutive levels is 1 - 2k/p, so accidental
-degeneracies appear and are merged exactly.
+products, lives with the tests.  toy_spectrum is that count for two boson
+modes at unit energies: on grade k the level is k - k(k-1)/p on k+1 vectors,
+the gap between consecutive levels 1 - 2k/p, so accidental degeneracies
+appear and merge exactly.  toy_levels, the closed-form table, is its oracle.
 
 A general quadratic Hamiltonian H = sum_ij t_ij a_i^+ a_j^- reduces to the
 diagonal model (the one-body reduction).  By the actions in operators.py, on
@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .basis import EXACT, FLOAT, AlgebraSpec
+from .basis import AlgebraSpec, Kind
 
 CLUSTER_TOL = 1e-9
 
@@ -46,7 +46,6 @@ class SpectrumReport(NamedTuple):
     """Eigenvalues with multiplicities, sorted ascending."""
 
     levels: tuple[tuple[Fraction | float, int], ...]
-    backend: str
 
     @property
     def total_multiplicity(self) -> int:
@@ -62,15 +61,7 @@ class SpectrumReport(NamedTuple):
 
 def _report(counts: Mapping[Fraction | int, int], denom: int = 1) -> SpectrumReport:
     """Levels value/denom of distinct values and their multiplicities, ascending."""
-    return SpectrumReport(tuple((Fraction(v, denom), m) for v, m in sorted(counts.items())), EXACT)
-
-
-def _merged(pairs, denom: int = 1) -> SpectrumReport:
-    """Levels value/denom of (value, multiplicity) pairs, coincident values merged, ascending."""
-    counts: dict[Fraction | int, int] = {}
-    for value, mult in pairs:
-        counts[value] = counts.get(value, 0) + mult
-    return _report(counts, denom)
+    return SpectrumReport(tuple((Fraction(v, denom), m) for v, m in sorted(counts.items())))
 
 
 def _check_energy_count(spec: AlgebraSpec, energies: Sequence) -> None:
@@ -127,8 +118,8 @@ def diagonal_spectrum(spec: AlgebraSpec,
 
 def toy_levels(p: int) -> list[tuple[int, Fraction, int, Fraction | None]]:
     """Closed-form level table (k, E_k, multiplicity, gap to next level) for
-    two capped boson modes with unit coefficients."""
-    if not isinstance(p, int) or p < 1:
+    two capped boson modes with unit coefficients; the oracle of toy_spectrum."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise ValueError(f"cap must be a positive integer, got {p!r}")
     rows = []
     for k in range(p + 1):
@@ -139,9 +130,9 @@ def toy_levels(p: int) -> list[tuple[int, Fraction, int, Fraction | None]]:
 
 
 def toy_spectrum(p: int) -> SpectrumReport:
-    """Exact spectrum of H = a_1^+ a_1^- + a_2^+ a_2^- for (Bose, n=2, cap p):
-    E_k = k - k(k-1)/p with multiplicity k+1, coincident levels merged."""
-    return _merged((value, mult) for _, value, mult, _ in toy_levels(p))
+    """Exact spectrum of H = a_1^+ a_1^- + a_2^+ a_2^- for (Bose, n=2, cap p),
+    the diagonal model at energies (1, 1): toy_levels, coincident levels merged."""
+    return diagonal_spectrum(AlgebraSpec(Kind.BOSE, 2, p), (1, 1))
 
 
 def _float_table(n: int, t) -> list[list[float]]:
@@ -215,4 +206,4 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
     if not all(map(math.isfinite, eps)):
         raise ValueError("eigenvalues of the coefficient table are beyond float range")
     counts, denom = diagonal_level_counts(spec, [Fraction(e) for e in eps])
-    return SpectrumReport(_cluster(counts, denom), FLOAT)
+    return SpectrumReport(_cluster(counts, denom))

@@ -98,7 +98,8 @@ class FockSpace:
 
     @cached_property
     def offsets(self) -> list[int]:
-        return grade_offsets(self.spec)
+        """Starting rank of each grade 0..top (AlgebraSpec.top), then the dimension."""
+        return grade_offsets(self.spec._replace(p=self.spec.top))
 
     def gram_ratio(self, r: int, c: int) -> tuple[int, int]:
         """G(r)/G(c) as two ints (num, den) for the basis vectors u, v of ranks

@@ -101,7 +101,7 @@ def check_number(space: FockSpace) -> list[RelationReport]:
         out.append(_report("number-ladder-plus", spec, (i,), (bracket(N, up) - up).max_abs()))
         out.append(_report("number-ladder-minus", spec, (i,),
                            (bracket(N, down) + down).max_abs()))
-    graded = all(N.get(r, r) == k for k in range(spec.p + 1)
+    graded = all(N.get(r, r) == k for k in range(len(offsets) - 1)
                  for r in range(offsets[k], offsets[k + 1]))
     out.append(_report("number-multiplicity", spec, (), Fraction(0 if graded else 1)))
     return out
@@ -137,7 +137,7 @@ def check_mixed(space: FockSpace) -> list[RelationReport]:
 def check_cap(space: FockSpace) -> list[RelationReport]:
     """Creation kills the top grade; ladder operators shift grade by exactly 1."""
     spec = space.spec
-    grades, top = space.grades, space.offsets[spec.p]
+    grades, top = space.grades, space.offsets[min(spec.p, spec.top + 1)]
     out = []
     for i in range(1, spec.n + 1):
         up, down = space.ladder(i, +1), space.ladder(i, -1)
@@ -258,10 +258,14 @@ def _window_deviation(kind: Kind, n: int, window_cap: int, p: int) -> float:
     """Sup-norm gap, over matrix elements between window states (total <=
     window_cap), between the cap-p orthonormal ladder coefficients and the
     ordinary fermion/boson ones.  Each element belongs to the window state u
-    that holds more quanta; its uncapped value is sqrt(u_i) for both kinds."""
-    return max((abs(_orthonormal_magnitude(x, sum(u), p) - math.sqrt(x))
-                for u in FockSpace(AlgebraSpec(kind, n, window_cap)).basis
-                for x in u if x > 0), default=0.0)
+    that holds more quanta; its uncapped value is sqrt(u_i) for both kinds.
+    Both read only x = u_i > 0 and k = |u|, whose pairs over the window are
+    1 <= k <= window_cap, 1 <= x <= min(k, b) and k - x <= (n-1) b, with b
+    the window's entry bound."""
+    b = AlgebraSpec(kind, n, window_cap).max_entry
+    return max((abs(_orthonormal_magnitude(x, k, p) - math.sqrt(x))
+                for k in range(1, window_cap + 1)
+                for x in range(max(1, k - (n - 1) * b), min(k, b) + 1)), default=0.0)
 
 
 def check_classical_limit(kind: Kind, n: int, window_cap: int,

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -112,7 +113,7 @@ def spectrum_of_diagonal(h):
     diagonal_hamiltonian, the product-route oracle of models.diagonal_spectrum."""
     if h.max_abs(lambda r, c: r != c) != 0:
         raise ValueError("operator is not diagonal in the occupation basis")
-    return models._merged(((x, 1) for x in h.coef[:-1]), h.denom)
+    return models._report(Counter(h.coef[:-1]), h.denom)
 
 
 @pytest.fixture

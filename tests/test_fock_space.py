@@ -4,9 +4,11 @@ from functools import cached_property
 
 import pytest
 
-from fockcap import AlgebraSpec, Kind, lie, operators, run_lie_suite, run_suite
+from fockcap import AlgebraSpec, Kind, grade_offsets, lie, operators, run_lie_suite, run_suite
 from fockcap.operators import ORTHONORMAL, UNNORMALIZED, FockSpace
 from fockcap.relations import EXACT, FLOAT
+
+from conftest import small_grid
 
 SPECS = (AlgebraSpec(Kind.BOSE, 3, 3), AlgebraSpec(Kind.FERMI, 3, 2))
 
@@ -94,6 +96,17 @@ def test_lie_suite_builds_the_extended_table_once(monkeypatch):
     for spec in SPECS:
         run_lie_suite(spec)
     assert tables == Counter(SPECS)
+
+
+def test_offsets_stop_at_the_top_grade():
+    # a loose Fermi cap adds only empty grades past top = n, so nothing is formed per grade to p
+    for spec in small_grid(4, 5):
+        assert FockSpace(spec).offsets == grade_offsets(spec)[:spec.top + 2]
+    spec = AlgebraSpec(Kind.FERMI, 2, 10 ** 6)
+    assert FockSpace(spec).offsets == [0, 1, 3, 4]
+    for backend, count in ((EXACT, 25), (FLOAT, 30)):
+        reports = run_suite(spec, backend)
+        assert len(reports) == count and all(rep.passed for rep in reports)
 
 
 def test_ladder_rejects_unknown_direction_and_normalization():

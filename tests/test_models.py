@@ -91,11 +91,23 @@ def test_toy_levels_approach_uncapped_ladder():
             assert mult == k + 1
 
 
+def test_toy_spectrum_is_the_closed_form_merged():
+    # toy_levels is the oracle of the count: its rows, coincident values merged
+    for p in (1, 2, 3, 5, 8, 13, 50, 200):
+        counts = collections.Counter()
+        for _, value, mult, _ in toy_levels(p):
+            counts[value] += mult
+        assert toy_spectrum(p).levels == tuple(sorted(counts.items()))
+
+
 def test_toy_argument_validation():
     with pytest.raises(ValueError):
         toy_levels(0)
     with pytest.raises(ValueError):
         toy_spectrum(-3)
+    for toy in (toy_levels, toy_spectrum):  # bool is an int subclass: True would be p = 1
+        with pytest.raises(ValueError):
+            toy(True)
 
 
 def test_spectrum_of_diagonal_rejects_offdiagonal():

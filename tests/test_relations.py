@@ -265,6 +265,13 @@ def test_classical_limit_argument_validation():
         check_classical_limit(Kind.BOSE, 1, 2, [])
 
 
+def test_classical_limit_builds_no_space(built_spaces):
+    # the deviation reads only the pairs (v_i, |v|) of the window's vectors
+    for kind in (Kind.FERMI, Kind.BOSE):
+        assert check_classical_limit(kind, 3, 3, [4, 10, 100]).passed
+    assert built_spaces == []
+
+
 def test_classical_limit_serialization():
     report = check_classical_limit(Kind.FERMI, 2, 2, [10, 100])
     payload = report.as_dict()
