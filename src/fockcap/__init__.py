@@ -16,8 +16,8 @@ _EXPORTS = {name: module for module, names in (
               "graded_dimensions grade_offsets"),
     ("lie", "check_adjoint_action check_branching check_gl_commutators check_identification "
             "diagonal_action_value extended_rescaled_generators run_lie_suite weight_vector"),
-    ("models", "SpectrumReport diagonal_level_counts diagonal_spectrum "
-               "quadratic_hamiltonian_spectrum toy_levels toy_spectrum"),
+    ("models", "diagonal_level_counts diagonal_spectrum quadratic_hamiltonian_spectrum "
+               "toy_levels toy_spectrum"),
     ("operators", "FockSpace normalize operator_json_payload"),
     ("relations", "ClassicalLimitReport RelationReport check_backend_agreement check_cap "
                   "check_classical_limit check_hermiticity check_mixed check_number check_pp "

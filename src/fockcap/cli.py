@@ -333,7 +333,7 @@ def cmd_spectrum(args) -> int:
                     raise ValueError(f"--matrix-file {args.matrix_file!r}: {exc}") from None
         else:
             table = diagonal_table(spec, _float_list(args.energies))
-        rows = quadratic_hamiltonian_spectrum(spec, table).levels
+        rows = quadratic_hamiltonian_spectrum(spec, table)
     _emit(_dump_json_rows(None, (), rows, {"value": _HOLE, "mult": _HOLE}), args.output)
     return 0
 
@@ -349,7 +349,7 @@ def cmd_toy(args) -> int:
             "levels": [{"n": k, "value": str(value), "mult": mult,
                         "gap_to_next": None if gap is None else str(gap)}
                        for k, value, mult, gap in levels],
-            "spectrum": spectrum.as_dicts(),
+            "spectrum": [{"value": str(value), "mult": mult} for value, mult in spectrum],
         }
         _emit(_dump_json(payload), args.output)
     else:
@@ -359,7 +359,7 @@ def cmd_toy(args) -> int:
             gap_text = "-" if gap is None else str(gap)
             lines.append(f"  {k:<2} {str(value):<13} {mult:<5} {gap_text}")
         lines.append("merged spectrum:")
-        for value, mult in spectrum.levels:
+        for value, mult in spectrum:
             lines.append(f"  E={value} mult={mult}")
         _emit(["\n".join(lines) + "\n"], args.output)
     return 0

@@ -35,33 +35,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .basis import AlgebraSpec, Kind
 
 CLUSTER_TOL = 1e-9
-
-
-class SpectrumReport(NamedTuple):
-    """Eigenvalues with multiplicities, sorted ascending."""
-
-    levels: tuple[tuple[Fraction | float, int], ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.levels)
-
-    def as_dicts(self) -> list[dict]:
-        out = []
-        for value, mult in self.levels:
-            rendered = str(value) if isinstance(value, Fraction) else float(value)
-            out.append({"value": rendered, "mult": mult})
-        return out
-
-
-def _report(counts: Mapping[Fraction | int, int], denom: int = 1) -> SpectrumReport:
-    """Levels value/denom of distinct values and their multiplicities, ascending."""
-    return SpectrumReport(tuple((Fraction(v, denom), m) for v, m in sorted(counts.items())))
 
 
 def _check_energy_count(spec: AlgebraSpec, energies: Sequence) -> None:
@@ -110,10 +88,11 @@ def diagonal_level_counts(spec: AlgebraSpec,
 
 
 def diagonal_spectrum(spec: AlgebraSpec,
-                      energies: Sequence[Fraction | int]) -> SpectrumReport:
+                      energies: Sequence[Fraction | int]) -> tuple[tuple[Fraction, int], ...]:
     """Exact spectrum of H = sum_i eps_i a_i^+ a_i^-: the levels of
-    diagonal_level_counts as Fractions, ascending."""
-    return _report(*diagonal_level_counts(spec, energies))
+    diagonal_level_counts as (Fraction value, multiplicity), ascending."""
+    counts, denom = diagonal_level_counts(spec, energies)
+    return tuple((Fraction(v, denom), m) for v, m in sorted(counts.items()))
 
 
 def toy_levels(p: int) -> list[tuple[int, Fraction, int, Fraction | None]]:
@@ -129,7 +108,7 @@ def toy_levels(p: int) -> list[tuple[int, Fraction, int, Fraction | None]]:
     return rows
 
 
-def toy_spectrum(p: int) -> SpectrumReport:
+def toy_spectrum(p: int) -> tuple[tuple[Fraction, int], ...]:
     """Exact spectrum of H = a_1^+ a_1^- + a_2^+ a_2^- for (Bose, n=2, cap p),
     the diagonal model at energies (1, 1): toy_levels, coincident levels merged."""
     return diagonal_spectrum(AlgebraSpec(Kind.BOSE, 2, p), (1, 1))
@@ -181,7 +160,7 @@ def _cluster(counts: Mapping[int, int], denom: int) -> tuple[tuple[float, int], 
 
 
 def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
-                                   t: Sequence[Sequence[float]]) -> SpectrumReport:
+                                   t: Sequence[Sequence[float]]) -> tuple[tuple[float, int], ...]:
     """Spectrum of H = sum_ij t_ij a_i^+ a_j^- on the orthonormal backend, by
     the one-body reduction of the module docstring.
 
@@ -206,4 +185,4 @@ def quadratic_hamiltonian_spectrum(spec: AlgebraSpec,
     if not all(map(math.isfinite, eps)):
         raise ValueError("eigenvalues of the coefficient table are beyond float range")
     counts, denom = diagonal_level_counts(spec, [Fraction(e) for e in eps])
-    return SpectrumReport(_cluster(counts, denom))
+    return _cluster(counts, denom)

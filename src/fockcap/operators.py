@@ -134,11 +134,14 @@ class FockSpace:
         normalize() is checked against.
         """
         _check_mode(self.spec, i)
-        if delta not in (+1, -1) or normalization not in (UNNORMALIZED, ORTHONORMAL):
+        if (not isinstance(delta, int) or isinstance(delta, bool) or delta not in (+1, -1)
+                or normalization not in (UNNORMALIZED, ORTHONORMAL)):
             raise ValueError(f"no ladder operator with delta={delta!r}, {normalization!r}")
         return self._memo(_ladder_matrix, i, delta, normalization)
 
     def number(self, normalization: str = UNNORMALIZED) -> MonomialMatrix:
+        if normalization not in (UNNORMALIZED, ORTHONORMAL):
+            raise ValueError(f"no number operator in normalization {normalization!r}")
         return self._memo(_number_matrix, normalization)
 
     def bilinear(self, i: int, j: int) -> MonomialMatrix:

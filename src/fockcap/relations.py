@@ -91,8 +91,9 @@ def check_pp(space: FockSpace) -> list[RelationReport]:
 
 def check_number(space: FockSpace) -> list[RelationReport]:
     """[N, a_i^pm] = pm a_i^pm, and N is k on the rank range offsets[k]..offsets[k+1]
-    of the closed-form grade offsets: eigenvalue k with multiplicity d_k, on a
-    basis whose grades are contiguous."""
+    of the closed-form grade offsets and the basis holds no other vector:
+    eigenvalue k with multiplicity exactly d_k, on a basis whose grades are
+    contiguous."""
     spec = space.spec
     N, offsets = space.number(), space.offsets
     out = []
@@ -101,8 +102,8 @@ def check_number(space: FockSpace) -> list[RelationReport]:
         out.append(_report("number-ladder-plus", spec, (i,), (bracket(N, up) - up).max_abs()))
         out.append(_report("number-ladder-minus", spec, (i,),
                            (bracket(N, down) + down).max_abs()))
-    graded = all(N.get(r, r) == k for k in range(len(offsets) - 1)
-                 for r in range(offsets[k], offsets[k + 1]))
+    graded = N.rows == offsets[-1] and all(N.get(r, r) == k for k in range(len(offsets) - 1)
+                                           for r in range(offsets[k], offsets[k + 1]))
     out.append(_report("number-multiplicity", spec, (), Fraction(0 if graded else 1)))
     return out
 

@@ -113,7 +113,7 @@ def spectrum_of_diagonal(h):
     diagonal_hamiltonian, the product-route oracle of models.diagonal_spectrum."""
     if h.max_abs(lambda r, c: r != c) != 0:
         raise ValueError("operator is not diagonal in the occupation basis")
-    return models._report(Counter(h.coef[:-1]), h.denom)
+    return tuple((Fraction(v, h.denom), m) for v, m in sorted(Counter(h.coef[:-1]).items()))
 
 
 @pytest.fixture

@@ -131,12 +131,12 @@ def test_criterion_5_toy_model():
     for p in (1, 2, 3, 10, 100):
         spec = AlgebraSpec(Kind.BOSE, 2, p)
         h = diagonal_hamiltonian(spec, [1, 1])  # by matrix products, not the closed form
-        assert toy_spectrum(p).levels == spectrum_of_diagonal(h).levels
+        assert toy_spectrum(p) == spectrum_of_diagonal(h)
     # closed-form level table at p=10: level 3 sits at 12/5 with multiplicity 4
     k, value, mult, gap = toy_levels(10)[3]
     assert (value, mult) == (Fraction(12, 5), 4)
     # p=2 merged spectrum {0: 1, 1: 5}
-    assert toy_spectrum(2).levels == ((Fraction(0), 1), (Fraction(1), 5))
+    assert toy_spectrum(2) == ((Fraction(0), 1), (Fraction(1), 5))
     # level gaps are exactly 1 - 2k/p
     for p in (1, 2, 3, 10, 100):
         rows = toy_levels(p)
@@ -188,10 +188,10 @@ def test_criterion_8_backend_agreement():
     for spec, eps in cases:
         t = [[float(eps[i]) if i == j else 0.0 for j in range(spec.n)]
              for i in range(spec.n)]
-        float_report = quadratic_hamiltonian_spectrum(spec, t)
-        exact_report = diagonal_spectrum(spec, eps)
-        ok = ok and len(float_report.levels) == len(exact_report.levels)
-        for (fv, fm), (ev, em) in zip(float_report.levels, exact_report.levels):
+        float_levels = quadratic_hamiltonian_spectrum(spec, t)
+        exact_levels = diagonal_spectrum(spec, eps)
+        ok = ok and len(float_levels) == len(exact_levels)
+        for (fv, fm), (ev, em) in zip(float_levels, exact_levels):
             ok = ok and fm == em and abs(fv - float(ev)) <= 1e-10
     _announce(8, "float backend agrees with exact (1e-12 entries, 1e-10 spectra)",
               ok, f"max entry deviation {worst:.2e}, {len(cases)} spectra compared")
@@ -200,12 +200,12 @@ def test_criterion_8_backend_agreement():
 def test_criterion_9_exact_spectrum_at_a_large_cap():
     # bose n=3, p=400: dim C(403, 3), far past any operator route
     t0 = time.perf_counter()
-    report = diagonal_spectrum(AlgebraSpec(Kind.BOSE, 3, 400), (1, 2, 3))
+    levels = diagonal_spectrum(AlgebraSpec(Kind.BOSE, 3, 400), (1, 2, 3))
     elapsed = time.perf_counter() - t0
-    ok = (len(report.levels) == 56433 and report.total_multiplicity == comb(403, 3)
-          and elapsed < 1.0)
+    total = sum(m for _, m in levels)
+    ok = len(levels) == 56433 and total == comb(403, 3) and elapsed < 1.0
     _announce(9, "exact diagonal spectrum, bose n=3 p=400", ok,
-              f"{len(report.levels)} levels, total multiplicity {report.total_multiplicity}, "
+              f"{len(levels)} levels, total multiplicity {total}, "
               f"{elapsed:.2f}s")
 
 

@@ -100,8 +100,8 @@ PACKAGE_EXPORTS = {
     "lie": ["check_adjoint_action", "check_branching", "check_gl_commutators",
             "check_identification", "diagonal_action_value", "extended_rescaled_generators",
             "run_lie_suite", "weight_vector"],
-    "models": ["SpectrumReport", "diagonal_level_counts", "diagonal_spectrum",
-               "quadratic_hamiltonian_spectrum", "toy_levels", "toy_spectrum"],
+    "models": ["diagonal_level_counts", "diagonal_spectrum", "quadratic_hamiltonian_spectrum",
+               "toy_levels", "toy_spectrum"],
     "operators": ["FockSpace", "normalize", "operator_json_payload"],
     "relations": ["ClassicalLimitReport", "RelationReport", "check_backend_agreement",
                   "check_cap", "check_classical_limit", "check_hermiticity", "check_mixed",
@@ -447,9 +447,9 @@ def test_exact_spectrum_output_is_that_of_the_report(kind, n, p, data):
     with contextlib.redirect_stdout(out):
         code = cli.main(["spectrum", "--kind", kind.value, "--n", str(n), "--p", str(p),
                          "--energies=" + ",".join(literals)])
-    report = diagonal_spectrum(AlgebraSpec(kind, n, p), [Fraction(x) for x in literals])
+    levels = diagonal_spectrum(AlgebraSpec(kind, n, p), [Fraction(x) for x in literals])
     assert code == 0
-    assert out.getvalue() == json.dumps([{"value": str(v), "mult": m} for v, m in report.levels],
+    assert out.getvalue() == json.dumps([{"value": str(v), "mult": m} for v, m in levels],
                                         indent=2) + "\n"
 
 

@@ -1,21 +1,31 @@
-"""Fault census: every small fault of one family, each sorted into a class.
+"""Fault census: every small fault of a family, each sorted into a class.
 
 The fault catalogue (test_fault_catalogue.py) picks its faults by hand.  A
 census takes every fault of a family instead, so that the claim "the
 relation suite catches it" is counted rather than argued.  Each fault is one
-of three classes:
+of four classes:
 
 - detected: some exact run_suite report fails;
 - equivalent: the edited ladders are D X D^-1 for a diagonal D, on every
   entry of all 2n of them, so the edit is a change of basis v -> d_v v and
   no relation can see it; D is solved and then checked entry by entry, not
   assumed;
-- missed: neither.  This class must stay empty.
+- relabelled: the edit reorders the enumeration, and the edited ladders are
+  the clean ones with each rank read through that same reordering, checked
+  entry by entry: a permutation of the basis, which no relation can see;
+- missed: none of these.  This class must stay empty.
 
-The family here is the adjoint-consistent pair edit: the a_i^+ entry at
-(r, c) and the a_i^- entry at (c, r) of the unnormalized route, multiplied
-together by one of FACTORS, so hermiticity still holds.  It runs over every
-live entry of every a_i^+ of SPECS.
+The families:
+
+- pair edits: the a_i^+ entry at (r, c) and the a_i^- entry at (c, r) of
+  the unnormalized route, multiplied together by one of FACTORS, so
+  hermiticity still holds; over every live entry of every a_i^+ of SPECS;
+- enumeration edits: the basis list, at the seam operators.iter_runs, with
+  vector j dropped, repeated, or swapped with vector j + 1; over every j of
+  ENUMERATION_SPECS;
+- whole-model faults: the unnormalized ladders with every live coefficient
+  rebuilt from its column vector by a wrong formula (MODEL_FAULTS); over
+  MODEL_SPECS.
 """
 
 from collections import Counter, defaultdict
@@ -27,8 +37,12 @@ from fockcap import AlgebraSpec, Kind, operators, run_suite
 from fockcap.operators import UNNORMALIZED, FockSpace
 from fockcap.sparse import MonomialMatrix
 
+from conftest import one_vector_runs
+
 SPECS = (AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2))
 FACTORS = (0, 2, 3, -1)
+ENUMERATION_SPECS = SPECS + (AlgebraSpec(Kind.BOSE, 3, 2),)
+MODEL_SPECS = ENUMERATION_SPECS + (AlgebraSpec(Kind.FERMI, 3, 3),)
 
 
 def pair_edits(space):
@@ -89,23 +103,118 @@ def conjugating_diagonal(clean, edited, dim):
     return d
 
 
+def relabelled(clean, edited, order):
+    """Whether order (the clean rank at each edited rank) is a permutation and
+    every edited ladder Y is its clean X read through it: Y[s, t] = X[order[s],
+    order[t]] on every entry live in either."""
+    if sorted(order) != list(range(clean[0].rows)):
+        return False
+    where = {r: s for s, r in enumerate(order)}
+    return all(Y.data == {(where[r], where[c]): x for (r, c), x in X.data.items()}
+               for X, Y in zip(clean, edited))
+
+
+def classify(spec, clean, install, order=None):
+    """(class, names of the failing checks) of the fault that install(mp) puts
+    in place, against the clean ladders of spec; order is the reordering of
+    the enumeration that the fault applies, if it applies one."""
+    with pytest.MonkeyPatch.context() as mp:
+        install(mp)
+        failed = {rep.relation for rep in run_suite(spec) if not rep.passed}
+        if failed:
+            return "detected", failed
+        edited = _ladders(FockSpace(spec))
+    dim = edited[0].rows
+    if dim == clean[0].rows and conjugating_diagonal(clean, edited, dim) is not None:
+        return "equivalent", failed
+    if order is not None and relabelled(clean, edited, order):
+        return "relabelled", failed
+    return "missed", failed
+
+
 def census(spec):
     """(edit, class, names of the failing checks) for every pair edit of spec."""
     clean_space = FockSpace(spec)
     clean = _ladders(clean_space)
+    return [(edit, *classify(spec, clean, lambda mp, edit=edit: _install(mp, edit)))
+            for edit in pair_edits(clean_space)]
+
+
+def enumeration_edits(dim):
+    """(name, j, edit of a list) for each vector j of a basis of dim vectors."""
+    return ([("drop", j, lambda b, j=j: b[:j] + b[j + 1:]) for j in range(dim)]
+            + [("repeat", j, lambda b, j=j: b[:j + 1] + b[j:]) for j in range(dim)]
+            + [("swap", j, lambda b, j=j: b[:j] + [b[j + 1], b[j]] + b[j + 2:])
+               for j in range(dim - 1)])
+
+
+def enumeration_census(spec):
+    """((name, j), class, names of the failing checks) for every enumeration edit
+    of spec; an edit's reordering is the edit applied to the list of ranks."""
+    clean = _ladders(FockSpace(spec))
+    dim = clean[0].rows
     out = []
-    for edit in pair_edits(clean_space):
-        with pytest.MonkeyPatch.context() as mp:
-            _install(mp, edit)
-            failed = {rep.relation for rep in run_suite(spec) if not rep.passed}
-            if failed:
-                cls = "detected"
-            else:
-                space = FockSpace(spec)
-                equivalent = conjugating_diagonal(clean, _ladders(space), len(space.grades))
-                cls = "missed" if equivalent is None else "equivalent"
-        out.append((edit, cls, failed))
+    for name, j, edit in enumeration_edits(dim):
+        def install(mp, edit=edit):
+            mp.setattr(operators, "iter_runs", lambda s: one_vector_runs(s, edit))
+        out.append(((name, j), *classify(spec, clean, install, edit(list(range(dim))))))
     return out
+
+
+def _prefix_sign(spec, i, v):
+    """sign_i(v) = (-1)^(v_1 + ... + v_{i-1}) for Fermi, 1 for Bose."""
+    return (-1) ** sum(v[:i - 1]) if spec.kind is Kind.FERMI else 1
+
+
+def _clean(spec, i, delta, v):
+    """The unnormalized coefficient of the operators.py docstring at column v."""
+    magnitude = 1 if delta > 0 else v[i - 1] * Fraction(spec.p - sum(v) + 1, spec.p)
+    return _prefix_sign(spec, i, v) * magnitude
+
+
+def _ordinary(spec, i, delta, v):
+    """The ordinary ladders cut off at p: a_i^- without the grade factor (p-k+1)/p."""
+    return _prefix_sign(spec, i, v) * (1 if delta > 0 else v[i - 1])
+
+
+def _grade_off_by_one(spec, i, delta, v):
+    """The grade factor (p-k)/p in place of (p-k+1)/p."""
+    magnitude = 1 if delta > 0 else v[i - 1] * Fraction(spec.p - sum(v), spec.p)
+    return _prefix_sign(spec, i, v) * magnitude
+
+
+def _suffix_sign(spec, i, delta, v):
+    """The Fermi sign read from modes i+1..n: the other Jordan-Wigner ordering."""
+    return (-1) ** sum(v[i:]) * abs(_clean(spec, i, delta, v))
+
+
+MODEL_FAULTS = {"ordinary-ladders": _ordinary, "grade-factor-off-by-one": _grade_off_by_one,
+                "fermi-sign-from-later-modes": _suffix_sign}
+
+
+def _install_model(mp, coefficient):
+    """Make the unnormalized ladder kernel rebuild each live coefficient of its
+    ladder as coefficient(spec, i, delta, v) from the column vector v."""
+    original = operators._ladder_matrix
+
+    def rebuilt(space, i, delta, normalization):
+        op = original(space, i, delta, normalization)
+        if normalization != UNNORMALIZED:
+            return op
+        values = [coefficient(space.spec, i, delta, v) if x else 0
+                  for v, x in zip(space.basis, op.coef)]
+        return MonomialMatrix.from_columns(op.rows, op.target[:-1], values, op.tag)
+
+    mp.setattr(operators, "_ladder_matrix", rebuilt)
+
+
+def model_census(spec):
+    """(fault name, class, names of the failing checks) for every whole-model
+    fault of spec; the Fermi sign fault only where there is a sign."""
+    clean = _ladders(FockSpace(spec))
+    return [(name, *classify(spec, clean, lambda mp, f=fault: _install_model(mp, f)))
+            for name, fault in MODEL_FAULTS.items()
+            if spec.kind is Kind.FERMI or fault is not _suffix_sign]
 
 
 def test_every_pair_edit_is_detected_or_equivalent():
@@ -135,3 +244,40 @@ def test_the_conjugating_diagonal_is_checked_not_assumed():
     with pytest.MonkeyPatch.context() as mp:
         _install(mp, (1, 4, 1, 2))
         assert conjugating_diagonal(clean, _ladders(FockSpace(spec)), dim) is None
+
+
+def test_every_enumeration_edit_is_detected_or_relabelled():
+    results = {spec: enumeration_census(spec) for spec in ENUMERATION_SPECS}
+    classes = Counter(cls for rows in results.values() for _, cls, _ in rows)
+    assert sum(classes.values()) == 78
+    assert classes == Counter(detected=77, relabelled=1)
+    # (0, 2, 0) <-> (1, 0, 1) at bose 3/2: each mode's vectors with w_i >= 1 stay in order
+    relabelled = [(spec, edit) for spec, rows in results.items()
+                  for edit, cls, _ in rows if cls == "relabelled"]
+    assert relabelled == [(ENUMERATION_SPECS[2], ("swap", 6))]
+    # number-multiplicity alone sees a repeat of the last vector, which no ladder
+    # reaches, and the swap of (0, 1) with (2, 0) at bose 2/3, which only reorders grades
+    sole = {(spec, edit): failed for spec, rows in results.items()
+            for edit, _, failed in rows if len(failed) == 1}
+    assert sole == {**{(spec, ("repeat", FockSpace(spec).offsets[-1] - 1)):
+                       {"number-multiplicity"} for spec in ENUMERATION_SPECS},
+                    (ENUMERATION_SPECS[0], ("swap", 2)): {"number-multiplicity"}}
+
+
+def test_every_whole_model_fault_is_detected_or_equivalent():
+    # the rebuild itself is faithful: the clean formula gives back the clean ladders
+    for spec in MODEL_SPECS:
+        clean = _ladders(FockSpace(spec))
+        with pytest.MonkeyPatch.context() as mp:
+            _install_model(mp, _clean)
+            assert _ladders(FockSpace(spec)) == clean
+    results = {(spec, name): (cls, failed) for spec in MODEL_SPECS
+               for name, cls, failed in model_census(spec)}
+    assert len(results) == 10
+    for (spec, name), (cls, failed) in results.items():
+        if name == "fermi-sign-from-later-modes":
+            # D is (-1)^(a parity of v): the two Jordan-Wigner orderings are equivalent
+            assert cls == "equivalent", spec
+        else:
+            assert cls == "detected", (spec, name)
+            assert failed == {"adjoint-is-annihilation", "mixed-ladder"}, (spec, name)

@@ -111,6 +111,16 @@ def test_offsets_stop_at_the_top_grade():
 
 def test_ladder_rejects_unknown_direction_and_normalization():
     space = FockSpace(AlgebraSpec(Kind.BOSE, 2, 3))
-    for args in ((1, 2), (1, 0), (1, +1, "float"), (3, +1)):
+    # bool is an int subclass: True would be delta = +1
+    for args in ((1, 2), (1, 0), (1, +1, "float"), (3, +1), (1, True), (1, False)):
         with pytest.raises(ValueError):
             space.ladder(*args)
+    assert not space._operators
+
+
+def test_number_rejects_unknown_normalization():
+    space = FockSpace(AlgebraSpec(Kind.BOSE, 2, 3))
+    for normalization in ("bogus", None, "float"):
+        with pytest.raises(ValueError, match="no number operator"):
+            space.number(normalization)
+    assert not space._operators

@@ -12,7 +12,7 @@ from fockcap.operators import UNNORMALIZED, grade_diagonal
 from fockcap.relations import EXACT, FLOAT, FLOAT_TOL, RelationReport
 from fockcap.sparse import SparseMatrix
 
-from conftest import gram_matrix, small_grid
+from conftest import gram_matrix, one_vector_runs, small_grid
 
 
 def test_exact_suite_spot_specs():
@@ -90,6 +90,17 @@ def test_number_relation_and_multiplicities():
     for spec in small_grid(3, 3):
         for rep in check_number(FockSpace(spec)):
             assert rep.passed
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2),
+                                  AlgebraSpec(Kind.BOSE, 3, 2)])
+def test_number_multiplicity_fails_for_a_repeated_last_vector(monkeypatch, spec):
+    # no ladder reaches the copy of the last top-grade vector and every grade's
+    # closed-form rank range still reads its k; only the count of vectors differs
+    from fockcap import operators
+    monkeypatch.setattr(operators, "iter_runs", lambda s: one_vector_runs(s, lambda b: b + b[-1:]))
+    failed = {rep.relation for rep in run_suite(spec, EXACT) if not rep.passed}
+    assert failed == {"number-multiplicity"}
 
 
 def test_cap_reports():

@@ -25,6 +25,11 @@ def test_arithmetic_and_matmul():
     assert prod.entries() == [(0, 0, 6), (0, 1, -2)]
     assert (2 * a).get(0, 1) == 4
     assert (-a).get(0, 0) == -1
+    with pytest.raises(TypeError, match="use @"):
+        a * b
+    assert a == _mat(2, 2, [(0, 1, 2), (0, 0, 1)]) and a != b and a != _mat(2, 3, [])
+    assert (a == 3) is False
+    assert repr(a) == "SparseMatrix(2x2, nnz=2, tag=None)"
 
 
 def test_zero_entries_are_stripped():
@@ -59,6 +64,13 @@ def test_shape_mismatch_rejected():
         _mat(2, 2, []) @ _mat(3, 3, [])
     with pytest.raises(ValueError):
         _mat(2, 2, []) + _mat(2, 3, [])
+    two, three = MonomialMatrix(2, [1, -1], [1, 0]), MonomialMatrix(3, [1, 2, -1], [1, 1, 0])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        two @ three
+    with pytest.raises(ValueError, match="shape mismatch"):
+        two + three
+    with pytest.raises(ValueError, match="shape mismatch"):
+        two - three
 
 
 def test_apply_vector():
@@ -259,4 +271,9 @@ def test_monomial_denominators_and_zero_entries():
     assert orbit_ranks([cancelled], [0]) == [1]
     assert orbit_ranks([half], [0, 1]) == [2, 1]
     assert (6 * half).denom == 1 and (6 * half).get(1, 0) == 3
+    with pytest.raises(TypeError, match="use @"):
+        half * half
+    with pytest.raises(TypeError, match="use @"):
+        half * half.to_sparse()
+    assert (half == 3) is False  # NotImplemented both ways, so == falls back to identity
     assert MonomialMatrix.from_columns(2, [0, 1], [Fraction(1, 2), Fraction(1, 3)]).denom == 6
