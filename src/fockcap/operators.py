@@ -21,8 +21,8 @@ and a_i^+, a_i^- are mutually adjoint for it: (a_i^+)^T G = G a_i^-.
 
 Conjugating by the square roots of the Gram entries yields the orthonormal
 backend, whose entries are floats; there the actions carry the familiar
-square-root coefficients (see FockSpace.ladder, which also builds them
-directly as an independent construction route).
+square-root coefficients (see FockSpace.ladder, which also builds the ladders
+directly, as the independent route that checks the conjugation).
 
 FockSpace(spec) builds the basis and each operator of a spec
 at most once; it is the one way to obtain an operator.  Each entry point
@@ -61,9 +61,9 @@ class FockSpace:
     """Everything the checks and the CLI read of one capped Fock space.
 
     Holds the basis, the grade of each basis vector, the grade offsets, and
-    the ladder operators (per mode and normalization), the number operator
-    (per normalization) and the exact bilinears e_ij; it gives the Gram form
-    as the ratio gram_ratio.  Each is built on first use and at most once.  The
+    the ladder operators (per mode and normalization), the exact number
+    operator and the exact bilinears e_ij; it gives the Gram form as the
+    ratio gram_ratio.  Each is built on first use and at most once.  The
     matrices it hands out are shared by every caller of the space and must
     not be mutated.  The basis, the grades and the ladder walks all read the
     enumeration's runs, listed once by the seam iter_runs (basis.iter_runs),
@@ -80,7 +80,6 @@ class FockSpace:
         # the rank ints of the enumeration, grown by the ladder walks and shared by
         # them, so the ladders of a space hold one int object per rank between them
         self._ranks: list[int] = []
-        self._grade_ratios: dict[tuple[int, int], tuple[int, int]] = {}  # by (k_r, k_c)
 
     @cached_property
     def runs(self) -> list[tuple[int, int, list[OccupationVector]]]:
@@ -104,17 +103,20 @@ class FockSpace:
     def gram_ratio(self, r: int, c: int) -> tuple[int, int]:
         """G(r)/G(c) as two ints (num, den) for the basis vectors u, v of ranks
         r, c: the one place that knows how the Gram form (module docstring) is
-        written down.  Its grade factors perm(p, k)/p^k leave, once per grade pair,
+        written down.  Its grade factors perm(p, k)/p^k leave
         perm(p-k_c, k_r-k_c)/p^(k_r-k_c) if k_r >= k_c, the inverse otherwise,
-        and the Bose products a falling factorial per mode where u and v differ."""
+        and the Bose products a falling factorial per mode where u and v differ.
+        A rank that is not an int in 0..dim-1 (a bool or another int subclass
+        too) is refused."""
+        grades = self.grades
+        dim = len(grades)
+        if type(r) is not int or type(c) is not int or not (0 <= r < dim and 0 <= c < dim):
+            raise ValueError(f"basis ranks {r!r}, {c!r} out of range 0..{dim - 1}")
         if r == c:
             return 1, 1
-        key = kr, kc = self.grades[r], self.grades[c]
-        if key not in self._grade_ratios:
-            p = self.spec.p
-            self._grade_ratios[key] = ((math.perm(p - kc, kr - kc), p ** (kr - kc)) if kr >= kc
-                                       else (p ** (kc - kr), math.perm(p - kr, kc - kr)))
-        num, den = self._grade_ratios[key]
+        kr, kc, p = grades[r], grades[c], self.spec.p
+        num, den = ((math.perm(p - kc, kr - kc), p ** (kr - kc)) if kr >= kc
+                    else (p ** (kc - kr), math.perm(p - kr, kc - kr)))
         if self.spec.kind is Kind.BOSE:
             for x, y in zip(self.basis[r], self.basis[c]):
                 if x > y:
@@ -139,10 +141,9 @@ class FockSpace:
             raise ValueError(f"no ladder operator with delta={delta!r}, {normalization!r}")
         return self._memo(_ladder_matrix, i, delta, normalization)
 
-    def number(self, normalization: str = UNNORMALIZED) -> MonomialMatrix:
-        if normalization not in (UNNORMALIZED, ORTHONORMAL):
-            raise ValueError(f"no number operator in normalization {normalization!r}")
-        return self._memo(_number_matrix, normalization)
+    def number(self) -> MonomialMatrix:
+        """The exact N; its orthonormal form is normalize(space.number(), space)."""
+        return self._memo(_number_matrix)
 
     def bilinear(self, i: int, j: int) -> MonomialMatrix:
         """Exact e_ij = p*{a_i^+, a_j^-} (Fermi) / p*[a_i^+, a_j^-] (Bose)."""
@@ -240,8 +241,8 @@ def _orthonormal_magnitude(x: int, k: int, p: int) -> float:
     return math.sqrt(x * (p - k + 1) / p)
 
 
-def _number_matrix(space: FockSpace, normalization: str) -> MonomialMatrix:
-    return grade_diagonal(space, Fraction if normalization == UNNORMALIZED else float)
+def _number_matrix(space: FockSpace) -> MonomialMatrix:
+    return grade_diagonal(space, Fraction)
 
 
 def _bilinear_matrix(space: FockSpace, i: int, j: int) -> MonomialMatrix:
@@ -263,17 +264,14 @@ def normalize(op: MonomialMatrix, space: FockSpace) -> MonomialMatrix:
 
 
 def grade_diagonal(space: FockSpace, func) -> MonomialMatrix:
-    """Diagonal operator on space whose entry at v is func(|v|): the number
-    operator and polynomials in it, such as E_00 and p*Id.  func is called
-    once per grade k = 0..top that holds a vector, and each basis
-    vector takes the value of its grade.  A diagonal operator is the same
-    matrix in both bases, so the values name its tag: floats the orthonormal
-    one, rationals the unnormalized one."""
+    """Exact diagonal operator on space whose entry at v is func(|v|): the
+    number operator and polynomials in it, such as E_00 and p*Id, tagged
+    unnormalized.  func is called once per grade k = 0..top that holds a
+    vector, and each basis vector takes the value of its grade."""
     values = [func(k) for k in range(space.spec.top + 1)]
     dim = len(space.grades)
-    op = MonomialMatrix.from_columns(dim, range(dim), [values[k] for k in space.grades])
-    op.tag = BasisTag(space.spec, UNNORMALIZED if op.exact else ORTHONORMAL)
-    return op
+    return MonomialMatrix.from_columns(dim, range(dim), [values[k] for k in space.grades],
+                                       BasisTag(space.spec, UNNORMALIZED))
 
 
 def operator_json_payload(op: MonomialMatrix) -> dict:

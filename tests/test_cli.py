@@ -339,10 +339,12 @@ def test_verify_float_backend(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(item["pass"] for item in payload)
-    # the exact suite with exact residuals, and the orthonormal agreement with float ones
+    # the exact suite with exact residuals, and the agreement of the 2n orthonormal
+    # ladders with float ones
     floats = [item for item in payload if item["backend"] == "float"]
+    assert len(floats) == 4
     assert {item["relation"] for item in floats} == {f"orthonormal-agreement-{name}"
-                                                     for name in ("plus", "minus", "number")}
+                                                     for name in ("plus", "minus")}
     assert all(isinstance(item["residual"], float) for item in floats)
     assert all(item["residual"] == "0" for item in payload if item not in floats)
     assert len(payload) - len(floats) == len(run_suite(AlgebraSpec(Kind.FERMI, 2, 2)))
@@ -964,11 +966,11 @@ GOLDEN = [
     ("lie --kind bose --n 2 --p 3 --json", 0, "54cff3fb8f1d2bc92385381c1d1a0e3376a97f6fd17478752bb0f93b8991d44b"),
     ("spectrum --kind bose --n 2 --p 4 --energies 1,2", 0, "ffdb90e18584991431fbc8374875481808d53f0ab7fced6bf776246dd45a83ea"),
     ("toy --p 6", 0, "be9e358d54255edff7310f660801d1c806e7f0d4b38d322d22eaaafe338524e6"),
-    ("verify --kind fermi --n 2 --p 2 --backend float --json", 0, "ee32feaa0e87aca4f74a801571a336a8e8a519a41814e30b36886789147eefe8"),
+    ("verify --kind fermi --n 2 --p 2 --backend float --json", 0, "053adf3e4a82a840525179bc3f0f61c28d29d3029a5fdbf2dcc9061ccebbf897"),
     ("spectrum --kind bose --n 3 --p 3 --energies 0,2,5", 0, "92510035bbe41942aafd88b2c9f7cbbcf24403c95248da50f1b0abf85ed22cef"),
     ("toy --p 10 --json", 0, "d9317a8496768d3557701ebfa10ae773f062f942273ba9065e2f17de2bdc440d"),
     ("spectrum --kind fermi --n 3 --p 2 --energies 1/2,0,-3", 0, "a316bae942adea79669a9b803d03782733b9144c8560cfa63d97bb6edb39f563"),
-    ("verify --kind bose --n 3 --p 4 --backend float --json", 0, "3d9eb801b351973f75abda191d1da8c378dff671561c9764fff53a178d8d1c2b"),
+    ("verify --kind bose --n 3 --p 4 --backend float --json", 0, "15c3715ef6883958b9771bcc5d5034b7d75014f22177687e76b3bbfde6ef3eef"),
     ("lie --kind bose --n 3 --p 3 --json", 0, "e49081e42c44ed267b4d35f95ebf2f11b6010f37e0e281dfb77b806763856e9b"),
     ("ops --kind fermi --n 3 --p 2 --op create --i 2 --normalization orthonormal", 0, "c42ab43fb071edc3042f3d6db32a9361f651d270eda57389785c72cfa4739116"),
     ("ops --kind bose --n 2 --p 3 --op number --normalization orthonormal", 0, "60c41f00e7cac4919778f5cbeefc9e2b51829fb0b7a06e0f0df29a76e383e142"),

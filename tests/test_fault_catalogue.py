@@ -5,9 +5,10 @@ sit, on one of three routes:
 
 - ``unnormalized``: the rational ladder and number operators and the Gram
   form, which the exact relation suite reads;
-- ``orthonormal``: the float ladder and number operators that FockSpace
-  builds straight from their square-root coefficients, which only the
-  orthonormal agreement checks and the float bracket table of ``lie`` read;
+- ``orthonormal``: the float ladders that FockSpace builds straight from
+  their square-root coefficients, which only the orthonormal agreement
+  checks and the float bracket table of ``lie`` read (N has no such route:
+  its orthonormal form is the normalized exact one);
 - ``shared``: what both routes are built from, the walk that pairs v with
   v +- e_i, its Fermi sign, and the basis enumeration that FockSpace.basis
   and the walk both read; a ladder fault on this route is the same edit made
@@ -46,7 +47,7 @@ SPECS = (AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2),
 COMMANDS = {"verify": ("verify",), "verify-float": ("verify", "--backend", "float"),
             "lie": ("lie",)}
 SHARED = "shared"
-# the normalizations a ladder or number fault on each route edits
+# the normalizations a ladder fault on each route edits
 EDITED = {UNNORMALIZED: (UNNORMALIZED,), ORTHONORMAL: (ORTHONORMAL,),
           SHARED: (UNNORMALIZED, ORTHONORMAL)}
 GRADE = 1  # the grade that grade faults change: every spec has it, and grades on both sides
@@ -124,19 +125,13 @@ def _double_step(i, delta):
 
 def _off_by_one(space, op):
     """N is one more than the grade on grade GRADE."""
-    one = Fraction(1) if op.exact else 1.0
-    return op + grade_diagonal(space, lambda k: one if k == GRADE else 0 * one)
+    return op + grade_diagonal(space, lambda k: Fraction(int(k == GRADE)))
 
 
-def _number_fault(edit, route):
+def _number_fault(edit):
     def install(mp):
         original = operators._number_matrix
-
-        def faulty(space, normalization):
-            op = original(space, normalization)
-            return edit(space, op) if normalization in EDITED[route] else op
-
-        mp.setattr(operators, "_number_matrix", faulty)
+        mp.setattr(operators, "_number_matrix", lambda space: edit(space, original(space)))
     return install
 
 
@@ -194,13 +189,11 @@ def _faults() -> list[Fault]:
             for route in (UNNORMALIZED, ORTHONORMAL, SHARED):
                 name = f"{kind}-a{i}{'+' if delta > 0 else '-'}-{route}"
                 faults.append(Fault(name, route, _ladder_fault(edit, i, delta, route)))
-    faults += [Fault(f"number-off-by-one-{route}", route, _number_fault(_off_by_one, route))
-               for route in (UNNORMALIZED, ORTHONORMAL, SHARED)]
     faults += [
+        Fault("number-off-by-one-unnormalized", UNNORMALIZED, _number_fault(_off_by_one)),
         Fault("double-step-a1+", SHARED, _double_step(1, +1)),
         Fault("double-step-a2-", SHARED, _double_step(2, -1)),
-        Fault("move-target-N-unnormalized", UNNORMALIZED,
-              _number_fault(_move_target, UNNORMALIZED)),
+        Fault("move-target-N-unnormalized", UNNORMALIZED, _number_fault(_move_target)),
         Fault("prefix-sign-includes-own-mode", SHARED, _prefix_sign_fault(lambda i: i), True),
         Fault("prefix-sign-skips-previous-mode", SHARED,
               _prefix_sign_fault(lambda i: max(i - 2, 0)), True),

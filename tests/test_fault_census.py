@@ -25,7 +25,23 @@ The families:
   ENUMERATION_SPECS;
 - whole-model faults: the unnormalized ladders with every live coefficient
   rebuilt from its column vector by a wrong formula (MODEL_FAULTS); over
-  MODEL_SPECS.
+  MODEL_SPECS;
+- N edits: every live entry of the number operator, at the seam
+  operators._number_matrix, multiplied by one of ENTRY_FACTORS or plus 1, or
+  its target moved to every other rank of its grade; over ENUMERATION_SPECS;
+- orthonormal edits: the same entry edits, without the plus 1, made to
+  every live entry of every orthonormal a_i^+ and a_i^-, the ladders that
+  FockSpace builds straight from their square-root coefficients, classified
+  by the float backend of run_suite; over ENUMERATION_SPECS.
+
+An N edit is never equivalent or relabelled: D N D^-1 = N for every
+diagonal D, and an edit of N reorders no basis vector.  Nor is an
+orthonormal edit: the agreement checks compare each orthonormal ladder with
+the normalized exact one entry by entry, in the one basis both are written
+in.  So these two families are classified as detected or missed only.
+
+FAMILIES names each family, for tools/census_tables.py, which prints the
+per-check tables of them all.
 """
 
 from collections import Counter, defaultdict
@@ -34,7 +50,8 @@ from fractions import Fraction
 import pytest
 
 from fockcap import AlgebraSpec, Kind, operators, run_suite
-from fockcap.operators import UNNORMALIZED, FockSpace
+from fockcap.operators import ORTHONORMAL, UNNORMALIZED, FockSpace
+from fockcap.relations import EXACT, FLOAT
 from fockcap.sparse import MonomialMatrix
 
 from conftest import one_vector_runs
@@ -43,6 +60,7 @@ SPECS = (AlgebraSpec(Kind.BOSE, 2, 3), AlgebraSpec(Kind.FERMI, 3, 2))
 FACTORS = (0, 2, 3, -1)
 ENUMERATION_SPECS = SPECS + (AlgebraSpec(Kind.BOSE, 3, 2),)
 MODEL_SPECS = ENUMERATION_SPECS + (AlgebraSpec(Kind.FERMI, 3, 3),)
+ENTRY_FACTORS = (0, 2, -1)
 
 
 def pair_edits(space):
@@ -114,15 +132,16 @@ def relabelled(clean, edited, order):
                for X, Y in zip(clean, edited))
 
 
-def classify(spec, clean, install, order=None):
-    """(class, names of the failing checks) of the fault that install(mp) puts
-    in place, against the clean ladders of spec; order is the reordering of
-    the enumeration that the fault applies, if it applies one."""
+def classify(spec, clean, install, order=None, backend=EXACT):
+    """(class, names of the failing checks of run_suite(spec, backend)) of the
+    fault that install(mp) puts in place, against the clean ladders of spec;
+    order is the reordering of the enumeration that the fault applies, if it
+    applies one.  clean is None for a fault that is detected or missed only."""
     with pytest.MonkeyPatch.context() as mp:
         install(mp)
-        failed = {rep.relation for rep in run_suite(spec) if not rep.passed}
-        if failed:
-            return "detected", failed
+        failed = {rep.relation for rep in run_suite(spec, backend) if not rep.passed}
+        if failed or clean is None:
+            return "detected" if failed else "missed", failed
         edited = _ladders(FockSpace(spec))
     dim = edited[0].rows
     if dim == clean[0].rows and conjugating_diagonal(clean, edited, dim) is not None:
@@ -217,6 +236,78 @@ def model_census(spec):
             if spec.kind is Kind.FERMI or fault is not _suffix_sign]
 
 
+def entry_edits(space, op, plus_one):
+    """(column, how, x) for every edit of every live entry of op: "times" each
+    of ENTRY_FACTORS, "plus" 1 if plus_one, and "move" its target to each
+    other rank x of the target's grade."""
+    offsets, grades, out = space.offsets, space.grades, []
+    for c, (r, x) in enumerate(zip(op.target[:-1], op.coef)):
+        if x:
+            k = grades[r]
+            out += [(c, "times", f) for f in ENTRY_FACTORS] + [(c, "plus", 1)] * plus_one
+            out += [(c, "move", s) for s in range(offsets[k], offsets[k + 1]) if s != r]
+    return out
+
+
+def edited_entry(op, c, how, x):
+    """op with the entry of column c edited as entry_edits says."""
+    targets, coefs = op.target[:-1], op.coef[:-1]
+    if how == "times":
+        coefs[c] *= x
+    elif how == "plus":
+        coefs[c] += x * op.denom
+    else:
+        targets[c] = x
+    return MonomialMatrix(op.rows, targets, coefs, op.denom, op.tag)
+
+
+def number_census(spec):
+    """(edit, class, names of the failing checks) for every N edit of spec."""
+    space = FockSpace(spec)
+
+    def install(mp, edit):
+        original = operators._number_matrix
+        mp.setattr(operators, "_number_matrix", lambda s: edited_entry(original(s), *edit))
+
+    return [(edit, *classify(spec, None, lambda mp, edit=edit: install(mp, edit)))
+            for edit in entry_edits(space, space.number(), True)]
+
+
+def orthonormal_census(spec):
+    """((i, delta, column, how, x), class, names of the failing float checks)
+    for every orthonormal edit of spec."""
+    space = FockSpace(spec)
+
+    def install(mp, i, delta, *edit):
+        original = operators._ladder_matrix
+
+        def edited(space, j, d, normalization):
+            op = original(space, j, d, normalization)
+            if (j, d, normalization) != (i, delta, ORTHONORMAL):
+                return op
+            return edited_entry(op, *edit)
+
+        mp.setattr(operators, "_ladder_matrix", edited)
+
+    edits = [(i, delta, *edit) for i in range(1, spec.n + 1) for delta in (+1, -1)
+             for edit in entry_edits(space, space.ladder(i, delta, ORTHONORMAL), False)]
+    return [(edit, *classify(spec, None, lambda mp, edit=edit: install(mp, *edit),
+                             backend=FLOAT))
+            for edit in edits]
+
+
+def coverage(results):
+    """check name -> (edits it detects, edits it alone detects), over results,
+    a dict spec -> [(edit, class, names of the failing checks)]."""
+    detects, only = Counter(), Counter()
+    for rows in results.values():
+        for _, _, failed in rows:
+            detects.update(failed)
+            if len(failed) == 1:
+                only.update(failed)
+    return {name: (count, only[name]) for name, count in detects.items()}
+
+
 def test_every_pair_edit_is_detected_or_equivalent():
     results = {spec: census(spec) for spec in SPECS}
     classes = Counter(cls for rows in results.values() for _, cls, _ in rows)
@@ -281,3 +372,39 @@ def test_every_whole_model_fault_is_detected_or_equivalent():
         else:
             assert cls == "detected", (spec, name)
             assert failed == {"adjoint-is-annihilation", "mixed-ladder"}, (spec, name)
+
+
+def test_every_number_edit_is_detected():
+    results = {spec: number_census(spec) for spec in ENUMERATION_SPECS}
+    classes = Counter(cls for rows in results.values() for _, cls, _ in rows)
+    assert classes == Counter(detected=164)
+    moves = sum(how == "move" for rows in results.values() for (_, how, _), _, _ in rows)
+    assert moves == 68
+    # the three number checks each see every edit, hermiticity the moves; none alone
+    assert coverage(results) == {"number-ladder-plus": (164, 0),
+                                 "number-ladder-minus": (164, 0),
+                                 "number-multiplicity": (164, 0),
+                                 "number-self-adjoint": (68, 0)}
+
+
+def test_every_orthonormal_edit_is_detected_by_the_agreement_checks():
+    results = {spec: orthonormal_census(spec) for spec in ENUMERATION_SPECS}
+    classes = Counter(cls for rows in results.values() for _, cls, _ in rows)
+    assert classes == Counter(detected=341)
+    # the exact suite reads no orthonormal ladder: each edit has exactly one detector,
+    # the agreement check of the edited ladder
+    for rows in results.values():
+        for (_, delta, *_), _, failed in rows:
+            assert failed == {"orthonormal-agreement-" + ("plus" if delta > 0 else "minus")}
+    assert coverage(results) == {"orthonormal-agreement-plus": (196, 196),
+                                 "orthonormal-agreement-minus": (145, 145)}
+
+
+# name -> (the census of one spec, its specs, the backend of run_suite that classifies it)
+FAMILIES = {
+    "pair": (census, SPECS, EXACT),
+    "enumeration": (enumeration_census, ENUMERATION_SPECS, EXACT),
+    "whole-model": (model_census, MODEL_SPECS, EXACT),
+    "N": (number_census, ENUMERATION_SPECS, EXACT),
+    "orthonormal": (orthonormal_census, ENUMERATION_SPECS, FLOAT),
+}

@@ -51,7 +51,7 @@ def test_suites_build_each_space_and_operator_once(monkeypatch):
     _count_calls(monkeypatch, operators, "_ladder_matrix", ladders,
                  lambda space, *key: (space.spec, *key))
     _count_calls(monkeypatch, operators, "_number_matrix", numbers,
-                 lambda space, norm: (space.spec, norm))
+                 lambda space: space.spec)
     _count_calls(monkeypatch, operators, "_bilinear_matrix", bilinears,
                  lambda space, i, j: (space.spec, i, j))
     built = {"ladders": set(), "numbers": set(), "bilinears": set()}
@@ -74,7 +74,7 @@ def test_suites_build_each_space_and_operator_once(monkeypatch):
     assert built["ladders"] == {(spec, i, delta, norm) for spec in SPECS
                                 for i in range(1, spec.n + 1) for delta in (+1, -1)
                                 for norm in norms}
-    assert built["numbers"] == {(spec, norm) for spec in SPECS for norm in norms}
+    assert built["numbers"] == set(SPECS)
     assert built["bilinears"] == {(spec, i, j) for spec in SPECS
                                   for i in range(1, spec.n + 1) for j in range(1, spec.n + 1)}
 
@@ -84,8 +84,7 @@ def test_a_space_builds_its_number_operator_from_itself(monkeypatch):
     _count_basis_lists(monkeypatch, enumerations)
     spec = SPECS[0]
     space = FockSpace(spec)
-    for norm in (UNNORMALIZED, ORTHONORMAL):
-        assert [space.number(norm).get(r, r) for r in range(len(space.basis))] == space.grades
+    assert [space.number().get(r, r) for r in range(len(space.basis))] == space.grades
     assert enumerations == Counter([spec])
 
 
@@ -104,7 +103,7 @@ def test_offsets_stop_at_the_top_grade():
         assert FockSpace(spec).offsets == grade_offsets(spec)[:spec.top + 2]
     spec = AlgebraSpec(Kind.FERMI, 2, 10 ** 6)
     assert FockSpace(spec).offsets == [0, 1, 3, 4]
-    for backend, count in ((EXACT, 25), (FLOAT, 30)):
+    for backend, count in ((EXACT, 25), (FLOAT, 29)):
         reports = run_suite(spec, backend)
         assert len(reports) == count and all(rep.passed for rep in reports)
 
@@ -119,8 +118,9 @@ def test_ladder_rejects_unknown_direction_and_normalization():
 
 
 def test_number_rejects_unknown_normalization():
+    # N is built exact only: its orthonormal form is normalize(space.number(), space)
     space = FockSpace(AlgebraSpec(Kind.BOSE, 2, 3))
-    for normalization in ("bogus", None, "float"):
-        with pytest.raises(ValueError, match="no number operator"):
+    for normalization in (ORTHONORMAL, UNNORMALIZED, "bogus", None):
+        with pytest.raises(TypeError):
             space.number(normalization)
     assert not space._operators

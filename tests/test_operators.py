@@ -231,7 +231,16 @@ def test_direct_orthonormal_build_matches_normalization():
             direct = space.ladder(i, -1, ORTHONORMAL)
             for key, val in direct.data.items():
                 assert via_gram.data[key] == pytest.approx(val, abs=1e-14)
-    assert FockSpace(F22).number(ORTHONORMAL).get(3, 3) == 2.0
+
+
+def test_orthonormal_number_is_the_normalized_one():
+    # N is diagonal, so it has no second route: normalize leaves float(k) on grade k
+    for spec in small_grid(3, 3):
+        space = FockSpace(spec)
+        N = normalize(space.number(), space)
+        assert N.tag.normalization == ORTHONORMAL
+        assert [(r, c, repr(x)) for r, c, x in N.entries()] == [
+            (r, r, repr(float(k))) for r, k in enumerate(space.grades) if k]
 
 
 def test_grade_block_structure():
@@ -336,14 +345,25 @@ def test_json_payload_refuses_non_finite_entries(value):
         operator_json_payload(bad)
 
 
-def test_grade_diagonal_takes_its_tag_from_its_values():
+def test_grade_diagonal_is_tagged_unnormalized():
     space = FockSpace(F22)
-    for func, normalization in ((lambda k: 1.0 - k / 2, ORTHONORMAL),
-                                (lambda k: Fraction(1) - Fraction(k, 2), UNNORMALIZED),
-                                (lambda k: k, UNNORMALIZED)):
+    for func in (lambda k: Fraction(1) - Fraction(k, 2), lambda k: k, lambda k: 1.0 - k / 2):
         op = grade_diagonal(space, func)
-        assert (op.tag.spec, op.tag.normalization) == (F22, normalization)
+        assert (op.tag.spec, op.tag.normalization) == (F22, UNNORMALIZED)
         assert [op.get(r, r) for r in range(op.rows)] == [func(k) for k in space.grades]
+    # float values under that tag are no exact operator, and the export refuses them
+    with pytest.raises(ValueError, match="float entries in an operator tagged 'unnormalized'"):
+        operator_json_payload(op)
+
+
+def test_gram_ratio_refuses_a_rank_outside_the_basis():
+    space = FockSpace(AlgebraSpec(Kind.BOSE, 2, 3))  # ranks 0..9
+    assert space.gram_ratio(9, 0) == (36, 27)
+    # -1 read rank 9 through negative indexing, True rank 1, and 10 ran off the list
+    for r, c in ((-1, 0), (True, 0), (10, 0), (0, -1), (0, False), (1.0, 0), (-1, -1),
+                 (True, True)):
+        with pytest.raises(ValueError, match="basis ranks"):
+            space.gram_ratio(r, c)
 
 
 def test_grade_diagonal_calls_its_function_once_per_grade():

@@ -128,13 +128,13 @@ def test_vacuum_cyclic_rank_is_full():
 
 
 def test_float_backend_suite():
-    # the float suite is the exact suite plus the orthonormal agreement checks:
-    # conjugation by the diagonal square roots of G keeps every relation
+    # the float suite is the exact suite plus the 2n orthonormal agreement checks
+    # of the ladders: conjugation by the diagonal square roots of G keeps every relation
     for spec in (AlgebraSpec(Kind.FERMI, 3, 2), AlgebraSpec(Kind.BOSE, 2, 4)):
         reports = run_suite(spec, FLOAT)
         assert reports == sorted(run_suite(spec, EXACT) + check_backend_agreement(FockSpace(spec)),
                                  key=RelationReport.sort_key)
-        assert len(reports) == 2 * spec.n ** 2 + 9 * spec.n + 4
+        assert len(reports) == 2 * spec.n ** 2 + 9 * spec.n + 3
         for rep in reports:
             assert rep.passed, (rep.relation, rep.indices, rep.residual)
             assert float(rep.residual) <= FLOAT_TOL
